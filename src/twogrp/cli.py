@@ -280,6 +280,13 @@ def run_theorem(args):
     return report, all_ok
 
 
+def _degree(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("degree must be >= 0, got %d" % value)
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="twogrp",
@@ -300,7 +307,7 @@ def build_parser():
     p = sub.add_parser("cohomology", help="compute H^n(G, A)")
     p.add_argument("--group", required=True)
     p.add_argument("--coeffs", required=True)
-    p.add_argument("--degree", type=int, default=3)
+    p.add_argument("--degree", type=_degree, default=3)
 
     p = sub.add_parser("cocycle", help="verify, solve, or classify cocycles")
     psub = p.add_subparsers(dest="subaction", required=True)
@@ -309,7 +316,7 @@ def build_parser():
     ps = psub.add_parser("solve")
     ps.add_argument("--group", required=True)
     ps.add_argument("--coeffs", required=True)
-    ps.add_argument("--degree", type=int, default=3)
+    ps.add_argument("--degree", type=_degree, default=3)
     pc = psub.add_parser("classes-mod-aut")
     pc.add_argument("--group", required=True)
     pc.add_argument("--coeffs", required=True)

@@ -14,7 +14,13 @@ import numpy as np
 
 from . import kernels
 from .coeff import AbelianGroup
-from .errors import DegreeMismatch, NotACocycle, ShapeMismatch, SizeBound
+from .errors import (
+    DegreeMismatch,
+    NotACocycle,
+    ShapeMismatch,
+    SizeBound,
+    WitnessMismatch,
+)
 from .group import FiniteGroup, group_automorphisms
 from .modlinalg import (
     canonical_invariant_factors,
@@ -30,6 +36,13 @@ DEFAULT_MAX_GROUP = 8
 DEFAULT_MAX_COEFFS = 8
 
 
+def _check_degree(degree):
+    degree = int(degree)
+    if degree < 0:
+        raise DegreeMismatch("cochain degree must be >= 0, got %d" % degree)
+    return degree
+
+
 class Cochain:
     """A degree-n cochain: dense table over G^n with values in A.
 
@@ -40,7 +53,7 @@ class Cochain:
     def __init__(self, group, coeffs, degree, values):
         self.group = group
         self.coeffs = coeffs
-        self.degree = int(degree)
+        self.degree = _check_degree(degree)
         values = tuple(tuple(v) for v in values)
         if len(values) != group.order**self.degree:
             raise ShapeMismatch(
@@ -52,10 +65,12 @@ class Cochain:
 
     @classmethod
     def zero(cls, group, coeffs, degree):
+        degree = _check_degree(degree)
         return cls(group, coeffs, degree, [coeffs.zero] * group.order**degree)
 
     @classmethod
     def from_function(cls, group, coeffs, degree, fn):
+        degree = _check_degree(degree)
         vals = [
             fn(*args)
             for args in itertools.product(range(group.order), repeat=degree)
@@ -271,6 +286,7 @@ def bar_matrix(G, degree):
 
 
 def _check_bounds(G, A, degree, max_group, max_coeffs):
+    _check_degree(degree)
     if degree > 3:
         raise SizeBound("cohomology solving is bounded at degree 3")
     if G.order > max_group:
@@ -350,7 +366,7 @@ class _QPartData:
     """Per (invariant factor, prime power) solver data used to locate the
     cohomology class of a cocycle."""
 
-    def __init__(self, t, p, k, mu, evals, Vinv, P, positions, gen_matrix):
+    def __init__(self, t, p, k, mu, evals, Vinv, P, positions):
         self.t = t
         self.p = p
         self.k = k
@@ -359,7 +375,6 @@ class _QPartData:
         self.Vinv = Vinv
         self.P = P
         self.positions = positions  # [(row index in P-coords, order p^f)]
-        self.gen_matrix = gen_matrix  # ambient kernel generators, columns
 
     def coordinates(self, vec_t):
         p, k, q = self.p, self.k, self.p**self.k
@@ -475,7 +490,7 @@ def cohomology(G, A, degree, max_group=DEFAULT_MAX_GROUP,
                     positions.append((i, p**f))
                     avec = (gens @ Pinv[:, i]) % q
                     raw.append((p, f, t, (avec * mu) % m))
-            qparts.append(_QPartData(t, p, k, mu, evals, Vinv, P, positions, gens))
+            qparts.append(_QPartData(t, p, k, mu, evals, Vinv, P, positions))
     raw_orders = [p**f for p, f, _, _ in raw]
     nfactors = len(A.invariant_factors)
 
@@ -578,7 +593,8 @@ def are_cohomologous(c1, c2):
         )
         vectors.append(vec)
     beta = _cochain_from_factor_vectors(G, A, n - 1, vectors)
-    assert coboundary(beta).values == delta.values
+    if coboundary(beta).values != delta.values:
+        raise WitnessMismatch("computed witness beta has d(beta) != c2 - c1")
     return beta
 
 

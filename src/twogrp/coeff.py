@@ -82,10 +82,6 @@ class AbelianGroup:
             self.check(tuple(x))
             raise
 
-    def add_index(self, i, j):
-        els = self.elements()
-        return self.index(self.add(els[i], els[j]))
-
     def addition_table(self):
         """Flat |A|^2 table of element-index sums, row-major."""
         els = self.elements()
@@ -104,10 +100,6 @@ class AbelianGroup:
         return cls(obj["invariant_factors"])
 
 
-def ab_make(invariant_factors):
-    return AbelianGroup(invariant_factors)
-
-
 def ab_add(A, x, y):
     A.check(x)
     A.check(y)
@@ -117,7 +109,3 @@ def ab_add(A, x, y):
 def ab_neg(A, x):
     A.check(x)
     return A.neg(x)
-
-
-def ab_enumerate(A):
-    return list(A.elements())

@@ -39,6 +39,10 @@ class DegreeMismatch(TwogrpError):
     pass
 
 
+class WitnessMismatch(TwogrpError):
+    """A witness the library computed failed its own verification."""
+
+
 class NotACocycle(TwogrpError):
     def __init__(self, witness=None):
         self.witness = witness

@@ -325,11 +325,3 @@ def group_automorphisms(g, order_bound=AUTOMORPHISM_ORDER_BOUND):
     identity = GroupAutomorphism(g, range(g.order))
     results.remove(identity)
     return [identity] + results
-
-
-def group_mul(g, x, y):
-    return g.mul(x, y)
-
-
-def group_inv(g, x):
-    return g.inv(x)

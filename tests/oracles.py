@@ -210,3 +210,23 @@ def automorphism_images(G):
         ):
             out.append(image)
     return out
+
+
+def brute_coboundary(G, A, degree, values):
+    """Values of the bar coboundary of a degree-n cochain with trivial
+    action, listed over G^(n+1) with the first argument most significant, by
+    direct evaluation of the alternating sum residue by residue."""
+    n = degree
+    cochain = dict(zip(itertools.product(range(G.order), repeat=n), values))
+    out = []
+    for args in itertools.product(range(G.order), repeat=n + 1):
+        faces = [args[1:]]
+        for i in range(1, n + 1):
+            merged = G.table[args[i - 1]][args[i]]
+            faces.append(args[:i - 1] + (merged,) + args[i + 1:])
+        faces.append(args[:-1])
+        out.append(tuple(
+            sum((-1) ** i * cochain[face][t] for i, face in enumerate(faces)) % m
+            for t, m in enumerate(A.invariant_factors)
+        ))
+    return out

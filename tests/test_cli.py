@@ -81,6 +81,12 @@ def test_cohomology_size_bound(capsys):
     code, out, err = run(capsys, "--max-group", "4", "cohomology",
                          "--group", "cyclic:6", "--coeffs", "2")
     assert code == EXIT_FAIL
+    # a negative degree is a usage error, reported without a traceback
+    for verb in (["cohomology"], ["cocycle", "solve"]):
+        code, out, err = run(capsys, *verb, "--group", "cyclic:2",
+                             "--coeffs", "2", "--degree", "-1")
+        assert code == EXIT_USAGE
+        assert "degree must be >= 0" in err and "Traceback" not in err
 
 
 def test_cocycle_verify(capsys, tmp_path):

@@ -17,10 +17,16 @@ from twogrp.cochain import (
     normalized_tuples,
     pull_back_along_automorphism,
 )
-from twogrp.errors import NotACocycle, ShapeMismatch, SizeBound
+from twogrp.errors import (
+    DegreeMismatch,
+    NotACocycle,
+    ShapeMismatch,
+    SizeBound,
+    WitnessMismatch,
+)
 from twogrp.group import cyclic, dihedral, group_automorphisms, group_construct
 
-from oracles import brute_h3_multi
+from oracles import brute_coboundary, brute_h3_multi
 
 RNG = random.Random(913)
 
@@ -230,6 +236,21 @@ def test_are_cohomologous():
     assert coboundary(wit) == shifted.sub(alpha)
 
 
+def test_are_cohomologous_rejects_bad_witness(monkeypatch):
+    # the self-check must survive python -O, so it cannot be an assert
+    import twogrp.cochain
+
+    def wrong_coboundary(beta):
+        return Cochain.from_function(
+            beta.group, beta.coeffs, beta.degree + 1, lambda *args: (1,)
+        )
+
+    monkeypatch.setattr(twogrp.cochain, "coboundary", wrong_coboundary)
+    zero = Cochain.zero(C2, Z2, 3)
+    with pytest.raises(WitnessMismatch):
+        are_cohomologous(zero, zero)
+
+
 def test_lex_minimal_representative():
     res = cohomology(C2, Z2, 3)
     alpha = nontrivial_c2(3)
@@ -301,6 +322,12 @@ def test_size_bounds():
         cohomology(C2, AbelianGroup([9]), 3)
     with pytest.raises(SizeBound):
         cocycle_solve(C2, Z2, 4)
+    with pytest.raises(DegreeMismatch, match="-1"):
+        cohomology(C2, Z2, -1)
+    with pytest.raises(DegreeMismatch, match="-1"):
+        cocycle_solve(C2, Z2, -1)
+    with pytest.raises(DegreeMismatch, match="-1"):
+        Cochain(C2, Z2, -1, [])
 
 
 def test_json_round_trip():
@@ -311,28 +338,18 @@ def test_json_round_trip():
     assert back == alpha
 
 
-def test_backends_agree():
-    from twogrp import _kernels_py
-    from twogrp import kernels
-
-    G, A = dihedral(3), AbelianGroup([6])
-    gtable = [x for row in G.table for x in row]
-    add = A.addition_table()
-    neg = A.negation_table()
-    na = A.order
-    for degree in (1, 2, 3):
-        c = random_cochain(G, A, degree, RNG)
-        values = c.index_array()
-        out_backend = kernels.coboundary_table(
-            gtable, G.order, degree, values, add, neg, na
-        )
-        out_pure = [0] * G.order ** (degree + 1)
-        _kernels_py.coboundary_table(
-            gtable, G.order, degree, values, add, neg, na, out_pure
-        )
-        assert list(out_backend) == out_pure
-        assert kernels.first_coboundary_violation(
-            gtable, G.order, degree, values, add, neg, na
-        ) == _kernels_py.first_coboundary_violation(
-            gtable, G.order, degree, values, add, neg, na
-        )
+def test_coboundary_matches_oracle():
+    cases = [(dihedral(3), A, d) for A in (AbelianGroup([6]), AbelianGroup([2, 2]))
+             for d in range(5)]
+    cases.append((C2, Z2, 9))  # past 8 arguments, where a fixed-size index tuple overflows
+    for G, A, degree in cases:
+        inputs = [random_cochain(G, A, degree, RNG), Cochain.zero(G, A, degree)]
+        if degree:
+            inputs.append(coboundary(random_cochain(G, A, degree - 1, RNG)))
+        for c in inputs:
+            expected = brute_coboundary(G, A, degree, c.values)
+            assert coboundary(c).values == tuple(expected)
+            failing = [args for args, v in zip(
+                itertools.product(range(G.order), repeat=degree + 1), expected
+            ) if v != A.zero]
+            assert is_cocycle(c) == (not failing, failing[0] if failing else None)
