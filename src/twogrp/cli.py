@@ -22,7 +22,7 @@ from .cochain import (
     cohomology_classes_mod_aut,
     is_cocycle,
 )
-from .errors import ParseError, TwogrpError
+from .errors import DegreeMismatch, ParseError, TwogrpError
 from .group import FiniteGroup, group_automorphisms, group_construct
 from .simplicial import TruncatedSSet, is_kan, nerve_bg, validate_simplicial
 from .twogroup import (
@@ -82,6 +82,8 @@ def load_cocycle(path):
         )
         coeffs = AbelianGroup.from_json(obj["coeffs"])
         return Cochain.from_json(obj, group=group, coeffs=coeffs)
+    except DegreeMismatch as exc:
+        raise ParseError("malformed cocycle file %s: %s" % (path, exc))
     except (KeyError, TypeError) as exc:
         raise ParseError("malformed cocycle file %s: %r" % (path, exc))
 

@@ -156,9 +156,9 @@ class Cochain:
         return self.normalization_witness() is None
 
     def index_array(self):
-        """Values as coefficient-element indices, for the scan kernels."""
+        """Values as coefficient-element indices, as an int64 array."""
         A = self.coeffs
-        return [A.index(v) for v in self.values]
+        return np.array([A.index(v) for v in self.values], dtype=np.int64)
 
     def to_json(self):
         def nest(vals, degree):
@@ -182,6 +182,10 @@ class Cochain:
         group = group or FiniteGroup.from_json(obj["group"])
         coeffs = coeffs or AbelianGroup.from_json(obj["coeffs"])
         degree = obj["degree"]
+        if not isinstance(degree, int) or isinstance(degree, bool) or degree < 0:
+            raise DegreeMismatch(
+                "cochain degree must be an integer >= 0, got %r" % (degree,)
+            )
         flat = []
 
         def walk(node, depth):
@@ -203,13 +207,8 @@ def coboundary(c):
     G, A = c.group, c.coeffs
     els = A.elements()
     out = kernels.coboundary_table(
-        [x for row in G.table for x in row],
-        G.order,
-        c.degree,
-        c.index_array(),
-        A.addition_table(),
-        A.negation_table(),
-        len(els),
+        G.table_array, G.order, c.degree, c.index_array(),
+        A.add_array, A.neg_array, len(els),
     )
     return Cochain(G, A, c.degree + 1, [els[int(i)] for i in out])
 
@@ -219,13 +218,8 @@ def is_cocycle(c):
     lexicographically first failing argument tuple."""
     G, A = c.group, c.coeffs
     flat = kernels.first_coboundary_violation(
-        [x for row in G.table for x in row],
-        G.order,
-        c.degree,
-        c.index_array(),
-        A.addition_table(),
-        A.negation_table(),
-        A.order,
+        G.table_array, G.order, c.degree, c.index_array(),
+        A.add_array, A.neg_array, A.order,
     )
     if flat < 0:
         return True, None

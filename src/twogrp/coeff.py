@@ -7,6 +7,8 @@ tuple its only element.
 
 import itertools
 
+import numpy as np
+
 from .errors import InvalidFactor, ShapeMismatch
 
 
@@ -25,6 +27,7 @@ class AbelianGroup:
         self.zero = (0,) * len(factors)
         self._elements = None
         self._index = None
+        self._add = self._neg = self._sub = None
 
     def __repr__(self):
         return "AbelianGroup(%s)" % list(self.invariant_factors)
@@ -82,15 +85,31 @@ class AbelianGroup:
             self.check(tuple(x))
             raise
 
-    def addition_table(self):
-        """Flat |A|^2 table of element-index sums, row-major."""
-        els = self.elements()
-        n = len(els)
-        return [self.index(self.add(els[i], els[j])) for i in range(n) for j in range(n)]
+    # The tables are built on first use and kept as plain attributes
+    # (functools.cached_property would materialize the instance __dict__,
+    # which slows every attribute read on the object).
 
-    def negation_table(self):
-        els = self.elements()
-        return [self.index(self.neg(e)) for e in els]
+    @property
+    def add_array(self):
+        """Read-only |A| x |A| int64 table of element-index sums."""
+        if self._add is None:
+            els = self.elements()
+            self._add = _frozen([[self.index(self.add(x, y)) for y in els] for x in els])
+        return self._add
+
+    @property
+    def neg_array(self):
+        """Read-only int64 table of element-index negatives."""
+        if self._neg is None:
+            self._neg = _frozen([self.index(self.neg(x)) for x in self.elements()])
+        return self._neg
+
+    @property
+    def sub_array(self):
+        """Read-only |A| x |A| int64 table of element-index differences."""
+        if self._sub is None:
+            self._sub = _frozen(self.add_array[:, self.neg_array])
+        return self._sub
 
     def to_json(self):
         return {"invariant_factors": list(self.invariant_factors)}
@@ -98,6 +117,12 @@ class AbelianGroup:
     @classmethod
     def from_json(cls, obj):
         return cls(obj["invariant_factors"])
+
+
+def _frozen(table):
+    arr = np.array(table, dtype=np.int64)
+    arr.flags.writeable = False
+    return arr
 
 
 def ab_add(A, x, y):

@@ -8,30 +8,93 @@ decalage) and generically (as a level-wise fiber product).  The canonical
 isomorphism is produced in coordinates and machine-checked, along with
 simplicial validity, agreement of the two pullback constructions, and the
 Kan property of the nerve.
+
+Cells are mixed-radix codes of their coordinates in the order the
+docstrings list them (elements of G, then element indices of A), so every
+table and map component here is one gather over an open index grid of
+(f, g, h, t1, t2, t3) with G's multiplication table, A's addition,
+subtraction tables and alpha's value indices.  Labels are decoded lazily
+(simplicial.Cells) for label(), index(), JSON and witnesses.
 """
 
-import itertools
+import functools
+
+import numpy as np
 
 from .errors import DegreeMismatch
 from .simplicial import (
+    CACHE_SIZE,
+    Horn,
     SimplicialMap,
     TruncatedSSet,
+    _guard_level,
     cocycle_as_map,
     decalage_map,
+    encode,
     fiber_product,
-    fillers,
-    Horn,
+    filler_counts,
+    flat,
+    grid,
     identity_map,
     inverse_map,
     is_isomorphism,
     is_kan,
     mediating_map,
     nerve_bg,
+    radix_cells,
     validate_simplicial,
     w_b2a,
     wbar_b2a,
 )
 from .twogroup import TwoGroupSkeleton
+
+
+def _code2(G, A, f, g, a):
+    """The index of the 2-cell (f, g, a) of either model."""
+    return encode((f, g, a), (G.order, G.order, A.order))
+
+
+def _code3(G, A, f, g, h, a, b, c):
+    """The index of the 3-cell of either model with coordinates
+    (f, g, h, a, b, c) in G^3 x A^3."""
+    return encode((f, g, h, a, b, c), (G.order,) * 3 + (A.order,) * 3)
+
+
+def _model(G, A, level3, faces3, degeneracies3, name):
+    """A 3-truncated model shaped like the nerve of G with coordinates in A
+    carried along: one point, the elements of G, 2-cells (f, g, a) with
+    faces g, fg, f, and the given 3-cells (labels and tables), whose
+    coordinates are (f, g, h) in G^3 and three in A."""
+    ng, na = G.order, A.order
+    els = A.elements()
+    shape2 = (ng, ng, na)
+    f, g, _a = grid(shape2)
+    f1 = np.arange(ng, dtype=np.int64)
+    levels = [
+        radix_cells(()),
+        radix_cells((ng,), lambda d: d[0], lambda f: (f,)),
+        radix_cells(
+            shape2,
+            lambda d: (d[0], d[1], els[d[2]]),
+            lambda lab: (lab[0], lab[1], A.index(lab[2])),
+        ),
+        level3,
+    ]
+    faces = {
+        (1, 0): np.zeros(ng, dtype=np.int64),
+        (1, 1): np.zeros(ng, dtype=np.int64),
+        (2, 0): flat(g, shape2),
+        (2, 1): flat(G.table_array[f, g], shape2),
+        (2, 2): flat(f, shape2),
+    }
+    degeneracies = {
+        (0, 0): np.zeros(1, dtype=np.int64),
+        (1, 0): _code2(G, A, 0, f1, 0),
+        (1, 1): _code2(G, A, f1, 0, 0),
+    }
+    faces.update(faces3)
+    degeneracies.update(degeneracies3)
+    return TruncatedSSet(3, levels, faces, degeneracies, name=name)
 
 
 def duskin_nerve(skeleton):
@@ -44,55 +107,45 @@ def duskin_nerve(skeleton):
 
         t0 + t2 = alpha(f, g, h) + t1 + t3,
 
-    the two routes through the interior of the tetrahedron.
+    the two routes through the interior of the tetrahedron.  A 3-cell is
+    indexed by (f, g, h, t1, t2, t3); t0 is solved for.
     """
     G, A, alpha = skeleton.group, skeleton.coeffs, skeleton.alpha
-    level0 = [()]
-    level1 = list(range(G.order))
-    level2 = [
-        (f, g, t)
-        for f in range(G.order)
-        for g in range(G.order)
-        for t in A.elements()
-    ]
-    level3 = []
-    for f, g, h in itertools.product(range(G.order), repeat=3):
-        av = alpha.value((f, g, h))
-        for t1 in A.elements():
-            for t2 in A.elements():
-                for t3 in A.elements():
-                    t0 = A.sub(A.add(av, A.add(t1, t3)), t2)
-                    level3.append((f, g, h, t0, t1, t2, t3))
-    levels = [level0, level1, level2, level3]
-    index = [{c: i for i, c in enumerate(lv)} for lv in levels]
-    zero = A.zero
-    mul = G.table
+    ng, na = G.order, A.order
+    _guard_level(ng**3 * na**3)
+    T, Add, Sub = G.table_array, A.add_array, A.sub_array
+    V = alpha.index_array().reshape((ng,) * 3)
+    els = A.elements()
 
-    faces = {}
-    faces[(1, 0)] = [0] * len(level1)
-    faces[(1, 1)] = [0] * len(level1)
-    faces[(2, 0)] = [index[1][g] for f, g, t in level2]
-    faces[(2, 1)] = [index[1][mul[f][g]] for f, g, t in level2]
-    faces[(2, 2)] = [index[1][f] for f, g, t in level2]
-    faces[(3, 0)] = [index[2][(g, h, t0)] for f, g, h, t0, t1, t2, t3 in level3]
-    faces[(3, 1)] = [index[2][(mul[f][g], h, t1)] for f, g, h, t0, t1, t2, t3 in level3]
-    faces[(3, 2)] = [index[2][(f, mul[g][h], t2)] for f, g, h, t0, t1, t2, t3 in level3]
-    faces[(3, 3)] = [index[2][(f, g, t3)] for f, g, h, t0, t1, t2, t3 in level3]
+    def label3(d):
+        f, g, h, t1, t2, t3 = d
+        t0 = Sub[Add[V[f, g, h], Add[t1, t3]], t2]
+        return (f, g, h, els[t0], els[t1], els[t2], els[t3])
 
-    degeneracies = {}
-    degeneracies[(0, 0)] = [index[1][0]]
-    degeneracies[(1, 0)] = [index[2][(0, f, zero)] for f in level1]
-    degeneracies[(1, 1)] = [index[2][(f, 0, zero)] for f in level1]
-    degeneracies[(2, 0)] = [
-        index[3][(0, f, g, t, t, zero, zero)] for f, g, t in level2
-    ]
-    degeneracies[(2, 1)] = [
-        index[3][(f, 0, g, zero, t, t, zero)] for f, g, t in level2
-    ]
-    degeneracies[(2, 2)] = [
-        index[3][(f, g, 0, zero, zero, t, t)] for f, g, t in level2
-    ]
-    return TruncatedSSet(3, levels, faces, degeneracies, name="duskin")
+    def digits3(lab):
+        f, g, h, _t0, t1, t2, t3 = lab
+        return (f, g, h, A.index(t1), A.index(t2), A.index(t3))
+
+    shape3 = (ng, ng, ng, na, na, na)
+    f, g, h, t1, t2, t3 = grid(shape3)
+    t0 = Sub[Add[V[f, g, h], Add[t1, t3]], t2]
+    faces3 = {
+        (3, 0): flat(_code2(G, A, g, h, t0), shape3),
+        (3, 1): flat(_code2(G, A, T[f, g], h, t1), shape3),
+        (3, 2): flat(_code2(G, A, f, T[g, h], t2), shape3),
+        (3, 3): flat(_code2(G, A, f, g, t3), shape3),
+    }
+    # s_i(f, g, t) is (0, f, g, t, t, 0, 0), (f, 0, g, 0, t, t, 0) or
+    # (f, g, 0, 0, 0, t, t); its t0 is as listed because alpha is normalized
+    shape2 = (ng, ng, na)
+    f, g, t = grid(shape2)
+    degeneracies3 = {
+        (2, 0): flat(_code3(G, A, 0, f, g, t, 0, 0), shape2),
+        (2, 1): flat(_code3(G, A, f, 0, g, t, t, 0), shape2),
+        (2, 2): flat(_code3(G, A, f, g, 0, 0, t, t), shape2),
+    }
+    level3 = radix_cells(shape3, label3, digits3)
+    return _model(G, A, level3, faces3, degeneracies3, "duskin")
 
 
 def pullback_model(skeleton):
@@ -100,60 +153,32 @@ def pullback_model(skeleton):
     of G, 2-cells (f, g, a), and 3-cells (f, g, h, a, b, c) whose faces
     carry a+d, a+b, b+c and c with d = alpha(f, g, h)."""
     G, A, alpha = skeleton.group, skeleton.coeffs, skeleton.alpha
-    level0 = [()]
-    level1 = list(range(G.order))
-    level2 = [
-        (f, g, a)
-        for f in range(G.order)
-        for g in range(G.order)
-        for a in A.elements()
-    ]
-    level3 = [
-        (f, g, h, a, b, c)
-        for f, g, h in itertools.product(range(G.order), repeat=3)
-        for a in A.elements()
-        for b in A.elements()
-        for c in A.elements()
-    ]
-    levels = [level0, level1, level2, level3]
-    index = [{c: i for i, c in enumerate(lv)} for lv in levels]
-    zero = A.zero
-    mul = G.table
-
-    def dval(f, g, h):
-        return alpha.value((f, g, h))
-
-    faces = {}
-    faces[(1, 0)] = [0] * len(level1)
-    faces[(1, 1)] = [0] * len(level1)
-    faces[(2, 0)] = [index[1][g] for f, g, a in level2]
-    faces[(2, 1)] = [index[1][mul[f][g]] for f, g, a in level2]
-    faces[(2, 2)] = [index[1][f] for f, g, a in level2]
-    faces[(3, 0)] = [
-        index[2][(g, h, A.add(a, dval(f, g, h)))] for f, g, h, a, b, c in level3
-    ]
-    faces[(3, 1)] = [
-        index[2][(mul[f][g], h, A.add(a, b))] for f, g, h, a, b, c in level3
-    ]
-    faces[(3, 2)] = [
-        index[2][(f, mul[g][h], A.add(b, c))] for f, g, h, a, b, c in level3
-    ]
-    faces[(3, 3)] = [index[2][(f, g, c)] for f, g, h, a, b, c in level3]
-
-    degeneracies = {}
-    degeneracies[(0, 0)] = [index[1][0]]
-    degeneracies[(1, 0)] = [index[2][(0, f, zero)] for f in level1]
-    degeneracies[(1, 1)] = [index[2][(f, 0, zero)] for f in level1]
-    degeneracies[(2, 0)] = [
-        index[3][(0, f, g, a, zero, zero)] for f, g, a in level2
-    ]
-    degeneracies[(2, 1)] = [
-        index[3][(f, 0, g, zero, a, zero)] for f, g, a in level2
-    ]
-    degeneracies[(2, 2)] = [
-        index[3][(f, g, 0, zero, zero, a)] for f, g, a in level2
-    ]
-    return TruncatedSSet(3, levels, faces, degeneracies, name="pullback")
+    ng, na = G.order, A.order
+    _guard_level(ng**3 * na**3)
+    T, Add = G.table_array, A.add_array
+    V = alpha.index_array().reshape((ng,) * 3)
+    els = A.elements()
+    shape3 = (ng, ng, ng, na, na, na)
+    f, g, h, a, b, c = grid(shape3)
+    faces3 = {
+        (3, 0): flat(_code2(G, A, g, h, Add[a, V[f, g, h]]), shape3),
+        (3, 1): flat(_code2(G, A, T[f, g], h, Add[a, b]), shape3),
+        (3, 2): flat(_code2(G, A, f, T[g, h], Add[b, c]), shape3),
+        (3, 3): flat(_code2(G, A, f, g, c), shape3),
+    }
+    shape2 = (ng, ng, na)
+    f, g, a = grid(shape2)
+    degeneracies3 = {
+        (2, 0): flat(_code3(G, A, 0, f, g, a, 0, 0), shape2),
+        (2, 1): flat(_code3(G, A, f, 0, g, 0, a, 0), shape2),
+        (2, 2): flat(_code3(G, A, f, g, 0, 0, 0, a), shape2),
+    }
+    level3 = radix_cells(
+        shape3,
+        lambda d: d[:3] + tuple(els[x] for x in d[3:]),
+        lambda lab: tuple(lab[:3]) + tuple(A.index(x) for x in lab[3:]),
+    )
+    return _model(G, A, level3, faces3, degeneracies3, "pullback")
 
 
 def canonical_iso(duskin, pullback, coeffs):
@@ -163,19 +188,18 @@ def canonical_iso(duskin, pullback, coeffs):
         a = t1 - t2 + t3,  b = t2 - t3,  c = t3.
     """
     A = coeffs
+    ng, na = duskin.size(1), A.order
+    Add, Sub = A.add_array, A.sub_array
+    shape3 = (ng**3, na, na, na)
+    fgh, t1, t2, t3 = grid(shape3)
+    a = Add[Sub[t1, t2], t3]
+    b = Sub[t2, t3]
     comps = [
-        [0],
-        list(range(duskin.size(1))),
-        [pullback.index(2, duskin.label(2, x)) for x in range(duskin.size(2))],
+        np.zeros(1, dtype=np.int64),
+        np.arange(duskin.size(1), dtype=np.int64),
+        np.arange(duskin.size(2), dtype=np.int64),
+        flat(encode((fgh, a, b, t3), shape3), shape3),
     ]
-    level3 = []
-    for x in range(duskin.size(3)):
-        f, g, h, t0, t1, t2, t3 = duskin.label(3, x)
-        a = A.add(A.sub(t1, t2), t3)
-        b = A.sub(t2, t3)
-        c = t3
-        level3.append(pullback.index(3, (f, g, h, a, b, c)))
-    comps.append(level3)
     return SimplicialMap(duskin, pullback, comps)
 
 
@@ -222,25 +246,20 @@ def _plainify(obj):
     return repr(obj)
 
 
-_STATIC_CACHE = {}
-
-
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def _static_objects(G, A):
     """The alpha-independent pieces of the verification (nerve, W, Wbar,
     decalage) with their validation results, cached per (G, A)."""
-    key = (G, A)
-    if key not in _STATIC_CACHE:
-        NG = nerve_bg(G, 3)
-        W = w_b2a(A, 3)
-        Wb = wbar_b2a(A, 3)
-        dec = decalage_map(A, 3)
-        checks = {}
-        for X, tag in ((NG, "nerve"), (W, "w"), (Wb, "wbar")):
-            ok, witness = validate_simplicial(X)
-            checks["simplicial:%s" % tag] = (ok, witness)
-        checks["map:decalage"] = dec.validate()
-        _STATIC_CACHE[key] = (NG, W, Wb, dec, checks)
-    return _STATIC_CACHE[key]
+    NG = nerve_bg(G, 3)
+    W = w_b2a(A, 3)
+    Wb = wbar_b2a(A, 3)
+    dec = decalage_map(A, 3)
+    checks = {}
+    for X, tag in ((NG, "nerve"), (W, "w"), (Wb, "wbar")):
+        ok, witness = validate_simplicial(X)
+        checks["simplicial:%s" % tag] = (ok, witness)
+    checks["map:decalage"] = dec.validate()
+    return NG, W, Wb, dec, checks
 
 
 def verify_theorem(alpha, check_kan=True):
@@ -290,7 +309,10 @@ def verify_theorem(alpha, check_kan=True):
     round_trip = inv.compose(iso)
     report.record(
         "iso:round_trip",
-        round_trip.components == identity_map(duskin).components,
+        all(
+            np.array_equal(a, b)
+            for a, b in zip(round_trip.components, identity_map(duskin).components)
+        ),
     )
 
     # the explicit model agrees with the generic fiber product
@@ -304,9 +326,11 @@ def verify_theorem(alpha, check_kan=True):
         ok, witness = f.validate()
         report.record("map:%s" % tag, ok, witness)
     same_composite = all(
-        amap(n, to_ng(n, x)) == dec(n, to_w(n, x))
+        np.array_equal(
+            amap.components[n][to_ng.components[n]],
+            dec.components[n][to_w.components[n]],
+        )
         for n in range(4)
-        for x in range(model.size(n))
     )
     report.record("agreement:composites_match", same_composite)
     med = mediating_map(P, proj_ng, proj_w, to_ng, to_w)
@@ -327,38 +351,31 @@ def verify_theorem(alpha, check_kan=True):
 
 
 def _model_to_nerve(model, NG, skeleton):
-    """Forget the A-coordinates of the explicit model."""
-    comps = [
-        [0],
-        [NG.index(1, (model.label(1, x),)) for x in range(model.size(1))],
-        [NG.index(2, model.label(2, x)[:2]) for x in range(model.size(2))],
-        [NG.index(3, model.label(3, x)[:3]) for x in range(model.size(3))],
-    ]
+    """Forget the A-coordinates of the explicit model: they are the least
+    significant digits of its cells."""
+    na = skeleton.coeffs.order
+    cells = [np.arange(model.size(n), dtype=np.int64) for n in range(4)]
+    comps = [cells[0], cells[1], cells[2] // na, cells[3] // na**3]
     return SimplicialMap(model, NG, comps)
 
 
 def _model_to_w(model, W, skeleton):
-    """Project the explicit model onto its W(B^2 A) coordinates."""
-    A, alpha = skeleton.coeffs, skeleton.alpha
-    level2 = []
-    for x in range(model.size(2)):
-        f, g, a = model.label(2, x)
-        level2.append(W.index(2, ((a,), (), ())))
-    level3 = []
-    for x in range(model.size(3)):
-        f, g, h, a, b, c = model.label(3, x)
-        d = alpha.value((f, g, h))
-        level3.append(W.index(3, ((a, b, c), (d,), (), ())))
-    comps = [[0], [0] * model.size(1), level2, level3]
+    """Project the explicit model onto its W(B^2 A) coordinates: (f, g, a)
+    goes to ((a,), (), ()) and (f, g, h, a, b, c) to ((a, b, c), (d,), (), ())
+    with d = alpha(f, g, h)."""
+    na = skeleton.coeffs.order
+    values = skeleton.alpha.index_array()
+    cells2 = np.arange(model.size(2), dtype=np.int64)
+    cells3 = np.arange(model.size(3), dtype=np.int64)
+    comps = [
+        np.zeros(1, dtype=np.int64),
+        np.zeros(model.size(1), dtype=np.int64),
+        cells2 % na,
+        (cells3 % na**3) * na + values[cells3 // na**3],
+    ]
     return SimplicialMap(model, W, comps)
 
 
 def _degree2_filler_counts(X):
     """Number of fillers of every compatible inner and outer 2-horn."""
-    from .simplicial import enumerate_horns
-
-    counts = []
-    for missing in range(3):
-        for horn in enumerate_horns(X, 2, missing):
-            counts.append(len(fillers(X, horn)))
-    return counts
+    return [c for missing in range(3) for c in filler_counts(X, 2, missing).tolist()]

@@ -7,6 +7,8 @@ goes through the same validation as user-supplied ones.
 
 import itertools
 
+import numpy as np
+
 from .errors import IndexOutOfRange, NotAGroup, SizeBound, UnsupportedSpec
 
 AUTOMORPHISM_ORDER_BOUND = 12
@@ -20,6 +22,7 @@ class FiniteGroup:
         if not _validated:
             _validate_table(self.table)
         self._inv = None
+        self._table_array = None
 
     def __repr__(self):
         return "FiniteGroup(%s, order=%d)" % (self.name, self.order)
@@ -29,6 +32,16 @@ class FiniteGroup:
 
     def __hash__(self):
         return hash(self.table)
+
+    @property
+    def table_array(self):
+        """The multiplication table as a read-only int64 array, built on
+        first use."""
+        if self._table_array is None:
+            arr = np.array(self.table, dtype=np.int64).reshape(self.order, self.order)
+            arr.flags.writeable = False
+            self._table_array = arr
+        return self._table_array
 
     def mul(self, x, y):
         if not (0 <= x < self.order and 0 <= y < self.order):

@@ -1,9 +1,9 @@
 """The bar-coboundary kernel, as one numpy gather over G^(degree+1).
 
-All arguments are flat integer sequences: the group table row-major, cochain
-values as coefficient-element indices in the lexicographic enumeration of the
-coefficient group (first argument most significant), and the coefficient
-addition/negation tables.
+All arguments are integer arrays or sequences, reshaped as needed: the group
+table row-major, cochain values as coefficient-element indices in the
+lexicographic enumeration of the coefficient group (first argument most
+significant), and the coefficient addition/negation tables.
 """
 
 import numpy as np

@@ -1,128 +1,321 @@
-"""Truncated simplicial sets with explicit face and degeneracy tables.
+"""Truncated simplicial sets held as integer arrays.
 
-Provides the nerve of a finite group, the Dold-Kan nerve of a chain complex
-concentrated in degree 2, the simplicial classifying space of the resulting
-simplicial abelian group together with its decalage, fiber products, horns,
-and Kan-condition checking.
+Cell x of level n is the integer x.  Every face and degeneracy table and
+every component of a simplicial map is a read-only int64 numpy array indexed
+by cells, so the simplicial identities, map checks, compositions and
+inverses are fancy-index compositions, and a failing check reports the
+first mismatching cell.
+
+The constructors here (the nerve of a finite group, the Dold-Kan nerve
+Gamma(A[2]), its total space W and classifying space Wbar) and in
+correspondence.py have product-structured levels: a cell's index is the
+mixed-radix code of its coordinates (first coordinate most significant, the
+lexicographic enumeration order), and tables are gathers over open index
+grids with the group table and A's addition table.  Cell labels are lazy
+per-level sequences (Cells), decoded only for label(), index(), JSON and
+witnesses.  Also provided: fiber products by a sorted join, horns, and the
+Kan condition, swept by one vectorised join over level-(n-1) face tables.
 """
 
+import functools
 import itertools
+import operator
 
-from .coeff import AbelianGroup
+import numpy as np
+
 from .errors import (
     DegreeMismatch,
     DimensionBound,
     IndexOutOfRange,
     NotACocycle,
+    ParseError,
     ShapeMismatch,
     TruncationMismatch,
+    TwogrpError,
 )
 
 MAX_CELLS_PER_LEVEL = 1 << 20
+
+# Objects kept per cached constructor; the theorem grid has 32 (G, A) strata.
+CACHE_SIZE = 128
+
+# Horn rows produced per join step, which bounds the Kan sweep's memory.
+HORN_BLOCK = 1 << 16
+
+# Filler signature codes stay below this, so int64 arithmetic cannot wrap.
+CODE_BOUND = 1 << 62
+
+
+class Cells:
+    """The labels of one level, decoded on demand.
+
+    decode(x) is the label of cell x; encode(label) is the index of the cell
+    carrying it, or None.
+    """
+
+    def __init__(self, size, decode, encode):
+        self._size = size
+        self._decode = decode
+        self._encode = encode
+
+    def __len__(self):
+        return self._size
+
+    def __getitem__(self, x):
+        x = operator.index(x)
+        if x < 0:
+            x += self._size
+        if not 0 <= x < self._size:
+            raise IndexError("cell %d out of range" % x)
+        return self._decode(x)
+
+    def __iter__(self):
+        return (self._decode(x) for x in range(self._size))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        try:
+            if len(self) != len(other):
+                return False
+        except TypeError:
+            return NotImplemented
+        return all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+    def index(self, label):
+        try:
+            x = self._encode(label)
+        except (LookupError, TypeError, ValueError, TwogrpError):
+            x = None
+        if x is None or not 0 <= x < self._size or self._decode(x) != label:
+            raise KeyError(label)
+        return x
+
+
+def _as_cells(labels):
+    if isinstance(labels, Cells):
+        return labels
+    if isinstance(labels, range):
+        return Cells(len(labels), labels.__getitem__,
+                     lambda lab: labels.index(lab) if lab in labels else None)
+    labels = list(labels)
+    where = {label: i for i, label in enumerate(labels)}
+    return Cells(len(labels), labels.__getitem__, where.get)
+
+
+def radix_cells(radices, to_label=tuple, from_label=tuple):
+    """Cells indexed by the mixed-radix code of a digit tuple over radices,
+    first digit most significant.  to_label turns digits into a label and
+    from_label turns a label back into digits."""
+    radices = tuple(radices)
+    size = 1
+    for r in radices:
+        size *= r
+
+    def decode(x):
+        digits = []
+        for r in reversed(radices):
+            x, d = divmod(x, r)
+            digits.append(d)
+        return to_label(tuple(reversed(digits)))
+
+    def encode(label):
+        digits = tuple(from_label(label))
+        if len(digits) != len(radices):
+            return None
+        code = 0
+        for d, r in zip(digits, radices):
+            if not 0 <= d < r:
+                return None
+            code = code * r + d
+        return code
+
+    return Cells(size, decode, encode)
+
+
+def grid(radices):
+    """Open index grids: the k-th array runs over range(radices[k]) along
+    axis k and has length 1 along every other axis."""
+    ndim = len(radices)
+    return [
+        np.arange(r, dtype=np.int64).reshape((1,) * k + (r,) + (1,) * (ndim - k - 1))
+        for k, r in enumerate(radices)
+    ]
+
+
+def encode(parts, radices):
+    """The mixed-radix code of broadcastable digit arrays."""
+    code = 0
+    for part, r in zip(parts, radices):
+        code = code * r + part
+    return code
+
+
+def flat(values, shape):
+    """values broadcast over a grid of the given shape, as a flat int64
+    table in C order (the cells' enumeration order)."""
+    return np.broadcast_to(np.asarray(values, dtype=np.int64), shape).flatten()
+
+
+def _index_table(values, what):
+    try:
+        arr = np.asarray(values)
+    except (TypeError, ValueError):
+        raise ShapeMismatch("%s is not a flat integer table" % what)
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+        raise ShapeMismatch("%s is not a flat integer table" % what)
+    arr = arr.astype(np.int64)
+    arr.flags.writeable = False
+    return arr
+
+
+def _first_outside(tab, bound):
+    """The first entry of an int64 table outside [0, bound), or None."""
+    if not len(tab):
+        return None
+    wide = tab.view(np.uint64)  # negative entries wrap high
+    if np.maximum.reduce(wide) < bound:
+        return None
+    return int(tab[(wide >= bound).argmax()])
+
+
+def _first_mismatch(lhs, rhs):
+    differ = lhs != rhs
+    return int(differ.argmax()) if differ.any() else None
 
 
 class TruncatedSSet:
     """A simplicial set truncated at a fixed level.
 
-    levels[n] is a list of hashable cell labels; faces[(n, i)] and
-    degeneracies[(n, i)] are index tables.
+    levels[n] is the sequence of cell labels of level n (a Cells); faces[(n,
+    i)] and degeneracies[(n, i)] are int64 index tables.
     """
 
     def __init__(self, truncation, levels, faces, degeneracies, name=None):
         self.truncation = int(truncation)
+        if self.truncation < 0:
+            raise TruncationMismatch("truncation must be >= 0, got %d" % self.truncation)
         if len(levels) != self.truncation + 1:
             raise TruncationMismatch(
                 "expected %d levels, got %d" % (self.truncation + 1, len(levels))
             )
-        self.levels = [list(lv) for lv in levels]
-        self.faces = {k: list(v) for k, v in faces.items()}
-        self.degeneracies = {k: list(v) for k, v in degeneracies.items()}
+        self.levels = [_as_cells(lv) for lv in levels]
+        self._sizes = [len(lv) for lv in self.levels]
+        self.faces = {
+            k: _index_table(v, "face table %r" % (k,)) for k, v in faces.items()
+        }
+        self.degeneracies = {
+            k: _index_table(v, "degeneracy table %r" % (k,))
+            for k, v in degeneracies.items()
+        }
         self.name = name
-        self.label_index = [
-            {label: i for i, label in enumerate(lv)} for lv in self.levels
-        ]
         self._check_tables()
-        self._filler_index = {}
+        self._derived = {}  # filler indexes and face groupings, built on demand
 
     def _check_tables(self):
+        size = self._sizes
         for n in range(1, self.truncation + 1):
             for i in range(n + 1):
                 tab = self.faces.get((n, i))
-                if tab is None or len(tab) != self.size(n):
+                if tab is None or len(tab) != size[n]:
                     raise ShapeMismatch("missing or misshapen face table (%d,%d)" % (n, i))
-                for x in tab:
-                    if not 0 <= x < self.size(n - 1):
-                        raise IndexOutOfRange("face (%d,%d) hits cell %d" % (n, i, x))
+                x = _first_outside(tab, size[n - 1])
+                if x is not None:
+                    raise IndexOutOfRange("face (%d,%d) hits cell %d" % (n, i, x))
         for n in range(self.truncation):
             for i in range(n + 1):
                 tab = self.degeneracies.get((n, i))
-                if tab is None or len(tab) != self.size(n):
+                if tab is None or len(tab) != size[n]:
                     raise ShapeMismatch(
                         "missing or misshapen degeneracy table (%d,%d)" % (n, i)
                     )
-                for x in tab:
-                    if not 0 <= x < self.size(n + 1):
-                        raise IndexOutOfRange(
-                            "degeneracy (%d,%d) hits cell %d" % (n, i, x)
-                        )
+                x = _first_outside(tab, size[n + 1])
+                if x is not None:
+                    raise IndexOutOfRange(
+                        "degeneracy (%d,%d) hits cell %d" % (n, i, x)
+                    )
 
     def size(self, n):
-        return len(self.levels[n])
+        return self._sizes[n]
 
     def face(self, n, i, x):
-        return self.faces[(n, i)][x]
+        return int(self.faces[(n, i)][x])
 
     def degeneracy(self, n, i, x):
-        return self.degeneracies[(n, i)][x]
+        return int(self.degeneracies[(n, i)][x])
 
     def label(self, n, x):
         return self.levels[n][x]
 
     def index(self, n, label):
-        return self.label_index[n][label]
+        return self.levels[n].index(label)
 
     def face_vector(self, n, x):
-        return tuple(self.faces[(n, i)][x] for i in range(n + 1))
+        return tuple(int(self.faces[(n, i)][x]) for i in range(n + 1))
 
     def to_json(self):
         obj = {
             "truncation": self.truncation,
             "levels": [self.size(n) for n in range(self.truncation + 1)],
             "faces": {
-                "%d,%d" % k: list(v) for k, v in sorted(self.faces.items())
+                "%d,%d" % k: v.tolist() for k, v in sorted(self.faces.items())
             },
             "degeneracies": {
-                "%d,%d" % k: list(v) for k, v in sorted(self.degeneracies.items())
+                "%d,%d" % k: v.tolist() for k, v in sorted(self.degeneracies.items())
             },
         }
         return obj
 
     @classmethod
     def from_json(cls, obj):
-        trunc = obj["truncation"]
-        levels = [list(range(sz)) for sz in obj["levels"]]
+        """Parse the to_json format.  Malformed input raises ParseError
+        before anything is allocated; level sizes are bounded by
+        MAX_CELLS_PER_LEVEL."""
+        if not isinstance(obj, dict):
+            raise ParseError("simplicial set must be a JSON object")
+        trunc = obj.get("truncation")
+        if not _is_int(trunc) or trunc < 0:
+            raise ParseError("truncation must be an integer >= 0, got %r" % (trunc,))
+        sizes = obj.get("levels")
+        if not isinstance(sizes, list) or len(sizes) != trunc + 1:
+            raise ParseError("levels must be a list of %d sizes" % (trunc + 1))
+        for sz in sizes:
+            if not _is_int(sz) or not 0 <= sz <= MAX_CELLS_PER_LEVEL:
+                raise ParseError(
+                    "level sizes must be integers in [0, %d], got %r"
+                    % (MAX_CELLS_PER_LEVEL, sz)
+                )
+        faces = _parse_tables(obj.get("faces"), "faces")
+        degeneracies = _parse_tables(obj.get("degeneracies"), "degeneracies")
+        levels = [range(sz) for sz in sizes]
+        return cls(trunc, levels, faces, degeneracies)
 
-        def parse(tables):
-            out = {}
-            for key, arr in tables.items():
-                parts = key.split(",")
-                if len(parts) != 2:
-                    raise ShapeMismatch("bad table key %r" % key)
-                out[(int(parts[0]), int(parts[1]))] = [int(x) for x in arr]
-            return out
 
-        return cls(trunc, levels, parse(obj["faces"]), parse(obj["degeneracies"]))
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _compose(outer, inner):
-    return [outer[x] for x in inner]
-
-
-def _first_mismatch(lhs, rhs):
-    for x, (a, b) in enumerate(zip(lhs, rhs)):
-        if a != b:
-            return x
-    return None
+def _parse_tables(tables, what):
+    if not isinstance(tables, dict):
+        raise ParseError("%s must be a JSON object of tables" % what)
+    out = {}
+    for key, arr in tables.items():
+        parts = key.split(",")
+        try:
+            if len(parts) != 2:
+                raise ValueError
+            n, i = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError("bad table key %r in %s" % (key, what))
+        if not isinstance(arr, list) or not all(_is_int(x) for x in arr):
+            raise ParseError("table %s[%r] must be a list of integers" % (what, key))
+        try:
+            out[(n, i)] = np.array(arr, dtype=np.int64)
+        except OverflowError:
+            raise ParseError("table %s[%r] holds an entry out of range" % (what, key))
+    return out
 
 
 def validate_simplicial(X):
@@ -133,36 +326,32 @@ def validate_simplicial(X):
     for n in range(2, N + 1):
         for j in range(n + 1):
             for i in range(j):
-                lhs = _compose(F[(n - 1, i)], F[(n, j)])
-                rhs = _compose(F[(n - 1, j - 1)], F[(n, i)])
-                if lhs != rhs:
-                    x = _first_mismatch(lhs, rhs)
+                x = _first_mismatch(F[(n - 1, i)][F[(n, j)]], F[(n - 1, j - 1)][F[(n, i)]])
+                if x is not None:
                     return False, "d%d d%d != d%d d%d at level %d cell %d" % (
                         i, j, j - 1, i, n, x,
                     )
     for n in range(N - 1):
         for j in range(n + 1):
             for i in range(j + 1):
-                lhs = _compose(S[(n + 1, i)], S[(n, j)])
-                rhs = _compose(S[(n + 1, j + 1)], S[(n, i)])
-                if lhs != rhs:
-                    x = _first_mismatch(lhs, rhs)
+                x = _first_mismatch(S[(n + 1, i)][S[(n, j)]], S[(n + 1, j + 1)][S[(n, i)]])
+                if x is not None:
                     return False, "s%d s%d != s%d s%d at level %d cell %d" % (
                         i, j, j + 1, i, n, x,
                     )
     for n in range(N):
-        identity = list(range(X.size(n)))
+        identity = np.arange(X.size(n), dtype=np.int64)
         for j in range(n + 1):
             for i in range(n + 2):
-                got = _compose(F[(n + 1, i)], S[(n, j)])
+                got = F[(n + 1, i)][S[(n, j)]]
                 if i == j or i == j + 1:
                     want = identity
                 elif i < j:
-                    want = _compose(S[(n - 1, j - 1)], F[(n, i)])
+                    want = S[(n - 1, j - 1)][F[(n, i)]]
                 else:
-                    want = _compose(S[(n - 1, j)], F[(n, i - 1)])
-                if got != want:
-                    x = _first_mismatch(got, want)
+                    want = S[(n - 1, j)][F[(n, i - 1)]]
+                x = _first_mismatch(got, want)
+                if x is not None:
                     return False, "d%d s%d identity fails at level %d cell %d" % (
                         i, j, n, x,
                     )
@@ -170,25 +359,28 @@ def validate_simplicial(X):
 
 
 class SimplicialMap:
-    """A level-wise map of truncated simplicial sets."""
+    """A level-wise map of truncated simplicial sets; components[n] is an
+    int64 table from cells of src level n to cells of dst level n."""
 
     def __init__(self, src, dst, components):
         if src.truncation != dst.truncation:
             raise TruncationMismatch("source and target truncations differ")
         self.src = src
         self.dst = dst
-        self.components = [list(c) for c in components]
+        self.components = [
+            _index_table(c, "component %d" % n) for n, c in enumerate(components)
+        ]
         if len(self.components) != src.truncation + 1:
             raise ShapeMismatch("need one component per level")
         for n, comp in enumerate(self.components):
             if len(comp) != src.size(n):
                 raise ShapeMismatch("component %d has wrong length" % n)
-            for y in comp:
-                if not 0 <= y < dst.size(n):
-                    raise IndexOutOfRange("component %d hits cell %d" % (n, y))
+            y = _first_outside(comp, dst.size(n))
+            if y is not None:
+                raise IndexOutOfRange("component %d hits cell %d" % (n, y))
 
     def __call__(self, n, x):
-        return self.components[n][x]
+        return int(self.components[n][x])
 
     def validate(self):
         """Check commutation with all faces and degeneracies.  Returns
@@ -196,17 +388,18 @@ class SimplicialMap:
         comp = self.components
         for n in range(1, self.src.truncation + 1):
             for i in range(n + 1):
-                lhs = _compose(self.dst.faces[(n, i)], comp[n])
-                rhs = _compose(comp[n - 1], self.src.faces[(n, i)])
-                if lhs != rhs:
-                    x = _first_mismatch(lhs, rhs)
+                x = _first_mismatch(
+                    self.dst.faces[(n, i)][comp[n]], comp[n - 1][self.src.faces[(n, i)]]
+                )
+                if x is not None:
                     return False, "face (%d,%d) not preserved at cell %d" % (n, i, x)
         for n in range(self.src.truncation):
             for i in range(n + 1):
-                lhs = _compose(self.dst.degeneracies[(n, i)], comp[n])
-                rhs = _compose(comp[n + 1], self.src.degeneracies[(n, i)])
-                if lhs != rhs:
-                    x = _first_mismatch(lhs, rhs)
+                x = _first_mismatch(
+                    self.dst.degeneracies[(n, i)][comp[n]],
+                    comp[n + 1][self.src.degeneracies[(n, i)]],
+                )
+                if x is not None:
                     return False, "degeneracy (%d,%d) not preserved at cell %d" % (
                         n, i, x,
                     )
@@ -217,14 +410,16 @@ class SimplicialMap:
         if other.dst is not self.src and other.dst.levels != self.src.levels:
             raise ShapeMismatch("maps not composable")
         comps = [
-            [self(n, other(n, x)) for x in range(other.src.size(n))]
+            self.components[n][other.components[n]]
             for n in range(other.src.truncation + 1)
         ]
         return SimplicialMap(other.src, self.dst, comps)
 
 
 def identity_map(X):
-    return SimplicialMap(X, X, [list(range(X.size(n))) for n in range(X.truncation + 1)])
+    return SimplicialMap(
+        X, X, [np.arange(X.size(n), dtype=np.int64) for n in range(X.truncation + 1)]
+    )
 
 
 def is_isomorphism(f):
@@ -232,18 +427,19 @@ def is_isomorphism(f):
     for n in range(f.src.truncation + 1):
         if f.src.size(n) != f.dst.size(n):
             return False
-        if len(set(f.components[n])) != f.src.size(n):
+        if np.any(np.bincount(f.components[n], minlength=f.dst.size(n)) != 1):
             return False
     return True
 
 
 def inverse_map(f):
+    """The level-wise inverse of a bijective map.  On a cell hit several
+    times the last preimage wins; a cell never hit goes to cell 0."""
     comps = []
     for n in range(f.src.truncation + 1):
-        inv = [0] * f.dst.size(n)
-        for x, y in enumerate(f.components[n]):
-            inv[y] = x
-        comps.append(inv)
+        inv = np.full(f.dst.size(n), -1, dtype=np.int64)
+        np.maximum.at(inv, f.components[n], np.arange(f.src.size(n), dtype=np.int64))
+        comps.append(np.maximum(inv, 0))
     return SimplicialMap(f.dst, f.src, comps)
 
 
@@ -256,46 +452,32 @@ def _guard_level(size):
         raise DimensionBound("level would hold %d cells" % size)
 
 
-_BUILDER_CACHE = {}
-
-
-def _cached(kind, key, build):
-    full = (kind,) + key
-    if full not in _BUILDER_CACHE:
-        _BUILDER_CACHE[full] = build()
-    return _BUILDER_CACHE[full]
-
-
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def nerve_bg(G, truncation=3):
     """The nerve of a finite group: level n is G^n, faces multiply adjacent
     entries or drop ends, degeneracies insert the identity."""
-    return _cached("nerve", (G, truncation), lambda: _nerve_bg(G, truncation))
-
-
-def _nerve_bg(G, truncation):
     N = truncation
     _guard_level(G.order**N)
-    levels = [list(itertools.product(range(G.order), repeat=n)) for n in range(N + 1)]
-    index = [{c: i for i, c in enumerate(lv)} for lv in levels]
+    ng = G.order
+    T = G.table_array
+    levels = [radix_cells((ng,) * n) for n in range(N + 1)]
     faces = {}
     degeneracies = {}
     for n in range(1, N + 1):
+        g = grid((ng,) * n)
         for i in range(n + 1):
-            tab = []
-            for cell in levels[n]:
-                if i == 0:
-                    out = cell[1:]
-                elif i == n:
-                    out = cell[:-1]
-                else:
-                    out = cell[:i - 1] + (G.table[cell[i - 1]][cell[i]],) + cell[i + 1:]
-                tab.append(index[n - 1][out])
-            faces[(n, i)] = tab
+            if i == 0:
+                parts = g[1:]
+            elif i == n:
+                parts = g[:-1]
+            else:
+                parts = g[:i - 1] + [T[g[i - 1], g[i]]] + g[i + 1:]
+            faces[(n, i)] = flat(encode(parts, (ng,) * (n - 1)), (ng,) * n)
     for n in range(N):
+        g = grid((ng,) * n)
         for i in range(n + 1):
-            degeneracies[(n, i)] = [
-                index[n + 1][cell[:i] + (0,) + cell[i:]] for cell in levels[n]
-            ]
+            parts = g[:i] + [0] + g[i:]
+            degeneracies[(n, i)] = flat(encode(parts, (ng,) * (n + 1)), (ng,) * n)
     return TruncatedSSet(N, levels, faces, degeneracies, name="nerve")
 
 
@@ -313,7 +495,9 @@ def surjections_to_2(n):
 class GammaA2:
     """The Dold-Kan nerve of the chain complex with A concentrated in
     degree 2, as a simplicial abelian group: level n is one copy of A per
-    monotone surjection [n] ->> [2]."""
+    monotone surjection [n] ->> [2].  A face or degeneracy sends each copy
+    to at most one copy of the adjacent level and adds the copies that land
+    together, so it is described by where each copy goes."""
 
     def __init__(self, coeffs, truncation):
         self.coeffs = coeffs
@@ -323,158 +507,173 @@ class GammaA2:
             {s: i for i, s in enumerate(lv)} for lv in self.surjections
         ]
 
-    def zero(self, n):
-        return (self.coeffs.zero,) * len(self.surjections[n])
+    def width(self, n):
+        """Copies of A at level n."""
+        return len(self.surjections[n])
 
-    def add(self, n, x, y):
-        A = self.coeffs
-        return tuple(A.add(a, b) for a, b in zip(x, y))
-
-    def cells(self, n):
-        return [
-            tuple(vals)
-            for vals in itertools.product(
-                self.coeffs.elements(), repeat=len(self.surjections[n])
-            )
-        ]
-
-    def face(self, n, i, x):
-        A = self.coeffs
-        out = list(self.zero(n - 1))
-        pos = self.surj_pos[n - 1]
-        for j, eta in enumerate(self.surjections[n]):
-            image = eta[:i] + eta[i + 1:]
-            target = pos.get(image)
-            if target is not None:
-                out[target] = A.add(out[target], x[j])
-        return tuple(out)
-
-    def degeneracy(self, n, i, x):
-        A = self.coeffs
-        out = list(self.zero(n + 1))
+    def targets(self, kind, n, i):
+        """Where d_i (kind "face") or s_i (kind "degeneracy") sends each copy
+        of A at level n: its position at the adjacent level, or -1 when the
+        copy is dropped."""
+        if kind == "face":
+            pos = self.surj_pos[n - 1]
+            return [pos.get(eta[:i] + eta[i + 1:], -1) for eta in self.surjections[n]]
         pos = self.surj_pos[n + 1]
-        for j, eta in enumerate(self.surjections[n]):
-            image = eta[:i + 1] + eta[i:]
-            target = pos[image]
-            out[target] = A.add(out[target], x[j])
+        return [pos[eta[:i + 1] + eta[i:]] for eta in self.surjections[n]]
+
+
+def _w_targets(gamma, kind, n, i, lead):
+    """Where d_i or s_i on level n of W(Gamma(A[2])) sends each copy of A.
+
+    A W cell is a list of Gamma cells (g_n, ..., g_0), the entry at
+    position t lying in Gamma_{n-t}.  d_i (i < n) applies d_{i-t} to the
+    entries before i, adds d_0(g_i) to g_{i+1} and keeps the rest; d_n
+    applies d_{n-t} to every entry but g_0, which it drops.  s_i applies
+    s_{i-t} to the entries up to i, inserts a zero and keeps the rest.
+    Without lead (Wbar), the leading entry is the zero lift of a Wbar cell
+    and the leading entry of the result is dropped.
+    """
+    m = n - 1 if kind == "face" else n + 1
+    if kind == "face" and i == n:
+        moves = [(t, t, gamma.targets("face", n - t, n - t)) for t in range(n)]
+    elif kind == "face":
+        moves = [(t, t, gamma.targets("face", n - t, i - t)) for t in range(i)]
+        moves.append((i, i, gamma.targets("face", n - i, 0)))
+        moves += [(t, t - 1, None) for t in range(i + 1, n + 1)]
+    else:
+        moves = [(t, t, gamma.targets("degeneracy", n - t, i - t)) for t in range(i + 1)]
+        moves += [(t, t + 1, None) for t in range(i + 1, n + 1)]
+    skip = 0 if lead else 1
+    src_off = _w_offsets(gamma, n, skip)
+    dst_off = _w_offsets(gamma, m, skip)
+    out = [-1] * src_off[-1]
+    for t, u, local in moves:
+        if t < skip:
+            continue
+        if local is None:
+            local = range(gamma.width(n - t))
+        for j, target in enumerate(local):
+            if target >= 0 and u >= skip:
+                out[src_off[t] + j] = dst_off[u] + target
+    return out
+
+
+def _w_offsets(gamma, n, skip):
+    """Offsets of the entries t = 0..n of a W_n cell among its copies of A,
+    counting from entry skip, followed by the total."""
+    off = [0] * (n + 2)
+    for t in range(skip, n + 1):
+        off[t + 1] = off[t] + gamma.width(n - t)
+    return off
+
+
+def _sum_table(A, targets, width_out):
+    """The table of the map A^len(targets) -> A^width_out that adds copy j
+    into copy targets[j] (dropping it when -1), over mixed-radix codes."""
+    na = A.order
+    shape = (na,) * len(targets)
+    x = grid(shape)
+    out = [None] * width_out
+    for j, t in enumerate(targets):
+        if t >= 0:
+            out[t] = x[j] if out[t] is None else A.add_array[out[t], x[j]]
+    parts = [0 if part is None else part for part in out]
+    return flat(encode(parts, (na,) * width_out), shape)
+
+
+def _element_cells(A, widths, nested):
+    """Cells of A^sum(widths): a tuple of one tuple of elements per width
+    (a bare tuple of elements when not nested)."""
+    els = A.elements()
+
+    def to_label(digits):
+        vals = [els[d] for d in digits]
+        if not nested:
+            return tuple(vals)
+        out, k = [], 0
+        for w in widths:
+            out.append(tuple(vals[k:k + w]))
+            k += w
         return tuple(out)
 
+    def from_label(label):
+        parts = label if nested else [label]
+        if len(parts) != len(widths) or any(len(p) != w for p, w in zip(parts, widths)):
+            return ()
+        return [A.index(e) for p in parts for e in p]
 
-def _sset_from_abelian(obj, truncation, name):
-    levels = [obj.cells(n) for n in range(truncation + 1)]
-    for lv in levels:
-        _guard_level(len(lv))
-    index = [{c: i for i, c in enumerate(lv)} for lv in levels]
+    return radix_cells((A.order,) * sum(widths), to_label, from_label)
+
+
+def _abelian_sset(A, truncation, widths, targets, nested, name):
+    """A level-wise power of A: level n has sum(widths(n)) copies of A,
+    grouped as widths(n) says, and targets(kind, n, i) says where d_i or s_i
+    sends each copy."""
+    shapes = [widths(n) for n in range(truncation + 1)]
+    for w in shapes:
+        _guard_level(A.order ** sum(w))
+    levels = [_element_cells(A, w, nested) for w in shapes]
     faces = {
-        (n, i): [index[n - 1][obj.face(n, i, c)] for c in levels[n]]
+        (n, i): _sum_table(A, targets("face", n, i), sum(shapes[n - 1]))
         for n in range(1, truncation + 1)
         for i in range(n + 1)
     }
     degeneracies = {
-        (n, i): [index[n + 1][obj.degeneracy(n, i, c)] for c in levels[n]]
+        (n, i): _sum_table(A, targets("degeneracy", n, i), sum(shapes[n + 1]))
         for n in range(truncation)
         for i in range(n + 1)
     }
     return TruncatedSSet(truncation, levels, faces, degeneracies, name=name)
 
 
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def gamma_a2(A, truncation=4):
     """Gamma(A[2]) as a truncated simplicial set."""
     if truncation > 4:
         raise DimensionBound("gamma_a2 supports truncation at most 4")
-    return _cached(
-        "gamma", (A, truncation),
-        lambda: _sset_from_abelian(GammaA2(A, truncation), truncation, "gamma"),
+    gamma = GammaA2(A, truncation)
+    return _abelian_sset(
+        A, truncation, lambda n: [gamma.width(n)], gamma.targets, False, "gamma"
     )
 
 
-class _WTotal:
-    """W(Gamma(A[2])): level n is Gamma_n x ... x Gamma_0."""
-
-    def __init__(self, coeffs, truncation):
-        self.gamma = GammaA2(coeffs, truncation)
-        self.truncation = truncation
-
-    def cells(self, n):
-        factors = [self.gamma.cells(j) for j in range(n, -1, -1)]
-        return [tuple(c) for c in itertools.product(*factors)]
-
-    def face(self, n, i, cell):
-        # cell = (g_n, ..., g_0); entry at list position t is g_{n-t}
-        g = list(cell)
-        if i == n:
-            return tuple(self.gamma.face(n - t, n - t, g[t]) for t in range(n))
-        out = []
-        for t in range(i):
-            out.append(self.gamma.face(n - t, i - t, g[t]))
-        merged = self.gamma.add(
-            n - i - 1, self.gamma.face(n - i, 0, g[i]), g[i + 1]
-        )
-        out.append(merged)
-        out.extend(g[i + 2:])
-        return tuple(out)
-
-    def degeneracy(self, n, i, cell):
-        g = list(cell)
-        out = []
-        for t in range(i + 1):
-            out.append(self.gamma.degeneracy(n - t, i - t, g[t]))
-        out.append(self.gamma.zero(n - i))
-        out.extend(g[i + 1:])
-        return tuple(out)
+def _w_sset(A, truncation, lead, name):
+    gamma = GammaA2(A, truncation)
+    skip = 0 if lead else 1
+    return _abelian_sset(
+        A, truncation,
+        lambda n: [gamma.width(n - t) for t in range(skip, n + 1)],
+        lambda kind, n, i: _w_targets(gamma, kind, n, i, lead),
+        True, name,
+    )
 
 
-class _WBar:
-    """The classifying space of Gamma(A[2]): level n is
-    Gamma_{n-1} x ... x Gamma_0, with operations transported from W by
-    lifting along the unit section and dropping the leading factor."""
-
-    def __init__(self, coeffs, truncation):
-        self.w = _WTotal(coeffs, truncation)
-        self.gamma = self.w.gamma
-        self.truncation = truncation
-
-    def cells(self, n):
-        factors = [self.gamma.cells(j) for j in range(n - 1, -1, -1)]
-        return [tuple(c) for c in itertools.product(*factors)]
-
-    def _lift(self, n, cell):
-        return (self.gamma.zero(n),) + cell
-
-    def face(self, n, i, cell):
-        return self.w.face(n, i, self._lift(n, cell))[1:]
-
-    def degeneracy(self, n, i, cell):
-        return self.w.degeneracy(n, i, self._lift(n, cell))[1:]
-
-
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def w_b2a(A, truncation=3):
     """W(Gamma(A[2])), the total space of the universal bundle over the
-    classifying space of B^2 A."""
+    classifying space of B^2 A: level n is Gamma_n x ... x Gamma_0."""
     if truncation > 4:
         raise DimensionBound("w_b2a supports truncation at most 4")
-    return _cached(
-        "w", (A, truncation),
-        lambda: _sset_from_abelian(_WTotal(A, truncation), truncation, "w"),
-    )
+    return _w_sset(A, truncation, True, "w")
 
 
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def wbar_b2a(A, truncation=3):
-    """The simplicial classifying space of Gamma(A[2])."""
+    """The simplicial classifying space of Gamma(A[2]): level n is
+    Gamma_{n-1} x ... x Gamma_0, with operations transported from W by
+    lifting along the unit section and dropping the leading factor."""
     if truncation > 4:
         raise DimensionBound("wbar_b2a supports truncation at most 4")
-    return _cached(
-        "wbar", (A, truncation),
-        lambda: _sset_from_abelian(_WBar(A, truncation), truncation, "wbar"),
-    )
+    return _w_sset(A, truncation, False, "wbar")
 
 
 def decalage_map(A, truncation=3):
-    """dec: W(B^2 A) -> Wbar(B^2 A), dropping the leading factor."""
+    """dec: W(B^2 A) -> Wbar(B^2 A), dropping the leading factor, whose
+    copies of A are the most significant digits of a W cell."""
     W = w_b2a(A, truncation)
     Wb = wbar_b2a(A, truncation)
     comps = [
-        [Wb.index(n, W.label(n, x)[1:]) for x in range(W.size(n))]
+        np.arange(W.size(n), dtype=np.int64) % Wb.size(n)
         for n in range(truncation + 1)
     ]
     return SimplicialMap(W, Wb, comps)
@@ -496,80 +695,122 @@ def cocycle_as_map(alpha, truncation=3):
     G, A = alpha.group, alpha.coeffs
     NG = nerve_bg(G, truncation)
     Wb = wbar_b2a(A, truncation)
-    comps = [[0] * NG.size(n) for n in range(3)]
-    level3 = []
-    gam = GammaA2(A, truncation)
-    triv = (gam.zero(1), gam.zero(0))
-    for x in range(NG.size(3)):
-        g1, g2, g3 = NG.label(3, x)
-        cell = ((alpha.value((g1, g2, g3)),),) + triv
-        level3.append(Wb.index(3, cell))
-    comps.append(level3)
+    ng, na = G.order, A.order
+    V = alpha.index_array().reshape((ng,) * 3)
+    # Wbar_3 cells are ((alpha,), (), ()), coded by the index of alpha
+    comps = [np.zeros(NG.size(n), dtype=np.int64) for n in range(3)]
+    comps.append(V.ravel())
     if truncation == 4:
-        level4 = []
-        for x in range(NG.size(4)):
-            g1, g2, g3, g4 = NG.label(4, x)
-            d = alpha.value((g2, g3, g4))
-            a = A.sub(alpha.value((G.table[g1][g2], g3, g4)), d)
-            b = A.sub(alpha.value((g1, G.table[g2][g3], g4)), a)
-            c = alpha.value((g1, g2, g3))
-            if A.add(b, c) != alpha.value((g1, g2, G.table[g3][g4])):
-                raise NotACocycle((g1, g2, g3, g4))
-            cell = ((a, b, c), (d,), gam.zero(1), gam.zero(0))
-            level4.append(Wb.index(4, cell))
-        comps.append(level4)
+        T, Add, Sub = G.table_array, A.add_array, A.sub_array
+        shape = (ng,) * 4
+        g1, g2, g3, g4 = grid(shape)
+        d = V[g2, g3, g4]
+        a = Sub[V[T[g1, g2], g3, g4], d]
+        b = Sub[V[g1, T[g2, g3], g4], a]
+        c = V[g1, g2, g3]
+        bad = np.flatnonzero(flat(Add[b, c] != V[g1, g2, T[g3, g4]], shape))
+        if bad.size:
+            raise NotACocycle(tuple(int(v) for v in np.unravel_index(bad[0], shape)))
+        # the Wbar_4 cell ((a, b, c), (d,), (), ())
+        comps.append(flat(encode((a, b, c, d), (na,) * 4), shape))
     return SimplicialMap(NG, Wb, comps)
+
+
+def _expand(order, lo, counts):
+    """Flatten a join: entry k of the result pairs an owner (an index into
+    counts) with order[lo[owner] + j] for j < counts[owner], ascending j."""
+    owner = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    start = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return owner, order[start + np.arange(len(owner), dtype=np.int64)]
+
+
+class _PairLevel:
+    """Level n of the fiber product of f and g: the pairs (x, y) with
+    f(x) = g(y), x-major and y ascending.  The pair (x, y) is cell
+    first[x] + rank[y], rank[y] counting the cells before y with the same
+    image under g."""
+
+    def __init__(self, fx, gy, zsize):
+        self.fx, self.gy = fx, gy
+        order = np.argsort(gy, kind="stable")
+        by_value = np.bincount(gy, minlength=zsize)
+        starts = np.cumsum(by_value) - by_value
+        per_x = by_value[fx]
+        _guard_level(int(per_x.sum()))
+        self.xs, self.ys = _expand(order, starts[fx], per_x)
+        self.first = np.cumsum(per_x) - per_x
+        self.rank = np.empty(len(gy), dtype=np.int64)
+        self.rank[order] = np.arange(len(gy), dtype=np.int64) - starts[gy[order]]
+
+    def locate(self, x, y, what):
+        """The cells of the pairs (x[k], y[k]), which must all exist."""
+        if not np.array_equal(self.fx[x], self.gy[y]):
+            raise IndexOutOfRange("%s leaves the fiber product" % what)
+        return self.first[x] + self.rank[y]
+
+    def cells(self):
+        def encode_pair(label):
+            x, y = label
+            if 0 <= x < len(self.fx) and 0 <= y < len(self.gy) and self.fx[x] == self.gy[y]:
+                return int(self.first[x] + self.rank[y])
+            return None
+
+        return Cells(len(self.xs), lambda z: (int(self.xs[z]), int(self.ys[z])), encode_pair)
 
 
 def fiber_product(f, g):
     """The level-wise pullback of f: X -> Z and g: Y -> Z, with its two
-    projections."""
-    if f.dst.levels != g.dst.levels or f.dst.truncation != g.dst.truncation:
+    projections.  Cells of level n are the pairs (x, y) with f(x) = g(y),
+    x-major and y ascending."""
+    if f.dst is not g.dst and (
+        f.dst.truncation != g.dst.truncation or f.dst.levels != g.dst.levels
+    ):
         raise ShapeMismatch("maps have different codomains")
     X, Y = f.src, g.src
     N = X.truncation
-    levels = []
-    for n in range(N + 1):
-        levels.append(
-            [
-                (x, y)
-                for x in range(X.size(n))
-                for y in range(Y.size(n))
-                if f(n, x) == g(n, y)
-            ]
-        )
-        _guard_level(len(levels[-1]))
-    index = [{c: i for i, c in enumerate(lv)} for lv in levels]
+    pairs = [
+        _PairLevel(f.components[n], g.components[n], f.dst.size(n)) for n in range(N + 1)
+    ]
     faces = {
-        (n, i): [
-            index[n - 1][(X.face(n, i, x), Y.face(n, i, y))] for x, y in levels[n]
-        ]
+        (n, i): pairs[n - 1].locate(
+            X.faces[(n, i)][pairs[n].xs], Y.faces[(n, i)][pairs[n].ys],
+            "face (%d,%d)" % (n, i),
+        )
         for n in range(1, N + 1)
         for i in range(n + 1)
     }
     degeneracies = {
-        (n, i): [
-            index[n + 1][(X.degeneracy(n, i, x), Y.degeneracy(n, i, y))]
-            for x, y in levels[n]
-        ]
+        (n, i): pairs[n + 1].locate(
+            X.degeneracies[(n, i)][pairs[n].xs], Y.degeneracies[(n, i)][pairs[n].ys],
+            "degeneracy (%d,%d)" % (n, i),
+        )
         for n in range(N)
         for i in range(n + 1)
     }
+    levels = [pl.cells() for pl in pairs]
     P = TruncatedSSet(N, levels, faces, degeneracies, name="fiber_product")
-    proj_x = SimplicialMap(P, X, [[c[0] for c in levels[n]] for n in range(N + 1)])
-    proj_y = SimplicialMap(P, Y, [[c[1] for c in levels[n]] for n in range(N + 1)])
+    proj_x = SimplicialMap(P, X, [pl.xs for pl in pairs])
+    proj_y = SimplicialMap(P, Y, [pl.ys for pl in pairs])
     return P, proj_x, proj_y
 
 
 def mediating_map(P, proj_x, proj_y, p, q):
     """The unique map into the fiber product P induced by p: T -> X and
-    q: T -> Y with matching composites."""
+    q: T -> Y with matching composites: t goes to the cell of P that the
+    projections send to (p(t), q(t))."""
     if p.src is not q.src and p.src.levels != q.src.levels:
         raise ShapeMismatch("p and q have different domains")
-    comps = [
-        [P.index(n, (p(n, t), q(n, t))) for t in range(p.src.size(n))]
-        for n in range(p.src.truncation + 1)
-    ]
+    comps = []
+    for n in range(p.src.truncation + 1):
+        ysize = proj_y.dst.size(n)
+        cells = proj_x.components[n] * ysize + proj_y.components[n]
+        order = np.argsort(cells, kind="stable")
+        ordered = cells[order]
+        want = p.components[n] * ysize + q.components[n]
+        pos = np.minimum(np.searchsorted(ordered, want), max(len(ordered) - 1, 0))
+        if len(want) and (not len(ordered) or not np.array_equal(ordered[pos], want)):
+            raise IndexOutOfRange("(p, q) leaves the fiber product at level %d" % n)
+        comps.append(order[pos])
     return SimplicialMap(p.src, P, comps)
 
 
@@ -594,21 +835,98 @@ class Horn:
         return tuple(self.faces[j] for j in sorted(self.faces))
 
 
+def _slots(n, missing):
+    return [j for j in range(n + 1) if j != missing]
+
+
+def _ranks(keys):
+    """The sorted distinct values of keys and the rank of each key among
+    them."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    rank = np.empty(len(keys), dtype=np.int64)
+    rank[order] = np.cumsum(new) - 1
+    return ordered[new], rank
+
+
+class _FillerIndex:
+    """The level-n cells of X keyed by their faces other than missing.
+
+    A cell's signature is its face tuple in slot order, and its key the
+    mixed-radix code of the signature in radix size(n-1), so keys sort like
+    signatures.  Where appending a face could take a code past CODE_BOUND,
+    the codes so far are first replaced by their ranks among the distinct
+    codes (kept in steps), which preserves the order.
+    """
+
+    def __init__(self, X, n, missing):
+        self.radix = X.size(n - 1)
+        self.steps = {}
+        key = np.zeros(X.size(n), dtype=np.int64)
+        bound = 1
+        for t, j in enumerate(_slots(n, missing)):
+            if bound * self.radix > CODE_BOUND:
+                self.steps[t], key = _ranks(key)
+                bound = len(self.steps[t])
+            key = key * self.radix + X.faces[(n, j)]
+            bound *= self.radix
+        self.keys = key
+        self.sorted_keys = np.sort(key)
+
+    def horn_keys(self, cols):
+        """The keys a filler of each horn would have, and whether one can
+        exist; the horns are given by one array of cells per slot."""
+        key = np.zeros(len(cols[0]), dtype=np.int64)
+        found = np.ones(len(key), dtype=bool)
+        for t, col in enumerate(cols):
+            found &= (col >= 0) & (col < self.radix)
+            uniq = self.steps.get(t)
+            if uniq is not None:
+                pos = np.searchsorted(uniq, key)
+                hit = pos < len(uniq)
+                hit[hit] = uniq[pos[hit]] == key[hit]
+                found &= hit
+                key = pos
+            key = key * self.radix + col
+        return key, found
+
+    def counts(self, cols):
+        """The number of fillers of each horn."""
+        key, found = self.horn_keys(cols)
+        lo = np.searchsorted(self.sorted_keys, key, "left")
+        hi = np.searchsorted(self.sorted_keys, key, "right")
+        return np.where(found, hi - lo, 0)
+
+
+def _cached(X, key, build):
+    if key not in X._derived:
+        X._derived[key] = build()
+    return X._derived[key]
+
+
 def _filler_index(X, n, missing):
-    cache = X._filler_index
-    key = (n, missing)
-    if key not in cache:
-        table = {}
-        tabs = [X.faces[(n, j)] for j in range(n + 1) if j != missing]
-        for z, sig in enumerate(zip(*tabs)):
-            table.setdefault(sig, []).append(z)
-        cache[key] = table
-    return cache[key]
+    return _cached(X, ("fillers", n, missing), lambda: _FillerIndex(X, n, missing))
+
+
+def _face_groups(X, n, i):
+    """Level-n cells grouped by d_i: the cells with d_i = v are
+    order[starts[v]:starts[v] + counts[v]], ascending."""
+
+    def build():
+        tab = X.faces[(n, i)]
+        counts = np.bincount(tab, minlength=X.size(n - 1))
+        return np.argsort(tab, kind="stable"), np.cumsum(counts) - counts, counts
+
+    return _cached(X, ("groups", n, i), build)
 
 
 def fillers(X, horn):
-    """All cells whose faces extend the horn."""
-    return list(_filler_index(X, horn.n, horn.missing).get(horn.key(), []))
+    """All cells whose faces extend the horn, ascending."""
+    index = _filler_index(X, horn.n, horn.missing)
+    key, found = index.horn_keys([np.array([c], dtype=np.int64) for c in horn.key()])
+    return np.flatnonzero(index.keys == key[0]).tolist() if found[0] else []
 
 
 def horn_is_compatible(X, horn):
@@ -621,109 +939,99 @@ def horn_is_compatible(X, horn):
     return True
 
 
-def enumerate_horns(X, n, missing):
-    """All compatible (n, missing)-horns, by backtracking over face slots in
-    increasing index order.
+def _block_spans(counts, limit):
+    """Consecutive (start, stop) ranges of counts, each summing to at most
+    limit unless it holds a single entry."""
+    ends = np.cumsum(counts)
+    start = 0
+    while start < len(counts):
+        base = int(ends[start - 1]) if start else 0
+        stop = max(int(np.searchsorted(ends, base + limit, "right")), start + 1)
+        yield start, stop
+        start = stop
 
-    Slots are filled in increasing face index, so every already-assigned
-    slot j is below the current slot k and imposes d_j(x_k) = d_{k-1}(x_j).
-    The first such constraint is resolved through an index of level-(n-1)
-    cells by single face value, keeping the enumeration proportional to its
-    output.
+
+def _horn_rows(X, n, missing):
+    """All compatible (n, missing)-horns in blocks, each block a list of
+    int64 arrays, one per face slot (increasing face index), listing its
+    horns in lexicographic order.
+
+    This is the order of a depth-first search that fills slots in
+    increasing face index with candidates in increasing cell index.  Every
+    filled slot j is below the next slot k and imposes
+    d_j(x_k) = d_{k-1}(x_j); the first such constraint is a join on the
+    cells grouped by their face in slot 0, the others filter the joined
+    horns.  Each step works on at most HORN_BLOCK horns at a time, so
+    memory stays bounded however many horns there are.
     """
-    slots = [j for j in range(n + 1) if j != missing]
-    out = []
-    by_face = {}
-    if n >= 2 and len(slots) > 1:
-        for j in slots[:-1]:
-            table = {}
-            for z in range(X.size(n - 1)):
-                table.setdefault(X.face(n - 1, j, z), []).append(z)
-            by_face[j] = table
+    slots = _slots(n, missing)
+    size = X.size(n - 1)
+    if n >= 2:
+        F = [X.faces[(n - 1, i)] for i in range(n)]
+        order, starts, counts_by_face = _face_groups(X, n - 1, slots[0])
 
-    def extend(assigned, depth):
+    def extend(cols, depth):
         if depth == len(slots):
-            out.append(Horn(n, missing, dict(assigned)))
+            yield cols
             return
-        k = slots[depth]
-        if n >= 2 and assigned:
-            j0 = slots[0]
-            want = X.face(n - 1, k - 1, assigned[j0])
-            candidates = by_face[j0].get(want, ())
-        else:
-            candidates = range(X.size(n - 1))
-        for cand in candidates:
-            ok = True
-            if n >= 2:
-                for j, cell in assigned.items():
-                    if X.face(n - 1, j, cand) != X.face(n - 1, k - 1, cell):
-                        ok = False
-                        break
-            if ok:
-                assigned[k] = cand
-                extend(assigned, depth + 1)
-                del assigned[k]
+        Fk = F[slots[depth] - 1]
+        want = Fk[cols[0]]
+        lo, counts = starts[want], counts_by_face[want]
+        needs = [(F[slots[d]], Fk[cols[d]]) for d in range(1, depth)]
+        for a, b in _block_spans(counts, HORN_BLOCK):
+            parent, z = _expand(order, lo[a:b], counts[a:b])
+            parent += a
+            if needs:
+                keep = np.ones(len(z), dtype=bool)
+                for Fj, need in needs:
+                    keep &= Fj[z] == need[parent]
+                parent, z = parent[keep], z[keep]
+            if len(z):
+                yield from extend([c[parent] for c in cols] + [z], depth + 1)
 
-    extend({}, 0)
-    return out
+    for a in range(0, size, HORN_BLOCK):
+        yield from extend([np.arange(a, min(size, a + HORN_BLOCK), dtype=np.int64)], 1)
 
 
-def _unfilled_horn(X, n, missing):
-    """The first compatible (n, missing)-horn without a filler, or None.
+def _horn(n, missing, cols, x):
+    return Horn(n, missing, {j: int(c[x]) for j, c in zip(_slots(n, missing), cols)})
 
-    Same enumeration as enumerate_horns, but works on bare face tables and
-    signature tuples so the all-horns sweep stays cheap.
-    """
-    slots = [j for j in range(n + 1) if j != missing]
-    filled = _filler_index(X, n, missing)
-    ftabs = [X.faces[(n - 1, i)] for i in range(n)] if n >= 2 else None
-    by_face = {}
-    if n >= 2 and len(slots) > 1:
-        j0 = slots[0]
-        table = {}
-        tab0 = ftabs[j0]
-        for z in range(X.size(n - 1)):
-            table.setdefault(tab0[z], []).append(z)
-        by_face[j0] = table
 
-    def extend(assigned):
-        depth = len(assigned)
-        if depth == len(slots):
-            if tuple(a[1] for a in assigned) not in filled:
-                return Horn(n, missing, {j: c for j, c in assigned})
-            return None
-        k = slots[depth]
-        if n >= 2 and assigned:
-            j0, c0 = assigned[0]
-            candidates = by_face[j0].get(ftabs[k - 1][c0], ())
-        else:
-            candidates = range(X.size(n - 1))
-        for cand in candidates:
-            ok = True
-            if n >= 2:
-                for j, cell in assigned:
-                    if ftabs[j][cand] != ftabs[k - 1][cell]:
-                        ok = False
-                        break
-            if ok:
-                assigned.append((k, cand))
-                bad = extend(assigned)
-                assigned.pop()
-                if bad is not None:
-                    return bad
-        return None
+def enumerate_horns(X, n, missing):
+    """All compatible (n, missing)-horns, in the lexicographic order of
+    their faces in increasing face index."""
+    return [
+        _horn(n, missing, cols, x)
+        for cols in _horn_rows(X, n, missing)
+        for x in range(len(cols[0]))
+    ]
 
-    return extend([])
+
+def filler_counts(X, n, missing):
+    """The number of fillers of every compatible (n, missing)-horn, in
+    enumerate_horns order, as an int64 array."""
+    index = _filler_index(X, n, missing)
+    blocks = [index.counts(cols) for cols in _horn_rows(X, n, missing)]
+    return np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.int64)
 
 
 def is_kan(X, up_to=None):
     """Check that every compatible horn realizable within the truncation
-    has at least one filler.  Returns (True, None) or (False, horn)."""
+    has at least one filler.  Returns (True, None) or (False, horn) with
+    the first unfilled horn in enumerate_horns order, n and missing
+    ascending."""
     N = up_to if up_to is not None else X.truncation
     N = min(N, X.truncation)
     for n in range(1, N + 1):
         for missing in range(n + 1):
-            bad = _unfilled_horn(X, n, missing)
-            if bad is not None:
-                return False, bad
+            index = _filler_index(X, n, missing)
+            cells = index.sorted_keys
+            for cols in _horn_rows(X, n, missing):
+                key, found = index.horn_keys(cols)
+                pos = np.minimum(np.searchsorted(cells, key), max(len(cells) - 1, 0))
+                if len(cells):
+                    found &= cells[pos] == key
+                bad = np.flatnonzero(~found)
+                if bad.size:
+                    return False, _horn(n, missing, cols, bad[0])
     return True, None

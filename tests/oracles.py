@@ -230,3 +230,37 @@ def brute_coboundary(G, A, degree, values):
             for t, m in enumerate(A.invariant_factors)
         ))
     return out
+
+
+def brute_compatible_horns(faces, sizes, n, missing):
+    """All compatible (n, missing)-horns of a simplicial set given by plain
+    face tables (faces[(n, i)] a list) and level sizes, as tuples of
+    level-(n-1) cells in increasing face index, lexicographic: an exhaustive
+    scan of itertools.product over level-(n-1) cells, keeping the tuples
+    with d_j(x_k) = d_{k-1}(x_j) for every pair of slots j < k."""
+    slots = [j for j in range(n + 1) if j != missing]
+    pairs = [(a, b) for b in range(len(slots)) for a in range(b)] if n >= 2 else []
+    out = []
+    for cells in itertools.product(range(sizes[n - 1]), repeat=len(slots)):
+        if all(
+            faces[(n - 1, slots[a])][cells[b]] == faces[(n - 1, slots[b] - 1)][cells[a]]
+            for a, b in pairs
+        ):
+            out.append(cells)
+    return out
+
+
+def brute_first_unfilled_horn(faces, sizes, truncation):
+    """(n, missing, cells) for the first compatible horn, n and missing
+    ascending and cells lexicographic, that no level-n cell fills, by
+    searching level n cell by cell; None when every horn has a filler."""
+    for n in range(1, truncation + 1):
+        for missing in range(n + 1):
+            slots = [j for j in range(n + 1) if j != missing]
+            for cells in brute_compatible_horns(faces, sizes, n, missing):
+                if not any(
+                    all(faces[(n, j)][z] == c for j, c in zip(slots, cells))
+                    for z in range(sizes[n])
+                ):
+                    return n, missing, cells
+    return None

@@ -9,6 +9,7 @@ counting), never the code paths under test.
 import itertools
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -268,7 +269,9 @@ def test_criterion_9_cli_determinism():
         "theorem", "verify", "--group", "cyclic:2", "--coeffs", "2",
         "--all-classes",
     ]
-    first = subprocess.run(argv, capture_output=True, check=True)
-    second = subprocess.run(argv, capture_output=True, check=True)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    first = subprocess.run(argv, capture_output=True, check=True, env=env)
+    second = subprocess.run(argv, capture_output=True, check=True, env=env)
     assert first.stdout == second.stdout
     assert json.loads(first.stdout)["ok"] is True

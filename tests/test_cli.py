@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -104,6 +105,17 @@ def test_cocycle_verify(capsys, tmp_path):
     assert obj["is_cocycle"] is False and obj["witness"] == [1, 1, 1, 1]
 
 
+def test_cocycle_verify_rejects_bad_degree(capsys, tmp_path):
+    # a degree that is negative or not an integer is a usage error naming it
+    for degree in (-1, 1.5, "3", True):
+        path = write_cocycle(tmp_path, "deg.json", nontrivial_values(),
+                             degree=degree)
+        code, out, err = run(capsys, "cocycle", "verify", path)
+        assert code == EXIT_USAGE, degree
+        assert "degree" in err and repr(degree) in err
+        assert "Traceback" not in err and out == ""
+
+
 def test_cocycle_solve_and_classes(capsys):
     code, obj, _ = run_json(capsys, "cocycle", "solve", "--group", "cyclic:2",
                             "--coeffs", "2")
@@ -146,6 +158,74 @@ def test_sset_verbs(capsys, tmp_path):
     assert code == EXIT_PASS and obj["ok"]
     code, obj, _ = run_json(capsys, "sset", "kan", out_path)
     assert code == EXIT_PASS and obj["ok"]
+
+
+def write_sset(tmp_path, obj):
+    path = tmp_path / "sset.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def test_sset_malformed_files_are_usage_errors(capsys, tmp_path):
+    nerve = {"truncation": 1, "levels": [1, 2], "faces": {"1,0": [0, 0], "1,1": [0, 0]},
+             "degeneracies": {"0,0": [0]}}
+    bad = [
+        dict(nerve, levels=["a", 2]),
+        {k: v for k, v in nerve.items() if k != "levels"},
+        dict(nerve, levels=[1, 100000000000]),
+        dict(nerve, truncation=-1, levels=[]),
+        dict(nerve, truncation="1"),
+        dict(nerve, levels=[1, 2, 3]),
+        dict(nerve, faces={"1,0": [0, "0"], "1,1": [0, 0]}),
+        dict(nerve, faces={"1,0": [0, 0.5], "1,1": [0, 0]}),
+        dict(nerve, faces={"1,x": [0, 0], "1,1": [0, 0]}),
+        dict(nerve, degeneracies=[[0]]),
+        [nerve],
+    ]
+    for verb in ("validate", "kan"):
+        for obj in bad:
+            code, out, err = run(capsys, "sset", verb, write_sset(tmp_path, obj))
+            assert code == EXIT_USAGE, obj
+            assert err.count("\n") == 1 and err.startswith("error: "), err
+            assert out == ""
+    # the well-formed original passes
+    code, out, err = run(capsys, "sset", "validate", write_sset(tmp_path, nerve))
+    assert code == EXIT_PASS
+
+
+# SHA-256 of `--format json` stdout, recorded before the simplicial layer
+# moved to numpy tables; the layer must keep every byte.
+GOLDEN_DIGESTS = {
+    "theorem-v4": "22a0a06a08220e2fac883e0c3e268ee729c2f0576e7046840e452434bdd1d9c8",
+    "sset-nerve-d3": "c3af57a9501da893cffd9a853e261e41a7389feba85c8ac7421502a24efeded1",
+    "sset-validate-corrupt": "3d80903a7ad5f17202ee800f82a2ec8a6a67beb8b729f27659e8416e15bca37f",
+    "sset-kan-corrupt": "f00a0daa5721e3b080ebe1629a8adf51bcb86312d68edd52bf1b0a6c5a166ebb",
+}
+
+
+def test_golden_json_digests(capsys, tmp_path):
+    def digest(*argv):
+        code, out, _ = run(capsys, "--format", "json", *argv)
+        return code, out, hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+    got = {}
+    code, _, got["theorem-v4"] = digest(
+        "theorem", "verify", "--group", "product:cyclic:2,cyclic:2",
+        "--coeffs", "2", "--all-classes")
+    assert code == EXIT_PASS
+    code, out, got["sset-nerve-d3"] = digest(
+        "sset", "nerve", "--group", "dihedral:3", "--trunc", "3")
+    assert code == EXIT_PASS
+    # d1 of the 2-cell (0, 5) sent to the identity: breaks an identity and
+    # leaves a 2-horn unfilled
+    obj = json.loads(out)["sset"]
+    obj["faces"]["2,1"][5] = 0
+    path = write_sset(tmp_path, obj)
+    code, _, got["sset-validate-corrupt"] = digest("sset", "validate", path)
+    assert code == EXIT_FAIL
+    code, _, got["sset-kan-corrupt"] = digest("sset", "kan", path)
+    assert code == EXIT_FAIL
+    assert got == GOLDEN_DIGESTS
 
 
 def test_theorem_verify(capsys, tmp_path):

@@ -38,13 +38,13 @@ def test_elements_order_and_index():
 def test_tables_consistent():
     A = AbelianGroup([2, 3])
     els = A.elements()
-    add = A.addition_table()
-    neg = A.negation_table()
+    add, neg, sub = A.add_array, A.neg_array, A.sub_array
     n = len(els)
     for i in range(n):
         assert els[neg[i]] == A.neg(els[i])
         for j in range(n):
-            assert els[add[i * n + j]] == A.add(els[i], els[j])
+            assert els[add[i, j]] == A.add(els[i], els[j])
+            assert els[sub[i, j]] == A.sub(els[i], els[j])
 
 
 def test_invalid_factor_rejected():
