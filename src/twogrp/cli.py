@@ -3,13 +3,13 @@
 Verbs: group | cohomology | cocycle | twogroup | sset | theorem.  Reports go
 to stdout (JSON with sorted keys, or fixed-width text); diagnostics to
 stderr.  Exit codes: 0 pass, 1 mathematical failure, 2 usage or IO error.
-JSON output is byte-stable for fixed inputs and seed; wall-clock timing
-appears only in text output.
+JSON output is byte-stable for fixed inputs; wall-clock timing appears only
+in text output.  Nothing draws randomness, so the global --seed option is
+accepted and has no effect.
 """
 
 import argparse
 import json
-import random
 import sys
 import time
 
@@ -82,7 +82,7 @@ def load_cocycle(path):
         )
         coeffs = AbelianGroup.from_json(obj["coeffs"])
         return Cochain.from_json(obj, group=group, coeffs=coeffs)
-    except DegreeMismatch as exc:
+    except (DegreeMismatch, ParseError) as exc:
         raise ParseError("malformed cocycle file %s: %s" % (path, exc))
     except (KeyError, TypeError) as exc:
         raise ParseError("malformed cocycle file %s: %r" % (path, exc))
@@ -282,11 +282,15 @@ def run_theorem(args):
     return report, all_ok
 
 
-def _degree(text):
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("degree must be >= 0, got %d" % value)
-    return value
+def _at_least(name, low):
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError("%s must be >= %d, got %d" % (name, low, value))
+        return value
+
+    parse.__name__ = "integer"  # argparse names the type in its error message
+    return parse
 
 
 def build_parser():
@@ -309,7 +313,7 @@ def build_parser():
     p = sub.add_parser("cohomology", help="compute H^n(G, A)")
     p.add_argument("--group", required=True)
     p.add_argument("--coeffs", required=True)
-    p.add_argument("--degree", type=_degree, default=3)
+    p.add_argument("--degree", type=_at_least("degree", 0), default=3)
 
     p = sub.add_parser("cocycle", help="verify, solve, or classify cocycles")
     psub = p.add_subparsers(dest="subaction", required=True)
@@ -318,7 +322,7 @@ def build_parser():
     ps = psub.add_parser("solve")
     ps.add_argument("--group", required=True)
     ps.add_argument("--coeffs", required=True)
-    ps.add_argument("--degree", type=_degree, default=3)
+    ps.add_argument("--degree", type=_at_least("degree", 0), default=3)
     pc = psub.add_parser("classes-mod-aut")
     pc.add_argument("--group", required=True)
     pc.add_argument("--coeffs", required=True)
@@ -341,7 +345,7 @@ def build_parser():
     pv.add_argument("file")
     pk = psub.add_parser("kan")
     pk.add_argument("file")
-    pk.add_argument("--up-to", type=int, default=3)
+    pk.add_argument("--up-to", type=_at_least("up-to", 1), default=3)
     pn = psub.add_parser("nerve")
     pn.add_argument("--group", required=True)
     pn.add_argument("--trunc", type=int, default=3)
@@ -375,7 +379,6 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
-    random.seed(args.seed)
     start = time.monotonic()
     try:
         report, ok = HANDLERS[args.verb](args)

@@ -1,11 +1,18 @@
 """Group cochains, the bar coboundary, and exact cohomology over finite
 abelian coefficients.
 
-Cochains are dense tables G^n -> A with trivial action.  All solving happens
-on the normalized subcomplex (cochains vanishing when any argument is the
-identity), coordinatized by tuples of non-identity elements; systems are
-decomposed by coefficient factor and prime power, where the modular
-diagonalization of twogrp.modlinalg applies.
+Cochains are dense tables G^n -> A with trivial action, held as one
+read-only (|G|^n, k) int64 array of residues: one row per argument tuple,
+first argument most significant, one column per invariant factor of A.
+Arithmetic is one numpy expression modulo A.moduli; pullbacks and the
+passage to and from normalized coordinates are gathers over the array; the
+coboundary kernel reads the rows as element indices (residues @ A.weights).
+
+All solving happens on the normalized subcomplex (cochains vanishing when
+any argument is the identity), coordinatized by tuples of non-identity
+elements, i.e. the block [1:, ..., 1:] of the residue array read as a
+G x ... x G table; systems are decomposed by coefficient factor and prime
+power, where the modular diagonalization of twogrp.modlinalg applies.
 """
 
 import itertools
@@ -17,6 +24,7 @@ from .coeff import AbelianGroup
 from .errors import (
     DegreeMismatch,
     NotACocycle,
+    ParseError,
     ShapeMismatch,
     SizeBound,
     WitnessMismatch,
@@ -43,30 +51,47 @@ def _check_degree(degree):
     return degree
 
 
+def _residue_array(A, values):
+    """values, one row of residues per argument tuple, as a read-only int64
+    array after one vectorised range check.  On failure A.check names the
+    first bad row."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged rows
+        arr = np.zeros(0)
+    if arr.shape == (len(values), len(A.moduli)) and (
+        arr.dtype.kind in "iu" or arr.size == 0
+    ):
+        arr = arr.astype(np.int64)
+        if not ((arr < 0) | (arr >= A.moduli)).any():
+            arr.flags.writeable = False
+            return arr
+    for row in values:
+        A.check(tuple(row))
+    raise ShapeMismatch("cochain residues must be integers, got dtype %s" % arr.dtype)
+
+
 class Cochain:
     """A degree-n cochain: dense table over G^n with values in A.
 
-    values is indexed with the first argument most significant, i.e. entry
-    for (g1..gn) sits at sum(g_i * |G|^(n-i)).
+    residues[flat] holds the value at (g1..gn), flat = sum(g_i * |G|^(n-i)),
+    one residue per invariant factor of A.
     """
 
     def __init__(self, group, coeffs, degree, values):
         self.group = group
         self.coeffs = coeffs
         self.degree = _check_degree(degree)
-        values = tuple(tuple(v) for v in values)
-        if len(values) != group.order**self.degree:
-            raise ShapeMismatch(
-                "expected %d values, got %d" % (group.order**self.degree, len(values))
-            )
-        for v in values:
-            coeffs.check(v)
-        self.values = values
+        rows = group.order**self.degree
+        if len(values) != rows:
+            raise ShapeMismatch("expected %d values, got %d" % (rows, len(values)))
+        self.residues = _residue_array(coeffs, values)
 
     @classmethod
     def zero(cls, group, coeffs, degree):
         degree = _check_degree(degree)
-        return cls(group, coeffs, degree, [coeffs.zero] * group.order**degree)
+        shape = (group.order**degree, len(coeffs.moduli))
+        return cls(group, coeffs, degree, np.zeros(shape, dtype=np.int64))
 
     @classmethod
     def from_function(cls, group, coeffs, degree, fn):
@@ -77,6 +102,16 @@ class Cochain:
         ]
         return cls(group, coeffs, degree, vals)
 
+    @property
+    def values(self):
+        """The values as a tuple of residue tuples, decoded on each access."""
+        return tuple(map(tuple, self.residues.tolist()))
+
+    def cube(self):
+        """The residues as a G x ... x G x k array."""
+        return self.residues.reshape((self.group.order,) * self.degree
+                                     + self.residues.shape[1:])
+
     def flat_index(self, args):
         idx = 0
         for g in args:
@@ -84,7 +119,7 @@ class Cochain:
         return idx
 
     def value(self, args):
-        return self.values[self.flat_index(args)]
+        return tuple(self.residues[self.flat_index(args)].tolist())
 
     def __eq__(self, other):
         return (
@@ -92,11 +127,11 @@ class Cochain:
             and self.group == other.group
             and self.coeffs == other.coeffs
             and self.degree == other.degree
-            and self.values == other.values
+            and np.array_equal(self.residues, other.residues)
         )
 
     def __hash__(self):
-        return hash((self.degree, self.values))
+        return hash((self.degree, self.residues.tobytes()))
 
     def __repr__(self):
         return "Cochain(degree=%d, |G|=%d, A=%s)" % (
@@ -105,29 +140,23 @@ class Cochain:
             list(self.coeffs.invariant_factors),
         )
 
+    def _like(self, residues):
+        return Cochain(self.group, self.coeffs, self.degree, residues)
+
     def add(self, other):
         self._compat(other)
-        A = self.coeffs
-        return Cochain(
-            self.group, A, self.degree,
-            [A.add(a, b) for a, b in zip(self.values, other.values)],
-        )
+        return self._like((self.residues + other.residues) % self.coeffs.moduli)
 
     def sub(self, other):
         self._compat(other)
-        A = self.coeffs
-        return Cochain(
-            self.group, A, self.degree,
-            [A.sub(a, b) for a, b in zip(self.values, other.values)],
-        )
+        return self._like((self.residues - other.residues) % self.coeffs.moduli)
 
     def neg(self):
-        A = self.coeffs
-        return Cochain(self.group, A, self.degree, [A.neg(a) for a in self.values])
+        return self._like(-self.residues % self.coeffs.moduli)
 
     def scale(self, n):
         A = self.coeffs
-        return Cochain(self.group, A, self.degree, [A.scale(n, a) for a in self.values])
+        return self._like(self.residues * [n % m for m in A.invariant_factors] % A.moduli)
 
     def _compat(self, other):
         if (
@@ -138,43 +167,30 @@ class Cochain:
             raise DegreeMismatch("cochains live on different complexes")
 
     def is_zero(self):
-        z = self.coeffs.zero
-        return all(v == z for v in self.values)
+        return not self.residues.any()
 
     def normalization_witness(self):
         """First argument tuple containing the identity at which the value
         is nonzero, or None."""
-        z = self.coeffs.zero
-        for flat, args in enumerate(
-            itertools.product(range(self.group.order), repeat=self.degree)
-        ):
-            if 0 in args and self.values[flat] != z:
-                return args
-        return None
+        shape = (self.group.order,) * self.degree
+        nonzero = self.residues.any(axis=1).reshape(shape)
+        nonzero[(slice(1, None),) * self.degree] = False
+        flat = np.flatnonzero(nonzero)
+        return _unravel(flat[0], shape) if flat.size else None
 
     def is_normalized(self):
         return self.normalization_witness() is None
 
     def index_array(self):
         """Values as coefficient-element indices, as an int64 array."""
-        A = self.coeffs
-        return np.array([A.index(v) for v in self.values], dtype=np.int64)
+        return self.residues @ self.coeffs.weights
 
     def to_json(self):
-        def nest(vals, degree):
-            if degree == 0:
-                return list(vals[0])
-            step = len(vals) // self.group.order
-            return [
-                nest(vals[i * step:(i + 1) * step], degree - 1)
-                for i in range(self.group.order)
-            ]
-
         return {
             "group": self.group.to_json(),
             "coeffs": self.coeffs.to_json(),
             "degree": self.degree,
-            "values": nest(self.values, self.degree),
+            "values": self.cube().tolist(),
         }
 
     @classmethod
@@ -190,7 +206,11 @@ class Cochain:
 
         def walk(node, depth):
             if depth == 0:
-                flat.append(tuple(node))
+                # JSON reads 1.0 as a float and true as a bool; neither is a
+                # residue
+                if not all(type(r) is int for r in node):
+                    raise ParseError("residues must be integers, got %r" % (node,))
+                flat.append(node)
                 return
             if len(node) != group.order:
                 raise ShapeMismatch("values array has wrong fanout at depth %d" % depth)
@@ -201,16 +221,20 @@ class Cochain:
         return cls(group, coeffs, degree, flat)
 
 
+def _unravel(flat, shape):
+    return tuple(int(i) for i in np.unravel_index(flat, shape))
+
+
 def coboundary(c):
     """The inhomogeneous bar coboundary with trivial action:
     (dc)(g1..g_{n+1}) = c(g2..) - c(g1g2, g3..) + ... +/- c(g1..gn)."""
     G, A = c.group, c.coeffs
-    els = A.elements()
     out = kernels.coboundary_table(
         G.table_array, G.order, c.degree, c.index_array(),
-        A.add_array, A.neg_array, len(els),
+        A.add_array, A.neg_array, A.order,
     )
-    return Cochain(G, A, c.degree + 1, [els[int(i)] for i in out])
+    # element index -> residues, inverting index_array
+    return Cochain(G, A, c.degree + 1, out[:, None] // A.weights % A.moduli)
 
 
 def is_cocycle(c):
@@ -223,19 +247,14 @@ def is_cocycle(c):
     )
     if flat < 0:
         return True, None
-    args = []
-    for _ in range(c.degree + 1):
-        args.append(flat % G.order)
-        flat //= G.order
-    return False, tuple(reversed(args))
+    return False, _unravel(flat, (G.order,) * (c.degree + 1))
 
 
 def pull_back_along_automorphism(phi, c):
     """(phi . c)(g1..gn) = c(phi(g1)..phi(gn))."""
-    return Cochain.from_function(
-        c.group, c.coeffs, c.degree,
-        lambda *args: c.value(tuple(phi(g) for g in args)),
-    )
+    image = np.array([phi(g) for g in range(c.group.order)], dtype=np.int64)
+    pulled = c.cube()[np.ix_(*(image,) * c.degree)]
+    return c._like(pulled.reshape(c.residues.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -294,26 +313,19 @@ def _check_bounds(G, A, degree, max_group, max_coeffs):
 
 
 def _cochain_from_factor_vectors(G, A, degree, vectors):
-    """Build a normalized cochain from one residue vector per invariant
-    factor over the normalized coordinates."""
-    coords = normalized_tuples(G.order, degree)
-    table = {}
-    for idx, args in enumerate(coords):
-        table[args] = tuple(int(vec[idx]) for vec in vectors)
-    zero = A.zero
-
-    def fn(*args):
-        if 0 in args:
-            return zero
-        return table[args]
-
-    return Cochain.from_function(G, A, degree, fn)
+    """The normalized cochain whose residues of invariant factor t over the
+    normalized coordinates are vectors[t]; factors missing from the mapping
+    are zero."""
+    shape = (G.order,) * degree
+    cube = np.zeros(shape + (len(A.moduli),), dtype=np.int64)
+    for t, vec in vectors.items():
+        cube[(slice(1, None),) * degree + (t,)] = np.reshape(vec, (G.order - 1,) * degree)
+    return Cochain(G, A, degree, cube.reshape(G.order**degree, len(A.moduli)))
 
 
 def _factor_vector(c, t):
     """Residues of invariant factor t over normalized coordinates."""
-    coords = normalized_tuples(c.group.order, c.degree)
-    return np.array([c.value(args)[t] for args in coords], dtype=np.int64)
+    return c.cube()[(slice(1, None),) * c.degree + (t,)].flatten()
 
 
 class CocycleBasis:
@@ -347,11 +359,7 @@ def cocycle_solve(G, A, degree, max_group=DEFAULT_MAX_GROUP,
                 if orders[j] == 1:
                     continue
                 vec = (gens[:, j] * mu) % m
-                vectors = [
-                    vec if s == t else np.zeros(ncols, dtype=np.int64)
-                    for s in range(len(A.invariant_factors))
-                ]
-                gens_out.append(_cochain_from_factor_vectors(G, A, degree, vectors))
+                gens_out.append(_cochain_from_factor_vectors(G, A, degree, {t: vec}))
                 orders_out.append(orders[j])
     return CocycleBasis(G, A, degree, gens_out, orders_out)
 
@@ -360,29 +368,25 @@ class _QPartData:
     """Per (invariant factor, prime power) solver data used to locate the
     cohomology class of a cocycle."""
 
-    def __init__(self, t, p, k, mu, evals, Vinv, P, positions):
+    def __init__(self, t, p, k, mu, steps, Vinv, P, positions):
         self.t = t
         self.p = p
         self.k = k
         self.mu = mu  # cofactor m_t / p^k, a unit mod p^k
-        self.evals = evals
+        self.steps = steps  # p^(k - e_j): generator j is V[:, j] * steps[j]
         self.Vinv = Vinv
         self.P = P
         self.positions = positions  # [(row index in P-coords, order p^f)]
 
     def coordinates(self, vec_t):
-        p, k, q = self.p, self.k, self.p**self.k
+        q = self.p**self.k
         # representatives are stored scaled by mu (the CRT lift into Z_{m_t});
         # divide it back out so generator i reads coordinate 1
         muinv = pow(self.mu % q, -1, q)
         y = (self.Vinv @ ((vec_t * muinv) % q)) % q
-        c = np.zeros(len(y), dtype=np.int64)
-        for j in range(len(y)):
-            step = p ** (k - self.evals[j])
-            if int(y[j]) % step != 0:
-                raise NotACocycle()
-            c[j] = int(y[j]) // step
-        w = (self.P @ c) % q
+        if (y % self.steps).any():
+            raise NotACocycle()
+        w = (self.P @ (y // self.steps)) % q
         return tuple(int(w[i]) % o for i, o in self.positions)
 
 
@@ -419,22 +423,22 @@ class CohomologyResult:
         coordinates."""
         if len(coords) != len(self._raw_reps):
             raise ShapeMismatch("expected %d coordinates" % len(self._raw_reps))
-        acc = Cochain.zero(self.group, self.coeffs, self.degree)
+        A = self.coeffs
+        acc = Cochain.zero(self.group, A, self.degree).residues
         for ci, rep in zip(coords, self._raw_reps):
-            acc = acc.add(rep.scale(ci))
-        return acc
+            # |A| kills every residue; reducing by it keeps the sum in int64
+            acc = acc + int(ci) % A.order * rep.residues
+        return Cochain(self.group, A, self.degree, acc % A.moduli)
 
     def all_class_coordinates(self):
         return list(itertools.product(*(range(o) for o in self._raw_orders)))
 
     def lex_minimal_representative(self, c):
         """The lexicographically smallest cocycle cohomologous to c."""
-        vectors = []
-        for t, m in enumerate(self.coeffs.invariant_factors):
-            vec = _factor_vector(c, t)
-            vectors.append(
-                np.array(lex_reduce_mod(self._boundary % m, m, vec), dtype=np.int64)
-            )
+        vectors = {
+            t: lex_reduce_mod(self._boundary % m, m, _factor_vector(c, t))
+            for t, m in enumerate(self.coeffs.invariant_factors)
+        }
         return _cochain_from_factor_vectors(self.group, self.coeffs, self.degree,
                                             vectors)
 
@@ -450,29 +454,20 @@ def cohomology(G, A, degree, max_group=DEFAULT_MAX_GROUP,
         if degree >= 1
         else np.zeros(((G.order - 1) ** 0, 0), dtype=np.int64)
     )
-    ncols = D.shape[1]
     raw = []  # (p, f, t, rep vector mod m_t, qpart index ordering key)
     qparts = []
     for t, m in enumerate(A.invariant_factors):
         for p, k in prime_power_decomposition(m):
             q = p**k
-            gens, orders, V = kernel_mod_prime_power(D, p, k)
-            Vinv = _invert_mod(V, q)
-            evals = [prime_valuation_of_order(o, p) for o in orders]
+            gens, orders, Vinv = kernel_mod_prime_power(D, p, k)
+            # orders[j] = p^e_j, and generator j is V[:, j] * p^(k - e_j)
+            steps = q // np.array(orders, dtype=np.int64)
             # express the image of d^(n-1) in kernel-generator coordinates
-            C = np.zeros((ncols, Dprev.shape[1]), dtype=np.int64)
-            if Dprev.shape[1]:
-                Y = (Vinv @ (Dprev % q)) % q
-                for j in range(ncols):
-                    step = p ** (k - evals[j])
-                    col = Y[j, :]
-                    if np.any(col % step):
-                        raise AssertionError("image not contained in kernel")
-                    C[j, :] = (col // step) % q
-            rel = np.concatenate(
-                [np.diag([p ** evals[j] for j in range(ncols)]).astype(np.int64), C],
-                axis=1,
-            )
+            Y = (Vinv @ (Dprev % q)) % q
+            if (Y % steps[:, None]).any():
+                raise AssertionError("image not contained in kernel")
+            C = Y // steps[:, None]
+            rel = np.concatenate([np.diag(np.array(orders, dtype=np.int64)), C], axis=1)
             res = smith_mod_prime_power(rel, p, k, want_u=True, want_uinv=True)
             vals = res["vals"]
             P, Pinv = res["U"], res["Uinv"]
@@ -484,19 +479,10 @@ def cohomology(G, A, degree, max_group=DEFAULT_MAX_GROUP,
                     positions.append((i, p**f))
                     avec = (gens @ Pinv[:, i]) % q
                     raw.append((p, f, t, (avec * mu) % m))
-            qparts.append(_QPartData(t, p, k, mu, evals, Vinv, P, positions))
+            qparts.append(_QPartData(t, p, k, mu, steps, Vinv, P, positions))
     raw_orders = [p**f for p, f, _, _ in raw]
-    nfactors = len(A.invariant_factors)
-
-    def to_cochain(entry):
-        p, f, t, vec = entry
-        vectors = [
-            vec if s == t else np.zeros(ncols, dtype=np.int64)
-            for s in range(nfactors)
-        ]
-        return _cochain_from_factor_vectors(G, A, degree, vectors)
-
-    raw_reps = [to_cochain(e) for e in raw]
+    raw_reps = [_cochain_from_factor_vectors(G, A, degree, {t: vec})
+                for _p, _f, t, vec in raw]
     # merge into the divisibility chain; chain slot i combines, per prime,
     # the i-th largest remaining power
     chain = canonical_invariant_factors(raw_orders)
@@ -522,42 +508,6 @@ def cohomology(G, A, degree, max_group=DEFAULT_MAX_GROUP,
     return result
 
 
-def prime_valuation_of_order(order, p):
-    v = 0
-    while order % p == 0:
-        order //= p
-        v += 1
-    return v
-
-
-def _invert_mod(M, q):
-    """Inverse of an invertible integer matrix over Z_q via adjugate-free
-    elimination (prime-power modulus: unit pivots always exist)."""
-    n = M.shape[0]
-    A = np.concatenate([M % q, np.eye(n, dtype=np.int64)], axis=1)
-    for t in range(n):
-        pivot_row = None
-        for i in range(t, n):
-            try:
-                pow(int(A[i, t]), -1, q)
-            except ValueError:
-                continue
-            pivot_row = i
-            break
-        if pivot_row is None:
-            raise ValueError("matrix not invertible mod %d" % q)
-        if pivot_row != t:
-            A[[t, pivot_row]] = A[[pivot_row, t]]
-        inv = pow(int(A[t, t]), -1, q)
-        A[t, :] = (A[t, :] * inv) % q
-        factors = A[:, t].copy()
-        factors[t] = 0
-        if factors.any():
-            A -= np.outer(factors, A[t, :])
-            A %= q
-    return A[:, n:]
-
-
 def are_cohomologous(c1, c2):
     """A normalized witness beta with d(beta) = c2 - c1, or None."""
     c1._compat(c2)
@@ -569,7 +519,7 @@ def are_cohomologous(c1, c2):
     if n == 0:
         return None if not delta.is_zero() else Cochain.zero(G, A, 0)
     Dprev = bar_matrix(G, n - 1)
-    vectors = []
+    vectors = {}
     for t, m in enumerate(A.invariant_factors):
         rhs = _factor_vector(delta, t)
         parts = []
@@ -578,16 +528,9 @@ def are_cohomologous(c1, c2):
             if x is None:
                 return None
             parts.append((x, p**k))
-        vec = np.array(
-            [
-                crt_combine([(int(x[i]), q) for x, q in parts], m)
-                for i in range(Dprev.shape[1])
-            ],
-            dtype=np.int64,
-        )
-        vectors.append(vec)
+        vectors[t] = crt_combine(parts, m)
     beta = _cochain_from_factor_vectors(G, A, n - 1, vectors)
-    if coboundary(beta).values != delta.values:
+    if coboundary(beta) != delta:
         raise WitnessMismatch("computed witness beta has d(beta) != c2 - c1")
     return beta
 

@@ -6,6 +6,7 @@ tuple its only element.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -21,10 +22,11 @@ class AbelianGroup:
             if m < 2:
                 raise InvalidFactor("invariant factors must be >= 2, got %r" % (m,))
         self.invariant_factors = factors
-        self.order = 1
-        for m in factors:
-            self.order *= m
+        self.order = math.prod(factors)
         self.zero = (0,) * len(factors)
+        # element residues r sit at index r @ weights in elements() order
+        self.moduli = _frozen(factors)
+        self.weights = _frozen([math.prod(factors[t + 1:]) for t in range(len(factors))])
         self._elements = None
         self._index = None
         self._add = self._neg = self._sub = None
@@ -48,6 +50,8 @@ class AbelianGroup:
                 % (x, len(x), len(self.invariant_factors))
             )
         for r, m in zip(x, self.invariant_factors):
+            if not isinstance(r, (int, np.integer)) or isinstance(r, bool):
+                raise ShapeMismatch("residue %r is not an integer" % (r,))
             if not 0 <= r < m:
                 raise ShapeMismatch("residue %r out of range for factor %d" % (r, m))
 
@@ -124,13 +128,3 @@ def _frozen(table):
     arr.flags.writeable = False
     return arr
 
-
-def ab_add(A, x, y):
-    A.check(x)
-    A.check(y)
-    return A.add(x, y)
-
-
-def ab_neg(A, x):
-    A.check(x)
-    return A.neg(x)

@@ -6,7 +6,6 @@ of p and can serve as a pivot without coefficient growth.  General moduli
 are handled by CRT across their prime-power parts.
 """
 
-import math
 from collections import defaultdict
 
 import numpy as np
@@ -41,13 +40,14 @@ def valuation(x, p, k):
     return v
 
 
-def smith_mod_prime_power(mat, p, k, want_u=False, want_v=False, want_uinv=False):
+def smith_mod_prime_power(mat, p, k, want_u=False, want_v=False, want_uinv=False,
+                          want_vinv=False):
     """Diagonalize mat over Z_q, q = p^k: U @ mat @ V = S with S diagonal
     p^{e_0} | p^{e_1} | ... (0 mod q encoded as valuation k).
 
     Returns a dict with "vals" (diagonal valuations, one per pivot position)
-    and "S", plus any of "U", "V", "Uinv" requested; U and V are invertible
-    over Z_q.
+    and "S", plus any of "U", "V", "Uinv", "Vinv" requested; U and V are
+    invertible over Z_q, and the inverses are tracked alongside them.
     """
     q = p**k
     M = np.array(mat, dtype=np.int64) % q
@@ -55,6 +55,7 @@ def smith_mod_prime_power(mat, p, k, want_u=False, want_v=False, want_uinv=False
     U = np.eye(rows, dtype=np.int64) if want_u else None
     Uinv = np.eye(rows, dtype=np.int64) if want_uinv else None
     V = np.eye(cols, dtype=np.int64) if want_v else None
+    Vinv = np.eye(cols, dtype=np.int64) if want_vinv else None
 
     def val_matrix(A):
         vals = np.zeros(A.shape, dtype=np.int64)
@@ -84,6 +85,8 @@ def smith_mod_prime_power(mat, p, k, want_u=False, want_v=False, want_uinv=False
             M[:, [t, j]] = M[:, [j, t]]
             if V is not None:
                 V[:, [t, j]] = V[:, [j, t]]
+            if Vinv is not None:
+                Vinv[[t, j]] = Vinv[[j, t]]
         piv = p**vmin
         unit = int(M[t, t]) // piv
         uinv = pow(unit, -1, q)
@@ -110,6 +113,8 @@ def smith_mod_prime_power(mat, p, k, want_u=False, want_v=False, want_uinv=False
             if V is not None:
                 V -= np.outer(V[:, t], cfac)
                 V %= q
+            if Vinv is not None:
+                Vinv[t, :] = (Vinv[t, :] + cfac @ Vinv) % q
         diag_vals.append(vmin)
         t += 1
     while len(diag_vals) < npos:
@@ -121,20 +126,23 @@ def smith_mod_prime_power(mat, p, k, want_u=False, want_v=False, want_uinv=False
         out["V"] = V
     if want_uinv:
         out["Uinv"] = Uinv
+    if want_vinv:
+        out["Vinv"] = Vinv
     return out
 
 
 def kernel_mod_prime_power(mat, p, k):
     """Kernel of mat over Z_q as a generated subgroup of Z_q^cols.
 
-    Returns (gens, orders, V): column j of gens generates a cyclic subgroup
-    of order orders[j] and the kernel is the set of integer combinations of
-    the columns.  V is the column transform of the underlying Smith form
-    (generator j is V[:, j] * p^(k - e_j)).
+    Returns (gens, orders, Vinv): column j of gens generates a cyclic
+    subgroup of order orders[j] = p^e_j and the kernel is the set of integer
+    combinations of the columns.  Generator j is V[:, j] * p^(k - e_j), for
+    V the column transform of the underlying Smith form; Vinv is its
+    inverse over Z_q, which reads off coordinates against the generators.
     """
     q = p**k
     cols = np.asarray(mat).shape[1]
-    res = smith_mod_prime_power(mat, p, k, want_v=True)
+    res = smith_mod_prime_power(mat, p, k, want_v=True, want_vinv=True)
     V = res["V"]
     vals = res["vals"]
     gens = np.zeros((cols, cols), dtype=np.int64)
@@ -143,7 +151,7 @@ def kernel_mod_prime_power(mat, p, k):
         e = vals[j] if j < len(vals) else k
         gens[:, j] = (V[:, j] * p ** (k - e)) % q
         orders.append(p**e)
-    return gens, orders, V
+    return gens, orders, res["Vinv"]
 
 
 def solve_mod_prime_power(mat, rhs, p, k):
@@ -170,31 +178,6 @@ def solve_mod_prime_power(mat, rhs, p, k):
             return None
         y[i] = ci // piv
     return (V @ y) % q
-
-
-def cokernel_invariants_mod_prime_power(rel, p, k):
-    """Invariant factors and generators of Z^n / im(rel), for a quotient of
-    exponent dividing p^k (rel must contain relations enforcing that).
-
-    Returns (orders, gens): orders[i] = p^{f_i} > 1 and gens[:, i] is a lift
-    of the corresponding quotient generator to Z_q^n.
-    """
-    n, m = np.asarray(rel).shape
-    res = smith_mod_prime_power(rel, p, k, want_uinv=True)
-    vals = res["vals"]
-    Uinv = res["Uinv"]
-    orders = []
-    gens = []
-    for i in range(min(n, m)):
-        if vals[i] > 0:
-            orders.append(p ** vals[i])
-            gens.append(Uinv[:, i])
-    for i in range(m, n):
-        orders.append(p**k)
-        gens.append(Uinv[:, i])
-    if gens:
-        return orders, np.stack(gens, axis=1)
-    return orders, np.zeros((n, 0), dtype=np.int64)
 
 
 def _xgcd(a, b):
@@ -278,9 +261,9 @@ def canonical_invariant_factors(orders):
 
 def crt_combine(pairs, m):
     """x mod m from [(residue, q), ...] over the coprime prime-power parts
-    q of m."""
+    q of m; the residues may be integers or int64 arrays of residues."""
     x = 0
     for r, q in pairs:
         rest = m // q
-        x += int(r) * rest * pow(rest, -1, q)
+        x = x + r * (rest * pow(rest, -1, q))
     return x % m

@@ -929,16 +929,6 @@ def fillers(X, horn):
     return np.flatnonzero(index.keys == key[0]).tolist() if found[0] else []
 
 
-def horn_is_compatible(X, horn):
-    n = horn.n
-    for k in sorted(horn.faces):
-        for j in sorted(horn.faces):
-            if j < k and n >= 2:
-                if X.face(n - 1, j, horn.faces[k]) != X.face(n - 1, k - 1, horn.faces[j]):
-                    return False
-    return True
-
-
 def _block_spans(counts, limit):
     """Consecutive (start, stop) ranges of counts, each summing to at most
     limit unless it holds a single entry."""
@@ -1019,7 +1009,10 @@ def is_kan(X, up_to=None):
     """Check that every compatible horn realizable within the truncation
     has at least one filler.  Returns (True, None) or (False, horn) with
     the first unfilled horn in enumerate_horns order, n and missing
-    ascending."""
+    ascending.  up_to, when given, must be at least 1: a sweep over no level
+    would pass vacuously."""
+    if up_to is not None and up_to < 1:
+        raise DimensionBound("is_kan checks levels 1..up_to, got up_to = %d" % up_to)
     N = up_to if up_to is not None else X.truncation
     N = min(N, X.truncation)
     for n in range(1, N + 1):

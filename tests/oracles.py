@@ -264,3 +264,58 @@ def brute_first_unfilled_horn(faces, sizes, truncation):
                 ):
                     return n, missing, cells
     return None
+
+
+def _first_failing(cells, lhs, rhs, factors):
+    """The first cell (in the order given) where lhs and rhs, lists of
+    residues, differ modulo factors; None when they agree everywhere."""
+    for cell in cells:
+        if any((a - b) % m for a, b, m in zip(lhs(*cell), rhs(*cell), factors)):
+            return cell
+    return None
+
+
+def _table(order, degree, values):
+    return dict(zip(itertools.product(range(order), repeat=degree), values))
+
+
+def _plus(*vals):
+    return [sum(rs) for rs in zip(*vals)]
+
+
+def brute_pentagon(table, factors, values):
+    """First (w, x, y, z), lexicographic, where the pentagon
+    alpha(wx, y, z) + alpha(w, x, yz) = alpha(w, x, y) + alpha(w, xy, z)
+    + alpha(x, y, z) fails for the 3-cochain with these values (residue
+    tuples over G^3, first argument most significant), or None."""
+    n = len(table)
+    a = _table(n, 3, values)
+    return _first_failing(
+        itertools.product(range(n), repeat=4),
+        lambda w, x, y, z: _plus(a[table[w][x], y, z], a[w, x, table[y][z]]),
+        lambda w, x, y, z: _plus(a[w, x, y], a[w, table[x][y], z], a[x, y, z]),
+        factors,
+    )
+
+
+def brute_triangle(table, factors, values):
+    """First (x, y), lexicographic, with alpha(x, e, y) nonzero, or None."""
+    n = len(table)
+    a = _table(n, 3, values)
+    return _first_failing(
+        itertools.product(range(n), repeat=2),
+        lambda x, y: a[x, 0, y], lambda x, y: [0] * len(factors), factors,
+    )
+
+
+def brute_hexagon(table, factors, src, dst, j):
+    """First (x, y, z), lexicographic, where j(x, y) + j(xy, z) +
+    dst(x, y, z) = src(x, y, z) + j(y, z) + j(x, yz) fails, or None."""
+    n = len(table)
+    s, d, c = _table(n, 3, src), _table(n, 3, dst), _table(n, 2, j)
+    return _first_failing(
+        itertools.product(range(n), repeat=3),
+        lambda x, y, z: _plus(c[x, y], c[table[x][y], z], d[x, y, z]),
+        lambda x, y, z: _plus(s[x, y, z], c[y, z], c[x, table[y][z]]),
+        factors,
+    )

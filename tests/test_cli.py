@@ -6,7 +6,9 @@ import pytest
 from twogrp.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main
 from twogrp.coeff import AbelianGroup
 from twogrp.cochain import Cochain
-from twogrp.group import cyclic
+from twogrp.errors import TwogrpError
+from twogrp.group import cyclic, dihedral
+from twogrp.simplicial import TruncatedSSet, is_kan, nerve_bg
 
 
 def run(capsys, *argv):
@@ -114,6 +116,18 @@ def test_cocycle_verify_rejects_bad_degree(capsys, tmp_path):
         assert code == EXIT_USAGE, degree
         assert "degree" in err and repr(degree) in err
         assert "Traceback" not in err and out == ""
+
+
+def test_cocycle_verify_rejects_non_integer_residues(capsys, tmp_path):
+    # JSON reads 0.5 and 1.0 as floats and true as a bool: none is a residue
+    for residue in (0.5, 1.0, True):
+        values = nontrivial_values()
+        values[1][1][1] = [residue]
+        path = write_cocycle(tmp_path, "residue.json", values)
+        code, out, err = run(capsys, "cocycle", "verify", path)
+        assert code == EXIT_USAGE, residue
+        assert err.count("\n") == 1 and err.startswith("error: "), err
+        assert "integers" in err and out == ""
 
 
 def test_cocycle_solve_and_classes(capsys):
@@ -226,6 +240,26 @@ def test_golden_json_digests(capsys, tmp_path):
     code, _, got["sset-kan-corrupt"] = digest("sset", "kan", path)
     assert code == EXIT_FAIL
     assert got == GOLDEN_DIGESTS
+
+
+def test_kan_up_to_below_one_is_rejected(capsys, tmp_path):
+    # the corrupted D3 nerve of test_golden_json_digests is not Kan; a sweep
+    # over no level must not report it as Kan
+    obj = nerve_bg(dihedral(3), 3).to_json()
+    obj["faces"]["2,1"][5] = 0
+    path = write_sset(tmp_path, obj)
+    code, _, _ = run(capsys, "sset", "kan", path, "--up-to", "1")
+    assert code == EXIT_PASS
+    code, _, _ = run(capsys, "sset", "kan", path, "--up-to", "2")
+    assert code == EXIT_FAIL
+    for up_to in ("0", "-1"):
+        code, out, err = run(capsys, "sset", "kan", path, "--up-to", up_to)
+        assert code == EXIT_USAGE and out == ""
+        assert "up-to must be >= 1" in err and "Traceback" not in err
+    X = TruncatedSSet.from_json(obj)
+    for up_to in (0, -1):
+        with pytest.raises(TwogrpError, match="up_to"):
+            is_kan(X, up_to=up_to)
 
 
 def test_theorem_verify(capsys, tmp_path):

@@ -6,7 +6,6 @@ import pytest
 
 from twogrp.modlinalg import (
     canonical_invariant_factors,
-    cokernel_invariants_mod_prime_power,
     crt_combine,
     kernel_mod_prime_power,
     lex_reduce_mod,
@@ -48,7 +47,7 @@ def test_smith_diagonalizes():
             for _ in range(8):
                 M = random_matrix(rows, cols, q)
                 res = smith_mod_prime_power(M, p, k, want_u=True, want_v=True,
-                                            want_uinv=True)
+                                            want_uinv=True, want_vinv=True)
                 S = (res["U"] @ M @ res["V"]) % q
                 # S must be diagonal with the reported p-power entries
                 for i in range(rows):
@@ -59,9 +58,12 @@ def test_smith_diagonalizes():
                     assert S[t, t] % q == p**e % q
                 # vals form a divisibility chain
                 assert res["vals"] == sorted(res["vals"])
-                # Uinv really inverts U
+                # Uinv really inverts U, and Vinv inverts V
                 assert np.array_equal(
                     (res["U"] @ res["Uinv"]) % q, np.eye(rows, dtype=np.int64)
+                )
+                assert np.array_equal(
+                    (res["V"] @ res["Vinv"]) % q, np.eye(cols, dtype=np.int64)
                 )
 
 
@@ -113,9 +115,13 @@ def test_solve():
 
 
 def test_cokernel_invariants():
-    # Z_4^2 / <(2,0)> has invariants [2, 4]
+    # Z_4^2 / <(2,0)> has invariants [2, 4]; cohomology reads the quotient's
+    # generators off the columns of Uinv at the positive Smith valuations
     rel = np.array([[2, 4, 0], [0, 0, 4]], dtype=np.int64)
-    orders, gens = cokernel_invariants_mod_prime_power(rel, 2, 2)
+    res = smith_mod_prime_power(rel, 2, 2, want_uinv=True)
+    positive = [i for i, v in enumerate(res["vals"]) if v > 0]
+    orders = [2 ** res["vals"][i] for i in positive]
+    gens = res["Uinv"][:, positive]
     assert sorted(orders) == [2, 4]
     # generators are independent in the quotient: brute-force the subgroup
     # they generate modulo the relations
