@@ -29,7 +29,6 @@ from .group import (
     group_construct,
     symmetric,
 )
-from .kernels import BACKEND
 from .simplicial import (
     Horn,
     SimplicialMap,
@@ -60,7 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AbelianGroup",
-    "BACKEND",
     "Cochain",
     "FiniteGroup",
     "FusionObject",

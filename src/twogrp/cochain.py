@@ -5,8 +5,11 @@ Cochains are dense tables G^n -> A with trivial action, held as one
 read-only (|G|^n, k) int64 array of residues: one row per argument tuple,
 first argument most significant, one column per invariant factor of A.
 Arithmetic is one numpy expression modulo A.moduli; pullbacks and the
-passage to and from normalized coordinates are gathers over the array; the
-coboundary kernel reads the rows as element indices (residues @ A.weights).
+passage to and from normalized coordinates are gathers over the array.  The
+bar complex is the cochain complex of the nerve of G, so the coboundary and
+the integer bar matrix both read their faces from simplicial.nerve_face: dc
+is the alternating sum of c gathered at the faces of each tuple of G^(n+1),
+and bar_matrix places the same signs at the faces of normalized tuples.
 
 All solving happens on the normalized subcomplex (cochains vanishing when
 any argument is the identity), coordinatized by tuples of non-identity
@@ -19,7 +22,6 @@ import itertools
 
 import numpy as np
 
-from . import kernels
 from .coeff import AbelianGroup
 from .errors import (
     DegreeMismatch,
@@ -39,6 +41,7 @@ from .modlinalg import (
     smith_mod_prime_power,
     solve_mod_prime_power,
 )
+from .simplicial import encode, flat, grid, nerve_face
 
 DEFAULT_MAX_GROUP = 8
 DEFAULT_MAX_COEFFS = 8
@@ -175,8 +178,8 @@ class Cochain:
         shape = (self.group.order,) * self.degree
         nonzero = self.residues.any(axis=1).reshape(shape)
         nonzero[(slice(1, None),) * self.degree] = False
-        flat = np.flatnonzero(nonzero)
-        return _unravel(flat[0], shape) if flat.size else None
+        hits = np.flatnonzero(nonzero)
+        return _unravel(hits[0], shape) if hits.size else None
 
     def is_normalized(self):
         return self.normalization_witness() is None
@@ -202,7 +205,7 @@ class Cochain:
             raise DegreeMismatch(
                 "cochain degree must be an integer >= 0, got %r" % (degree,)
             )
-        flat = []
+        rows = []
 
         def walk(node, depth):
             if depth == 0:
@@ -210,7 +213,7 @@ class Cochain:
                 # residue
                 if not all(type(r) is int for r in node):
                     raise ParseError("residues must be integers, got %r" % (node,))
-                flat.append(node)
+                rows.append(node)
                 return
             if len(node) != group.order:
                 raise ShapeMismatch("values array has wrong fanout at depth %d" % depth)
@@ -218,36 +221,43 @@ class Cochain:
                 walk(child, depth - 1)
 
         walk(obj["values"], degree)
-        return cls(group, coeffs, degree, flat)
+        return cls(group, coeffs, degree, rows)
 
 
-def _unravel(flat, shape):
-    return tuple(int(i) for i in np.unravel_index(flat, shape))
+def _unravel(code, shape):
+    return tuple(int(i) for i in np.unravel_index(code, shape))
+
+
+def _coboundary_residues(c):
+    """The residues of dc, one row per tuple of G^(n+1): the alternating
+    sum of c over the nerve faces d_0..d_(n+1), modulo A.moduli."""
+    G, n = c.group, c.degree
+    shape = (G.order,) * (n + 1)
+    g = grid(shape)
+    acc = 0
+    for i in range(n + 2):
+        rows = encode(nerve_face(G.table_array, g, i), shape[1:])
+        term = np.take(c.residues, rows, axis=0)
+        acc = acc - term if i % 2 else acc + term
+    k = len(c.coeffs.moduli)
+    acc = np.broadcast_to(acc, shape + (k,)).reshape(G.order ** (n + 1), k)
+    return acc % c.coeffs.moduli
 
 
 def coboundary(c):
     """The inhomogeneous bar coboundary with trivial action:
     (dc)(g1..g_{n+1}) = c(g2..) - c(g1g2, g3..) + ... +/- c(g1..gn)."""
-    G, A = c.group, c.coeffs
-    out = kernels.coboundary_table(
-        G.table_array, G.order, c.degree, c.index_array(),
-        A.add_array, A.neg_array, A.order,
-    )
-    # element index -> residues, inverting index_array
-    return Cochain(G, A, c.degree + 1, out[:, None] // A.weights % A.moduli)
+    return Cochain(c.group, c.coeffs, c.degree + 1, _coboundary_residues(c))
 
 
 def is_cocycle(c):
     """(True, None) if dc == 0, else (False, witness) with the
     lexicographically first failing argument tuple."""
-    G, A = c.group, c.coeffs
-    flat = kernels.first_coboundary_violation(
-        G.table_array, G.order, c.degree, c.index_array(),
-        A.add_array, A.neg_array, A.order,
-    )
-    if flat < 0:
+    nonzero = np.flatnonzero(_coboundary_residues(c))
+    if not nonzero.size:
         return True, None
-    return False, _unravel(flat, (G.order,) * (c.degree + 1))
+    row = nonzero[0] // len(c.coeffs.moduli)
+    return False, _unravel(row, (c.group.order,) * (c.degree + 1))
 
 
 def pull_back_along_automorphism(phi, c):
@@ -261,40 +271,26 @@ def pull_back_along_automorphism(phi, c):
 # normalized-coordinate linear algebra
 
 
-def normalized_tuples(order, degree):
-    """Tuples of non-identity element indices, lexicographic."""
-    return list(itertools.product(range(1, order), repeat=degree))
-
-
-def _coord_index(args, order):
-    idx = 0
-    for g in args:
-        idx = idx * (order - 1) + (g - 1)
-    return idx
-
-
 def bar_matrix(G, degree):
-    """Integer matrix of d: normalized C^degree -> normalized C^(degree+1)."""
+    """Integer matrix of d: normalized C^degree -> normalized C^(degree+1).
+
+    Rows and columns are the tuples of non-identity elements in
+    lexicographic order; row x gets (-1)^i in the column of its face d_i
+    whenever that face is normalized."""
     n = degree
-    ng = G.order
-    ncols = (ng - 1) ** n
-    nrows = (ng - 1) ** (n + 1)
-    D = np.zeros((nrows, ncols), dtype=np.int64)
-    if n == 0:
-        return D  # leading and trailing terms cancel
-    for row, args in enumerate(normalized_tuples(ng, n + 1)):
-        head = args[1:]
-        if 0 not in head:
-            D[row, _coord_index(head, ng)] += 1
-        sign = -1
-        for i in range(1, n + 1):
-            merged = args[:i - 1] + (G.table[args[i - 1]][args[i]],) + args[i + 1:]
-            if 0 not in merged:
-                D[row, _coord_index(merged, ng)] += sign
-            sign = -sign
-        tail = args[:-1]
-        if 0 not in tail:
-            D[row, _coord_index(tail, ng)] += sign
+    m = G.order - 1  # element g >= 1 has coordinate g - 1
+    shape = (m,) * (n + 1)
+    D = np.zeros((m ** (n + 1), m**n), dtype=np.int64)
+    rows = np.arange(D.shape[0])
+    g = [axis + 1 for axis in grid(shape)]
+    for i in range(n + 2):
+        face = nerve_face(G.table_array, g, i)
+        keep = True
+        for part in face:
+            keep = keep & (part != 0)
+        keep = np.broadcast_to(keep, shape).flatten()
+        cols = flat(encode([part - 1 for part in face], (m,) * n), shape)
+        np.add.at(D, (rows[keep], cols[keep]), -1 if i % 2 else 1)
     return D
 
 
@@ -407,7 +403,8 @@ class CohomologyResult:
         self._raw_orders = raw_orders
         self._raw_reps = raw_reps
         self._qparts = qparts
-        self._boundary = boundary_matrix
+        # the image of d^(n-1), reduced once per invariant factor
+        self._boundaries = [boundary_matrix % m for m in coeffs.invariant_factors]
 
     def class_coordinates(self, c):
         """Coordinates of the class of cocycle c w.r.t. the raw generator
@@ -436,8 +433,9 @@ class CohomologyResult:
     def lex_minimal_representative(self, c):
         """The lexicographically smallest cocycle cohomologous to c."""
         vectors = {
-            t: lex_reduce_mod(self._boundary % m, m, _factor_vector(c, t))
-            for t, m in enumerate(self.coeffs.invariant_factors)
+            t: lex_reduce_mod(boundary, m, _factor_vector(c, t))
+            for t, (boundary, m) in enumerate(
+                zip(self._boundaries, self.coeffs.invariant_factors))
         }
         return _cochain_from_factor_vectors(self.group, self.coeffs, self.degree,
                                             vectors)

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidFactor, ShapeMismatch
+from .errors import InvalidFactor, ParseError, ShapeMismatch
 
 
 class AbelianGroup:
@@ -120,7 +120,13 @@ class AbelianGroup:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(obj["invariant_factors"])
+        """Parse the to_json format; anything but a list of integers raises
+        ParseError."""
+        factors = obj.get("invariant_factors") if isinstance(obj, dict) else None
+        if not isinstance(factors, list) or not all(type(m) is int for m in factors):
+            raise ParseError("invariant_factors must be a list of integers, got %r"
+                             % (factors,))
+        return cls(factors)
 
 
 def _frozen(table):

@@ -9,13 +9,23 @@ import itertools
 
 import numpy as np
 
-from .errors import IndexOutOfRange, NotAGroup, SizeBound, UnsupportedSpec
+from .errors import IndexOutOfRange, NotAGroup, ParseError, SizeBound, UnsupportedSpec
 
 AUTOMORPHISM_ORDER_BOUND = 12
+
+# Largest group any constructor builds.  Validating a table costs order^3
+# lookups; order 128 takes about half a second.
+MAX_GROUP_ORDER = 128
+
+
+def _check_order(order):
+    if order > MAX_GROUP_ORDER:
+        raise SizeBound("group order %d exceeds bound %d" % (order, MAX_GROUP_ORDER))
 
 
 class FiniteGroup:
     def __init__(self, table, name=None, _validated=False):
+        _check_order(len(table))
         self.table = tuple(tuple(int(x) for x in row) for row in table)
         self.order = len(self.table)
         self.name = name or "order%d" % self.order
@@ -82,7 +92,15 @@ class FiniteGroup:
 
     @classmethod
     def from_json(cls, obj):
-        g = group_from_table(obj["table"])
+        """Parse the to_json format; a table that is not a list of integer
+        lists raises ParseError."""
+        table = obj.get("table") if isinstance(obj, dict) else None
+        if not isinstance(table, list):
+            raise ParseError("group JSON needs a \"table\" list of rows")
+        for i, row in enumerate(table):
+            if not isinstance(row, list) or not all(type(x) is int for x in row):
+                raise ParseError("group table row %d is not a list of integers" % i)
+        g = group_from_table(table)
         if "name" in obj:
             g.name = obj["name"]
         return g
@@ -115,6 +133,7 @@ def _validate_table(table):
 
 
 def group_from_table(table, name=None):
+    _check_order(len(table))
     _validate_table(tuple(tuple(row) for row in table))
     return FiniteGroup(table, name=name, _validated=True)
 
@@ -123,6 +142,7 @@ def cyclic(n):
     """Z_n; element i is the i-th power of the generator."""
     if n < 1:
         raise UnsupportedSpec("cyclic(n) needs n >= 1")
+    _check_order(n)
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     return FiniteGroup(table, name="cyclic:%d" % n, _validated=True)
 
@@ -135,6 +155,7 @@ def dihedral(n):
     if n < 1:
         raise UnsupportedSpec("dihedral(n) needs n >= 1")
     order = 2 * n
+    _check_order(order)
 
     def idx(i, j):
         return i % n + n * (j % 2)
@@ -165,6 +186,7 @@ def symmetric(n):
 def product(g, h):
     """Direct product; pair (x, y) has index x*|H| + y."""
     order = g.order * h.order
+    _check_order(order)
 
     def idx(x, y):
         return x * h.order + y

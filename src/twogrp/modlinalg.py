@@ -28,18 +28,6 @@ def prime_power_decomposition(m):
     return out
 
 
-def valuation(x, p, k):
-    """p-adic valuation of x mod p^k, with val(0) = k."""
-    x %= p**k
-    if x == 0:
-        return k
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
-
-
 def smith_mod_prime_power(mat, p, k, want_u=False, want_v=False, want_uinv=False,
                           want_vinv=False):
     """Diagonalize mat over Z_q, q = p^k: U @ mat @ V = S with S diagonal
@@ -95,26 +83,28 @@ def smith_mod_prime_power(mat, p, k, want_u=False, want_v=False, want_uinv=False
             U[t, :] = (U[t, :] * uinv) % q
         if Uinv is not None:
             Uinv[:, t] = (Uinv[:, t] * unit) % q
+        # rows above t are already clear in column t, so the row sweep only
+        # touches rows below t with a nonzero factor, in columns >= t
         factors = (M[:, t] // piv) % q
         factors[t] = 0
-        if factors.any():
-            M -= np.outer(factors, M[t, :])
-            M %= q
+        nz = np.flatnonzero(factors)
+        if nz.size:
+            M[nz, t:] = (M[nz, t:] - np.outer(factors[nz], M[t, t:])) % q
             if U is not None:
-                U -= np.outer(factors, U[t, :])
-                U %= q
+                U[nz] = (U[nz] - np.outer(factors[nz], U[t])) % q
             if Uinv is not None:
-                Uinv[:, t] = (Uinv[:, t] + Uinv @ factors) % q
+                Uinv[:, t] = (Uinv[:, t] + Uinv[:, nz] @ factors[nz]) % q
+        # column t is now clear below the pivot, so the column sweep only
+        # clears the tail of row t
         cfac = (M[t, :] // piv) % q
         cfac[t] = 0
-        if cfac.any():
-            M -= np.outer(M[:, t], cfac)
-            M %= q
+        nzc = np.flatnonzero(cfac)
+        if nzc.size:
+            M[t, t + 1:] = 0
             if V is not None:
-                V -= np.outer(V[:, t], cfac)
-                V %= q
+                V[:, nzc] = (V[:, nzc] - np.outer(V[:, t], cfac[nzc])) % q
             if Vinv is not None:
-                Vinv[t, :] = (Vinv[t, :] + cfac @ Vinv) % q
+                Vinv[t, :] = (Vinv[t, :] + cfac[nzc] @ Vinv[nzc]) % q
         diag_vals.append(vmin)
         t += 1
     while len(diag_vals) < npos:

@@ -153,6 +153,18 @@ def encode(parts, radices):
     return code
 
 
+def nerve_face(T, g, i):
+    """The coordinates of face d_i of the cells of G^n given by the open grid
+    g (one array per entry, n = len(g)): d_0 drops the first entry, d_n the
+    last, and 0 < i < n multiplies entries i-1 and i through the group
+    table T."""
+    if i == 0:
+        return g[1:]
+    if i == len(g):
+        return g[:-1]
+    return g[:i - 1] + [T[g[i - 1], g[i]]] + g[i + 1:]
+
+
 def flat(values, shape):
     """values broadcast over a grid of the given shape, as a flat int64
     table in C order (the cells' enumeration order)."""
@@ -251,9 +263,6 @@ class TruncatedSSet:
 
     def index(self, n, label):
         return self.levels[n].index(label)
-
-    def face_vector(self, n, x):
-        return tuple(int(self.faces[(n, i)][x]) for i in range(n + 1))
 
     def to_json(self):
         obj = {
@@ -466,13 +475,7 @@ def nerve_bg(G, truncation=3):
     for n in range(1, N + 1):
         g = grid((ng,) * n)
         for i in range(n + 1):
-            if i == 0:
-                parts = g[1:]
-            elif i == n:
-                parts = g[:-1]
-            else:
-                parts = g[:i - 1] + [T[g[i - 1], g[i]]] + g[i + 1:]
-            faces[(n, i)] = flat(encode(parts, (ng,) * (n - 1)), (ng,) * n)
+            faces[(n, i)] = flat(encode(nerve_face(T, g, i), (ng,) * (n - 1)), (ng,) * n)
     for n in range(N):
         g = grid((ng,) * n)
         for i in range(n + 1):

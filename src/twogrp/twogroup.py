@@ -5,8 +5,8 @@ A skeleton has objects the elements of a finite group G, only identity
 normalized 3-cochain alpha.  Coherence is checked by evaluating both routes
 around each diagram at every cell at once, as gathers over alpha's residue
 array with G's multiplication table, and reporting the lexicographically
-first cell where they differ.  The checks never delegate to the cocycle
-kernel, so the two certificates stay independent.
+first cell where they differ.  The checks never call coboundary or
+is_cocycle, so the two certificates stay independent.
 """
 
 import numpy as np

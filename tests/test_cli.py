@@ -7,7 +7,7 @@ from twogrp.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main
 from twogrp.coeff import AbelianGroup
 from twogrp.cochain import Cochain
 from twogrp.errors import TwogrpError
-from twogrp.group import cyclic, dihedral
+from twogrp.group import MAX_GROUP_ORDER, cyclic, dihedral
 from twogrp.simplicial import TruncatedSSet, is_kan, nerve_bg
 
 
@@ -128,6 +128,39 @@ def test_cocycle_verify_rejects_non_integer_residues(capsys, tmp_path):
         assert code == EXIT_USAGE, residue
         assert err.count("\n") == 1 and err.startswith("error: "), err
         assert "integers" in err and out == ""
+
+
+def test_cocycle_verify_rejects_non_integer_factors(capsys, tmp_path):
+    path = write_cocycle(tmp_path, "factors.json", nontrivial_values(),
+                         coeffs=["x"])
+    code, out, err = run(capsys, "cocycle", "verify", path)
+    assert code == EXIT_USAGE
+    assert err.count("\n") == 1 and "invariant_factors" in err and out == ""
+
+
+@pytest.mark.parametrize("obj", [{"table": [["a"]]}, {"table": 5}, [[0]]])
+def test_group_malformed_json_is_usage_error(capsys, tmp_path, obj):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "group", str(path))
+    assert code == EXIT_USAGE
+    assert err.count("\n") == 1 and err.startswith("error: ") and out == ""
+
+
+def test_group_order_bound(capsys, tmp_path):
+    # every constructor refuses order MAX_GROUP_ORDER + 1 before building
+    # or validating a table
+    n = MAX_GROUP_ORDER + 1
+    assert 3 * 43 == n
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"table": [[0]] * n}))
+    for argv in (["cohomology", "--group", "cyclic:%d" % n, "--coeffs", "2"],
+                 ["group", "product:cyclic:3,cyclic:43"],
+                 ["group", "dihedral:%d" % (n // 2 + 1)],
+                 ["group", str(path)]):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_FAIL, argv
+        assert "exceeds bound %d" % MAX_GROUP_ORDER in err and out == ""
 
 
 def test_cocycle_solve_and_classes(capsys):

@@ -12,7 +12,6 @@ from twogrp.modlinalg import (
     prime_power_decomposition,
     smith_mod_prime_power,
     solve_mod_prime_power,
-    valuation,
 )
 
 RNG = random.Random(20240817)
@@ -31,13 +30,6 @@ def test_prime_power_decomposition():
     assert prime_power_decomposition(12) == [(2, 2), (3, 1)]
     assert prime_power_decomposition(7) == [(7, 1)]
     assert prime_power_decomposition(1) == []
-
-
-def test_valuation():
-    assert valuation(12, 2, 3) == 2
-    assert valuation(8, 2, 3) == 3  # 8 == 0 mod 8
-    assert valuation(0, 3, 2) == 2
-    assert valuation(5, 5, 1) == 1  # 5 == 0 mod 5
 
 
 def test_smith_diagonalizes():
