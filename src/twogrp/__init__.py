@@ -45,13 +45,11 @@ from .simplicial import (
     wbar_b2a,
 )
 from .twogroup import (
-    FusionObject,
     TwoGroupSkeleton,
     check_pentagon,
     check_triangle,
     check_zigzag,
     duality_data,
-    fusion_tensor,
     monoidal_functor_check,
 )
 
@@ -61,7 +59,6 @@ __all__ = [
     "AbelianGroup",
     "Cochain",
     "FiniteGroup",
-    "FusionObject",
     "Horn",
     "SimplicialMap",
     "TheoremReport",
@@ -85,7 +82,6 @@ __all__ = [
     "duskin_nerve",
     "fiber_product",
     "fillers",
-    "fusion_tensor",
     "gamma_a2",
     "group_automorphisms",
     "group_construct",

@@ -16,7 +16,6 @@ import time
 from .coeff import AbelianGroup
 from .cochain import (
     Cochain,
-    are_cohomologous,
     cocycle_solve,
     cohomology,
     cohomology_classes_mod_aut,

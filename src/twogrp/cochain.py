@@ -14,8 +14,11 @@ and bar_matrix places the same signs at the faces of normalized tuples.
 All solving happens on the normalized subcomplex (cochains vanishing when
 any argument is the identity), coordinatized by tuples of non-identity
 elements, i.e. the block [1:, ..., 1:] of the residue array read as a
-G x ... x G table; systems are decomposed by coefficient factor and prime
-power, where the modular diagonalization of twogrp.modlinalg applies.
+G x ... x G table.  Cocycles and cohomology are decomposed by coefficient
+factor and prime power, where the modular diagonalization of
+twogrp.modlinalg applies; lex-minimal representatives and primitives of
+coboundaries come from the Howell basis of the image of d over each factor
+Z_m.
 """
 
 import itertools
@@ -34,12 +37,11 @@ from .errors import (
 from .group import FiniteGroup, group_automorphisms
 from .modlinalg import (
     canonical_invariant_factors,
-    crt_combine,
+    howell_basis,
     kernel_mod_prime_power,
     lex_reduce_mod,
     prime_power_decomposition,
     smith_mod_prime_power,
-    solve_mod_prime_power,
 )
 from .simplicial import encode, flat, grid, nerve_face
 
@@ -403,8 +405,9 @@ class CohomologyResult:
         self._raw_orders = raw_orders
         self._raw_reps = raw_reps
         self._qparts = qparts
-        # the image of d^(n-1), reduced once per invariant factor
-        self._boundaries = [boundary_matrix % m for m in coeffs.invariant_factors]
+        # the Howell basis of the image of d^(n-1), one per invariant factor
+        self._bases = [howell_basis(boundary_matrix, m)
+                       for m in coeffs.invariant_factors]
 
     def class_coordinates(self, c):
         """Coordinates of the class of cocycle c w.r.t. the raw generator
@@ -433,9 +436,8 @@ class CohomologyResult:
     def lex_minimal_representative(self, c):
         """The lexicographically smallest cocycle cohomologous to c."""
         vectors = {
-            t: lex_reduce_mod(boundary, m, _factor_vector(c, t))
-            for t, (boundary, m) in enumerate(
-                zip(self._boundaries, self.coeffs.invariant_factors))
+            t: lex_reduce_mod(basis, m, _factor_vector(c, t))[0]
+            for t, (basis, m) in enumerate(zip(self._bases, self.coeffs.invariant_factors))
         }
         return _cochain_from_factor_vectors(self.group, self.coeffs, self.degree,
                                             vectors)
@@ -519,14 +521,12 @@ def are_cohomologous(c1, c2):
     Dprev = bar_matrix(G, n - 1)
     vectors = {}
     for t, m in enumerate(A.invariant_factors):
-        rhs = _factor_vector(delta, t)
-        parts = []
-        for p, k in prime_power_decomposition(m):
-            x = solve_mod_prime_power(Dprev, rhs, p, k)
-            if x is None:
-                return None
-            parts.append((x, p**k))
-        vectors[t] = crt_combine(parts, m)
+        # delta is a coboundary iff the minimum of its coset is zero, and
+        # then the reduction's coefficients are a primitive
+        rest, vectors[t] = lex_reduce_mod(howell_basis(Dprev, m), m,
+                                          _factor_vector(delta, t))
+        if rest.any():
+            return None
     beta = _cochain_from_factor_vectors(G, A, n - 1, vectors)
     if coboundary(beta) != delta:
         raise WitnessMismatch("computed witness beta has d(beta) != c2 - c1")

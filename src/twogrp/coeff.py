@@ -10,7 +10,12 @@ import math
 
 import numpy as np
 
-from .errors import InvalidFactor, ParseError, ShapeMismatch
+from .errors import InvalidFactor, ParseError, ShapeMismatch, SizeBound
+
+# Largest coefficient group any constructor builds.  Residues stay below
+# 2^24, so a product of two stays below 2^48 and sums of many such products
+# (Smith's row updates, class coordinates) stay inside int64.
+MAX_COEFF_ORDER = 2**24
 
 
 class AbelianGroup:
@@ -21,8 +26,12 @@ class AbelianGroup:
         for m in factors:
             if m < 2:
                 raise InvalidFactor("invariant factors must be >= 2, got %r" % (m,))
+        order = math.prod(factors)
+        if order > MAX_COEFF_ORDER:
+            raise SizeBound("coefficient order %d exceeds bound %d"
+                            % (order, MAX_COEFF_ORDER))
         self.invariant_factors = factors
-        self.order = math.prod(factors)
+        self.order = order
         self.zero = (0,) * len(factors)
         # element residues r sit at index r @ weights in elements() order
         self.moduli = _frozen(factors)

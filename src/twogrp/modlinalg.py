@@ -1,9 +1,12 @@
-"""Exact linear algebra over residue rings Z_{p^k}.
+"""Exact linear algebra over residue rings.
 
-Everything reduces to a diagonal (Smith-style) form over a single prime
-power, where an entry of minimal p-valuation is a unit multiple of a power
-of p and can serve as a pivot without coefficient growth.  General moduli
-are handled by CRT across their prime-power parts.
+Invariant factors and kernels come from a diagonal (Smith-style) form over
+a single prime power Z_{p^k}, where an entry of minimal p-valuation is a
+unit multiple of a power of p and can serve as a pivot without coefficient
+growth.  Reduction and solving work over Z_m directly: the Howell form of a
+lattice is computed once, then any number of vectors are reduced against it
+to their lexicographically minimal representatives, with the coefficients
+that express each difference in the generators.
 """
 
 from collections import defaultdict
@@ -144,32 +147,6 @@ def kernel_mod_prime_power(mat, p, k):
     return gens, orders, res["Vinv"]
 
 
-def solve_mod_prime_power(mat, rhs, p, k):
-    """One solution x of mat @ x = rhs over Z_q, or None."""
-    q = p**k
-    rows, cols = np.asarray(mat).shape
-    res = smith_mod_prime_power(mat, p, k, want_u=True, want_v=True)
-    U, V, vals = res["U"], res["V"], res["vals"]
-    c = (U @ (np.asarray(rhs, dtype=np.int64) % q)) % q
-    y = np.zeros(cols, dtype=np.int64)
-    for i in range(rows):
-        ci = int(c[i])
-        if i >= cols:
-            if ci % q != 0:
-                return None
-            continue
-        e = vals[i]
-        if e >= k:
-            if ci % q != 0:
-                return None
-            continue
-        piv = p**e
-        if ci % piv != 0:
-            return None
-        y[i] = ci // piv
-    return (V @ y) % q
-
-
 def _xgcd(a, b):
     x0, x1, y0, y1 = 1, 0, 0, 1
     while b:
@@ -179,49 +156,58 @@ def _xgcd(a, b):
     return a, x0, y0
 
 
-def lex_reduce_mod(gen_cols, m, vec):
-    """Lexicographically minimal element of vec + L in Z_m^n, where L is
-    generated by the columns of gen_cols together with m*Z^n.
+def howell_basis(gen_cols, m):
+    """Echelon basis of the lattice L in Z_m^n generated by the columns of
+    gen_cols (n x c) together with m*Z^n: its Howell form (Storjohann and
+    Mulders, ESA 1998), as (positions, divisors, rows).
 
-    Greedy echelon sweep: at each coordinate, combine generators into one
-    pivot of value gcd(leading entries, m), reduce vec below the pivot, and
-    keep (with Howell closure) only generators vanishing there.
+    Greedy sweep over the coordinates: at each one, combine the generators
+    leading there into one pivot of value d = gcd(leading entries, m), clear
+    the others against it, and add its closure (m/d) * pivot, so that the
+    pivots at later coordinates span every element of L vanishing before
+    them.  Each generator is a row augmented with its coefficients on the
+    columns, so pivot row i satisfies
+    rows[i, :n] = gen_cols @ rows[i, n:] (mod m), rows[i, :positions[i]] = 0
+    and rows[i, positions[i]] = divisors[i].
     """
-    gen_cols = np.asarray(gen_cols, dtype=np.int64)
-    n = len(vec)
-    gens = (
-        [list(map(int, gen_cols[:, j])) for j in range(gen_cols.shape[1])]
-        if gen_cols.size
-        else []
-    )
-    v = [int(x) % m for x in vec]
+    gen_cols = np.asarray(gen_cols, dtype=np.int64) % m
+    n, c = gen_cols.shape
+    R = np.concatenate([gen_cols.T, np.eye(c, dtype=np.int64)], axis=1)
+    positions, divisors, pivots = [], [], []
     for pos in range(n):
-        gens = [g for g in gens if any(x % m for x in g)]
-        col_lead = [g for g in gens if g[pos] % m != 0]
-        if not col_lead:
+        R = R[R[:, :n].any(axis=1)]
+        lead = np.flatnonzero(R[:, pos])
+        if not lead.size:
             continue
-        acc = None
-        for g in col_lead:
-            if acc is None:
-                acc = [x % m for x in g]
-                continue
-            _, s, t = _xgcd(acc[pos], g[pos])
-            acc = [(s * x + t * y) % m for x, y in zip(acc, g)]
-        d, s, _ = _xgcd(acc[pos], m)
-        acc = [(s * x) % m for x in acc]
-        acc[pos] = d
-        v = [(x - (v[pos] // d) * y) % m for x, y in zip(v, acc)]
-        new_gens = [g for g in gens if g not in col_lead]
-        for g in col_lead:
-            f = g[pos] // d
-            g2 = [(x - f * y) % m for x, y in zip(g, acc)]
-            if any(g2):
-                new_gens.append(g2)
-        closure = [((m // d) * x) % m for x in acc]
-        if any(closure):
-            new_gens.append(closure)
-        gens = new_gens
-    return v
+        acc = R[lead[0]]
+        for i in lead[1:]:
+            _, s, t = _xgcd(int(acc[pos]), int(R[i, pos]))
+            acc = (s * acc + t * R[i]) % m
+        d, s, _ = _xgcd(int(acc[pos]), m)
+        acc = (s * acc) % m
+        cleared = (R[lead] - np.outer(R[lead, pos] // d, acc)) % m
+        closure = (m // d) * acc % m
+        R = np.concatenate([np.delete(R, lead, axis=0), cleared, closure[None]])
+        positions.append(pos)
+        divisors.append(d)
+        pivots.append(acc)
+    return positions, divisors, np.array(pivots, dtype=np.int64).reshape(len(pivots), n + c)
+
+
+def lex_reduce_mod(basis, m, vecs):
+    """(reps, x): reps is the lexicographically minimal element of vec + L
+    for each vector vec along the last axis of vecs, where basis is the
+    howell_basis of L in Z_m^n, and x holds the coefficients on its
+    generators with vec - rep = gen_cols @ x (mod m)."""
+    positions, divisors, rows = basis
+    V = np.asarray(vecs, dtype=np.int64) % m
+    n = V.shape[-1]
+    X = np.zeros(V.shape[:-1] + (rows.shape[1] - n,), dtype=np.int64)
+    for pos, d, row in zip(positions, divisors, rows):
+        f = (V[..., pos] // d)[..., None]
+        V = (V - f * row[:n]) % m
+        X = (X + f * row[n:]) % m
+    return V, X
 
 
 def canonical_invariant_factors(orders):
@@ -247,13 +233,3 @@ def canonical_invariant_factors(orders):
         chain.append(f)
     chain.sort()
     return chain
-
-
-def crt_combine(pairs, m):
-    """x mod m from [(residue, q), ...] over the coprime prime-power parts
-    q of m; the residues may be integers or int64 arrays of residues."""
-    x = 0
-    for r, q in pairs:
-        rest = m // q
-        x = x + r * (rest * pow(rest, -1, q))
-    return x % m

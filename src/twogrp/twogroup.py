@@ -97,15 +97,19 @@ def check_zigzag(alpha, x, ev, coev):
 
 
 def duality_data(alpha, x):
-    """All (ev, coev) pairs witnessing duality of x against x^{-1}, by
-    exhaustive search over A^2."""
+    """All (ev, coev) pairs witnessing duality of x against x^{-1}, ev in
+    A.elements() order.  The two zigzags of check_zigzag force
+    ev + coev = -alpha(x, x^{-1}, x) and ev + coev = alpha(x^{-1}, x, x^{-1}),
+    so pairs exist iff these agree, and then coev = that sum - ev."""
     A = alpha.coeffs
-    found = []
-    for ev in A.elements():
-        for coev in A.elements():
-            if check_zigzag(alpha, x, ev, coev):
-                found.append((ev, coev))
-    return found
+    xbar = alpha.group.inv(x)
+    left = alpha.residues[alpha.flat_index((x, xbar, x))]
+    right = alpha.residues[alpha.flat_index((xbar, x, xbar))]
+    if ((left + right) % A.moduli).any():
+        return []
+    evs = A.elements()
+    coevs = right - np.array(evs, dtype=np.int64).reshape(A.order, len(A.moduli))
+    return list(zip(evs, map(tuple, (coevs % A.moduli).tolist())))
 
 
 def check_duality(alpha):
@@ -135,57 +139,3 @@ def monoidal_functor_check(alpha_src, alpha_dst, j):
     lhs = J[x, y] + J[T[x, y], z] + alpha_dst.cube()
     rhs = alpha_src.cube() + J[y, z] + J[x, T[y, z]]
     return _first_mismatch(lhs, rhs, j.coeffs)
-
-
-class FusionObject:
-    """An object of the fusion category Vect_alpha(G): a multiplicity
-    vector over the elements of G."""
-
-    def __init__(self, group, multiplicities):
-        mult = tuple(int(m) for m in multiplicities)
-        if len(mult) != group.order:
-            raise DegreeMismatch("need one multiplicity per group element")
-        if any(m < 0 for m in mult):
-            raise ValueError("multiplicities must be non-negative")
-        self.group = group
-        self.multiplicities = mult
-
-    @classmethod
-    def simple(cls, group, x):
-        mult = [0] * group.order
-        mult[x] = 1
-        return cls(group, mult)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FusionObject)
-            and self.group == other.group
-            and self.multiplicities == other.multiplicities
-        )
-
-    def __repr__(self):
-        return "FusionObject(%r)" % (self.multiplicities,)
-
-    def dim(self):
-        return sum(self.multiplicities)
-
-    def dual(self):
-        inv = [0] * self.group.order
-        for x, m in enumerate(self.multiplicities):
-            inv[self.group.inv(x)] = m
-        return FusionObject(self.group, inv)
-
-
-def fusion_tensor(a, b):
-    """Convolution product: (a . b)(g) = sum over xy = g of a(x) b(y)."""
-    if a.group != b.group:
-        raise DegreeMismatch("objects live over different groups")
-    G = a.group
-    out = [0] * G.order
-    for x, mx in enumerate(a.multiplicities):
-        if not mx:
-            continue
-        for y, my in enumerate(b.multiplicities):
-            if my:
-                out[G.table[x][y]] += mx * my
-    return FusionObject(G, out)

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from twogrp.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main
-from twogrp.coeff import AbelianGroup
+from twogrp.coeff import MAX_COEFF_ORDER, AbelianGroup
 from twogrp.cochain import Cochain
 from twogrp.errors import TwogrpError
 from twogrp.group import MAX_GROUP_ORDER, cyclic, dihedral
@@ -136,6 +136,17 @@ def test_cocycle_verify_rejects_non_integer_factors(capsys, tmp_path):
     code, out, err = run(capsys, "cocycle", "verify", path)
     assert code == EXIT_USAGE
     assert err.count("\n") == 1 and "invariant_factors" in err and out == ""
+
+
+def test_cocycle_verify_coefficient_order_bound(capsys, tmp_path):
+    # a factor past int64 used to escape as an OverflowError traceback
+    for factors in ([2**70], [MAX_COEFF_ORDER, 2]):
+        path = write_cocycle(tmp_path, "huge.json", nontrivial_values(),
+                             coeffs=factors)
+        code, out, err = run(capsys, "cocycle", "verify", path)
+        assert code == EXIT_FAIL, factors
+        assert err.count("\n") == 1 and err.startswith("error: "), err
+        assert "exceeds bound %d" % MAX_COEFF_ORDER in err and out == ""
 
 
 @pytest.mark.parametrize("obj", [{"table": [["a"]]}, {"table": 5}, [[0]]])

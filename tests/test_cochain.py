@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from twogrp.coeff import AbelianGroup
+from twogrp.coeff import MAX_COEFF_ORDER, AbelianGroup
 from twogrp.cochain import (
     Cochain,
     are_cohomologous,
@@ -238,6 +238,15 @@ def test_are_cohomologous():
     wit = are_cohomologous(alpha, shifted)
     assert wit is not None
     assert coboundary(wit) == shifted.sub(alpha)
+    # over the composite modulus 6, the generator of H^3(C6, Z6) = Z6 and its
+    # multiples of order 3 and 2 are no coboundaries
+    assert res.invariant_factors == [6]
+    zero6 = Cochain.zero(G, Z6, 3)
+    for k in (1, 2, 3):
+        assert are_cohomologous(zero6, alpha.scale(k)) is None
+        assert are_cohomologous(shifted, alpha.scale(k + 1)) is None
+    wit = are_cohomologous(alpha.scale(2), shifted.add(alpha))
+    assert wit is not None and coboundary(wit) == coboundary(b)
 
 
 def test_are_cohomologous_rejects_bad_witness(monkeypatch):
@@ -317,6 +326,18 @@ def test_classes_mod_aut():
         for r in reps:
             ok, _ = is_cocycle(r)
             assert ok and r.is_normalized()
+
+
+def test_scale_order_bound():
+    # Z_(3^25) used to wrap silently in scale (residue 515616189673, not 2);
+    # it is now refused, and at the largest allowed modulus scale is exact
+    m = 3**25
+    with pytest.raises(SizeBound):
+        Cochain(cyclic(1), AbelianGroup([m]), 0, [(m - 1,)]).scale(m - 2)
+    m = MAX_COEFF_ORDER
+    c = Cochain(cyclic(1), AbelianGroup([m]), 0, [(m - 1,)])
+    assert c.scale(m - 2).values == ((2,),)
+    assert c.scale(-(2**70) - 1).values == ((((m - 1) * (-(2**70) - 1)) % m,),)
 
 
 def test_size_bounds():

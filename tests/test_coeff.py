@@ -1,7 +1,7 @@
 import pytest
 
-from twogrp.coeff import AbelianGroup
-from twogrp.errors import InvalidFactor, ShapeMismatch
+from twogrp.coeff import MAX_COEFF_ORDER, AbelianGroup
+from twogrp.errors import InvalidFactor, ShapeMismatch, SizeBound
 
 
 def test_trivial_group():
@@ -52,6 +52,15 @@ def test_invalid_factor_rejected():
         AbelianGroup([1])
     with pytest.raises(InvalidFactor):
         AbelianGroup([0, 2])
+
+
+def test_order_bound():
+    # the bound is on the order, checked before any table is built, and
+    # holds for orders too large for int64
+    assert AbelianGroup([2**12, 2**12]).order == MAX_COEFF_ORDER
+    for factors in ([MAX_COEFF_ORDER + 1], [2**12, 2**13], [3**25], [2**70], [2, 2**64]):
+        with pytest.raises(SizeBound, match="exceeds bound %d" % MAX_COEFF_ORDER):
+            AbelianGroup(factors)
 
 
 def test_check_rejects_bad_elements():

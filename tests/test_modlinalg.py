@@ -6,12 +6,11 @@ import pytest
 
 from twogrp.modlinalg import (
     canonical_invariant_factors,
-    crt_combine,
+    howell_basis,
     kernel_mod_prime_power,
     lex_reduce_mod,
     prime_power_decomposition,
     smith_mod_prime_power,
-    solve_mod_prime_power,
 )
 
 RNG = random.Random(20240817)
@@ -91,21 +90,6 @@ def test_kernel_matches_brute_force():
                 assert spanned == brute_kernel(M, q)
 
 
-def test_solve():
-    for p, k in [(2, 2), (3, 1), (2, 3)]:
-        q = p**k
-        for _ in range(20):
-            M = random_matrix(3, 3, q)
-            x0 = np.array([RNG.randrange(q) for _ in range(3)], dtype=np.int64)
-            rhs = (M @ x0) % q
-            x = solve_mod_prime_power(M, rhs, p, k)
-            assert x is not None
-            assert not any((M @ x - rhs) % q)
-        # an unsolvable system
-        M = np.array([[p]], dtype=np.int64)
-        assert solve_mod_prime_power(M, np.array([1]), p, k) is None
-
-
 def test_cokernel_invariants():
     # Z_4^2 / <(2,0)> has invariants [2, 4]; cohomology reads the quotient's
     # generators off the columns of Uinv at the positive Smith valuations
@@ -150,15 +134,23 @@ def brute_lex_min(gen_cols, m, vec):
 def test_lex_reduce_matches_brute_force():
     for m in (2, 3, 4, 6, 8):
         for _ in range(15):
-            cols = RNG.randrange(3)
-            n = RNG.randrange(1, 4)
+            cols = RNG.randrange(5)
+            n = RNG.randrange(1, 5)
             G = np.array(
                 [[RNG.randrange(m) for _ in range(cols)] for _ in range(n)],
                 dtype=np.int64,
             )
             vec = [RNG.randrange(m) for _ in range(n)]
-            got = lex_reduce_mod(G, m, vec)
-            assert got == brute_lex_min(G, m, vec)
+            basis = howell_basis(G, m)
+            rep, x = lex_reduce_mod(basis, m, vec)
+            assert rep.tolist() == brute_lex_min(G, m, vec)
+            # the coefficients express vec - rep in the generators
+            assert np.array_equal((vec - rep) % m, (G @ x) % m)
+            # a stack of vectors reduces row by row
+            vecs = np.array([vec, [RNG.randrange(m) for _ in range(n)]])
+            reps, xs = lex_reduce_mod(basis, m, vecs)
+            assert [r.tolist() for r in reps] == [brute_lex_min(G, m, v) for v in vecs]
+            assert np.array_equal((vecs - reps) % m, (xs @ G.T) % m)
 
 
 def test_canonical_invariant_factors():
@@ -167,12 +159,3 @@ def test_canonical_invariant_factors():
     assert canonical_invariant_factors([4, 6, 2]) == [2, 2, 12]
     assert canonical_invariant_factors([1, 1]) == []
     assert canonical_invariant_factors([]) == []
-
-
-def test_crt_combine():
-    assert crt_combine([(1, 4), (2, 3)], 12) == 5
-    assert crt_combine([(3, 4)], 4) == 3
-    for m in (6, 12, 60):
-        for x in range(m):
-            pairs = [(x % p**k, p**k) for p, k in prime_power_decomposition(m)]
-            assert crt_combine(pairs, m) == x

@@ -8,14 +8,12 @@ from twogrp.cochain import Cochain, coboundary, cohomology, is_cocycle
 from twogrp.errors import DegreeMismatch, NotACocycle, NotNormalized
 from twogrp.group import cyclic, dihedral
 from twogrp.twogroup import (
-    FusionObject,
     TwoGroupSkeleton,
     check_duality,
     check_pentagon,
     check_triangle,
     check_zigzag,
     duality_data,
-    fusion_tensor,
     monoidal_functor_check,
 )
 
@@ -100,22 +98,39 @@ def test_triangle():
 
 
 def test_duality_brute_force_c2():
-    alpha = c2_nontrivial()
-    for x in range(2):
-        found = duality_data(alpha, x)
-        # independent four-pair scan
-        expect = []
-        xbar = C2.inv(x)
-        for ev in Z2.elements():
-            for coev in Z2.elements():
-                left = (coev[0] + alpha.value((x, xbar, x))[0] + ev[0]) % 2
-                right = (coev[0] - alpha.value((xbar, x, xbar))[0] + ev[0]) % 2
-                if left == 0 and right == 0:
-                    expect.append((ev, coev))
-        assert found == expect
-        assert len(found) == 2  # |A| pairs
-    ok, _ = check_duality(alpha)
-    assert ok
+    C3, Z3, Z2sq = cyclic(3), AbelianGroup([3]), AbelianGroup([2, 2])
+    cases = [
+        (c2_nontrivial(), [2, 2]),
+        (Cochain.from_function(
+            C2, Z2sq, 3, lambda a, b, c: (1, 1) if a == b == c == 1 else (0, 0)), [4, 4]),
+        # the nontrivial class a * floor((b + c) / 3) of H^3(C3, Z3)
+        (Cochain.from_function(C3, Z3, 3, lambda a, b, c: ((a * ((b + c) // 3)) % 3,)),
+         [3, 3, 3]),
+        # not a cocycle: the zigzags of x = 1 and x = 2 both read the cell
+        # (1, 2, 1) and disagree, so neither has a pair
+        (Cochain.from_function(
+            C3, Z3, 3, lambda a, b, c: (1,) if (a, b, c) == (1, 2, 1) else (0,)), [3, 0, 0]),
+    ]
+    for alpha, counts in cases:
+        G, A = alpha.group, alpha.coeffs
+        for x in range(G.order):
+            found = duality_data(alpha, x)
+            # independent |A|^2-pair scan in residue arithmetic
+            expect = []
+            xbar = G.inv(x)
+            left_cell, right_cell = alpha.value((x, xbar, x)), alpha.value((xbar, x, xbar))
+            for ev in A.elements():
+                for coev in A.elements():
+                    left = [(c + a + e) % m for c, a, e, m
+                            in zip(coev, left_cell, ev, A.invariant_factors)]
+                    right = [(c - a + e) % m for c, a, e, m
+                             in zip(coev, right_cell, ev, A.invariant_factors)]
+                    if not any(left) and not any(right):
+                        expect.append((ev, coev))
+            assert found == expect
+            assert len(found) == counts[x]
+            assert all(check_zigzag(alpha, x, ev, coev) for ev, coev in found)
+        assert check_duality(alpha) == ((True, None) if all(counts) else (False, 1))
 
 
 def test_duality_trivial_cocycle_contains_zero_pair():
@@ -154,23 +169,3 @@ def test_monoidal_functor():
         assert not ok
     with pytest.raises(DegreeMismatch):
         monoidal_functor_check(zero, alpha, Cochain.zero(C2, Z2, 3))
-
-
-def test_fusion_objects():
-    G = C2
-    a = FusionObject(G, [1, 1])
-    sq = fusion_tensor(a, a)
-    assert sq.multiplicities == (2, 2)
-    assert sq.dim() == 4
-    e, g = FusionObject.simple(G, 0), FusionObject.simple(G, 1)
-    assert fusion_tensor(g, g) == e
-    assert g.dual() == g
-    D3 = dihedral(3)
-    r = FusionObject.simple(D3, 1)  # rotation r in D3
-    assert r.dual() == FusionObject.simple(D3, D3.inv(1))
-    reg = FusionObject(D3, [1] * 6)
-    assert fusion_tensor(reg, reg).multiplicities == (6,) * 6
-    with pytest.raises(ValueError):
-        FusionObject(G, [1, -1])
-    with pytest.raises(DegreeMismatch):
-        fusion_tensor(a, FusionObject(D3, [1] * 6))
