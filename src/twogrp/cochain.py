@@ -14,14 +14,19 @@ and bar_matrix places the same signs at the faces of normalized tuples.
 All solving happens on the normalized subcomplex (cochains vanishing when
 any argument is the identity), coordinatized by tuples of non-identity
 elements, i.e. the block [1:, ..., 1:] of the residue array read as a
-G x ... x G table.  Cocycles and cohomology are decomposed by coefficient
-factor and prime power, where the modular diagonalization of
-twogrp.modlinalg applies; lex-minimal representatives and primitives of
-coboundaries come from the Howell basis of the image of d over each factor
-Z_m.
+G x ... x G table.  Smith forms per coefficient factor and prime power
+(twogrp.modlinalg) give the invariant factors of H^n and one cyclic
+generator per summand.  Everything that reads a class uses a Howell basis
+over each factor Z_m: that of the image of d gives lex-minimal
+representatives and primitives of coboundaries, and that of the cocycles,
+generated by the summands and then the image of d, gives a cocycle's class
+coordinates as its coefficients on the summands.  Aut(G) acts on those
+coordinates by one matrix per automorphism.
 """
 
+import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -362,60 +367,65 @@ def cocycle_solve(G, A, degree, max_group=DEFAULT_MAX_GROUP,
     return CocycleBasis(G, A, degree, gens_out, orders_out)
 
 
-class _QPartData:
-    """Per (invariant factor, prime power) solver data used to locate the
-    cohomology class of a cocycle."""
-
-    def __init__(self, t, p, k, mu, steps, Vinv, P, positions):
-        self.t = t
-        self.p = p
-        self.k = k
-        self.mu = mu  # cofactor m_t / p^k, a unit mod p^k
-        self.steps = steps  # p^(k - e_j): generator j is V[:, j] * steps[j]
-        self.Vinv = Vinv
-        self.P = P
-        self.positions = positions  # [(row index in P-coords, order p^f)]
-
-    def coordinates(self, vec_t):
-        q = self.p**self.k
-        # representatives are stored scaled by mu (the CRT lift into Z_{m_t});
-        # divide it back out so generator i reads coordinate 1
-        muinv = pow(self.mu % q, -1, q)
-        y = (self.Vinv @ ((vec_t * muinv) % q)) % q
-        if (y % self.steps).any():
-            raise NotACocycle()
-        w = (self.P @ (y // self.steps)) % q
-        return tuple(int(w[i]) % o for i, o in self.positions)
-
-
 class CohomologyResult:
     """H^n(G, A): invariant factors with one representative cocycle per
-    reported generator, plus class arithmetic for orbit computations."""
+    reported generator, plus class arithmetic for orbit computations.
 
-    def __init__(self, group, coeffs, degree, invariant_factors, representatives,
-                 raw_orders, raw_reps, qparts, boundary_matrix):
+    raw lists the cyclic summands of H as (t, order, vector): a class of
+    that order whose cocycle lives in invariant factor t of A and reads
+    vector over normalized coordinates.  Per factor, the summands are a
+    direct-sum basis of that factor's part of H, and class coordinates are
+    coefficients on them.  cohomology() sets representatives."""
+
+    def __init__(self, group, coeffs, degree, invariant_factors, raw,
+                 boundary_matrix):
         self.group = group
         self.coeffs = coeffs
         self.degree = degree
         self.invariant_factors = invariant_factors
-        self.representatives = representatives
-        self.class_count = 1
-        for o in raw_orders:
-            self.class_count *= o
-        self._raw_orders = raw_orders
-        self._raw_reps = raw_reps
-        self._qparts = qparts
+        self._raw = raw
+        self._raw_orders = [order for _t, order, _vec in raw]
+        self._raw_reps = [_cochain_from_factor_vectors(group, coeffs, degree, {t: vec})
+                          for t, _order, vec in raw]
+        self.class_count = math.prod(self._raw_orders)
+        self._boundary = boundary_matrix
         # the Howell basis of the image of d^(n-1), one per invariant factor
         self._bases = [howell_basis(boundary_matrix, m)
                        for m in coeffs.invariant_factors]
+
+    @functools.cached_property
+    def _class_bases(self):
+        """Per invariant factor Z_m: its summands' orders, and the Howell
+        basis of its cocycles, generated by the summands and then the image
+        of d^(n-1).  Built on the first class_coordinates call."""
+        out = []
+        for t, m in enumerate(self.coeffs.invariant_factors):
+            mine = [(order, vec) for tt, order, vec in self._raw if tt == t]
+            cols = [vec[:, None] for _order, vec in mine] + [self._boundary]
+            out.append(([order for order, _vec in mine],
+                        howell_basis(np.concatenate(cols, axis=1), m)))
+        return out
+
+    def _factor_vectors(self, c):
+        """c's residues over normalized coordinates, one vector per
+        invariant factor, once c is known to live on this complex."""
+        if (c.group, c.coeffs, c.degree) != (self.group, self.coeffs, self.degree):
+            raise DegreeMismatch("cochain lives on another complex than this H^n")
+        return [_factor_vector(c, t) for t in range(len(self.coeffs.moduli))]
 
     def class_coordinates(self, c):
         """Coordinates of the class of cocycle c w.r.t. the raw generator
         list (one residue per generator)."""
         out = []
-        for qp in self._qparts:
-            vec = _factor_vector(c, qp.t)
-            out.extend(qp.coordinates(vec))
+        for vec, m, (orders, basis) in zip(self._factor_vectors(c),
+                                           self.coeffs.invariant_factors,
+                                           self._class_bases):
+            # c is a cocycle iff it reduces to zero against the cocycles,
+            # and then its coefficients on the summands are its coordinates
+            rest, x = lex_reduce_mod(basis, m, vec)
+            if rest.any():
+                raise NotACocycle()
+            out.extend((x[:len(orders)] % orders).tolist())
         return tuple(out)
 
     def cochain_from_coordinates(self, coords):
@@ -431,13 +441,15 @@ class CohomologyResult:
         return Cochain(self.group, A, self.degree, acc % A.moduli)
 
     def all_class_coordinates(self):
+        """Every coordinate tuple, in lexicographic order."""
         return list(itertools.product(*(range(o) for o in self._raw_orders)))
 
     def lex_minimal_representative(self, c):
         """The lexicographically smallest cocycle cohomologous to c."""
         vectors = {
-            t: lex_reduce_mod(basis, m, _factor_vector(c, t))[0]
-            for t, (basis, m) in enumerate(zip(self._bases, self.coeffs.invariant_factors))
+            t: lex_reduce_mod(basis, m, vec)[0]
+            for t, (vec, basis, m) in enumerate(zip(self._factor_vectors(c), self._bases,
+                                                    self.coeffs.invariant_factors))
         }
         return _cochain_from_factor_vectors(self.group, self.coeffs, self.degree,
                                             vectors)
@@ -445,8 +457,9 @@ class CohomologyResult:
 
 def cohomology(G, A, degree, max_group=DEFAULT_MAX_GROUP,
                max_coeffs=DEFAULT_MAX_COEFFS):
-    """H^degree(G, A) on normalized cochains, via modular diagonalization of
-    the bar coboundary matrices."""
+    """H^degree(G, A) on normalized cochains: per invariant factor and prime
+    power, the cyclic summands come from a Smith form of the relations that
+    the image of d^(n-1) imposes on the kernel generators of d^n."""
     _check_bounds(G, A, degree, max_group, max_coeffs)
     D = bar_matrix(G, degree)
     Dprev = (
@@ -454,8 +467,7 @@ def cohomology(G, A, degree, max_group=DEFAULT_MAX_GROUP,
         if degree >= 1
         else np.zeros(((G.order - 1) ** 0, 0), dtype=np.int64)
     )
-    raw = []  # (p, f, t, rep vector mod m_t, qpart index ordering key)
-    qparts = []
+    raw = []  # (invariant factor t, order p^f, vector mod m_t)
     for t, m in enumerate(A.invariant_factors):
         for p, k in prime_power_decomposition(m):
             q = p**k
@@ -468,42 +480,28 @@ def cohomology(G, A, degree, max_group=DEFAULT_MAX_GROUP,
                 raise AssertionError("image not contained in kernel")
             C = Y // steps[:, None]
             rel = np.concatenate([np.diag(np.array(orders, dtype=np.int64)), C], axis=1)
-            res = smith_mod_prime_power(rel, p, k, want_u=True, want_uinv=True)
-            vals = res["vals"]
-            P, Pinv = res["U"], res["Uinv"]
-            positions = []
-            mu = m // q
-            for i in range(min(rel.shape)):
-                f = vals[i]
+            res = smith_mod_prime_power(rel, p, k, want_uinv=True)
+            # generator i of the quotient is column i of Uinv, lifted into
+            # Z_{m_t} by the cofactor m_t / p^k
+            for i, f in enumerate(res["vals"]):
                 if f > 0:
-                    positions.append((i, p**f))
-                    avec = (gens @ Pinv[:, i]) % q
-                    raw.append((p, f, t, (avec * mu) % m))
-            qparts.append(_QPartData(t, p, k, mu, steps, Vinv, P, positions))
-    raw_orders = [p**f for p, f, _, _ in raw]
-    raw_reps = [_cochain_from_factor_vectors(G, A, degree, {t: vec})
-                for _p, _f, t, vec in raw]
-    # merge into the divisibility chain; chain slot i combines, per prime,
-    # the i-th largest remaining power
-    chain = canonical_invariant_factors(raw_orders)
-    per_prime = {}
-    for idx, (p, f, t, vec) in enumerate(raw):
-        per_prime.setdefault(p, []).append((-f, t, idx))
-    for p in per_prime:
-        per_prime[p].sort()
-    merged_reps = []
-    for i, factor in enumerate(reversed(chain)):
-        acc = Cochain.zero(G, A, degree)
-        for p, entries in per_prime.items():
-            if i < len(entries):
-                acc = acc.add(raw_reps[entries[i][2]])
-        merged_reps.append(acc)
-    merged_reps.reverse()
-    result = CohomologyResult(
-        G, A, degree, chain, merged_reps, raw_orders, raw_reps, qparts, Dprev
-    )
+                    avec = (gens @ res["Uinv"][:, i]) % q
+                    raw.append((t, p**f, (avec * (m // q)) % m))
+    raw_orders = [order for _t, order, _vec in raw]
+    result = CohomologyResult(G, A, degree, canonical_invariant_factors(raw_orders),
+                              raw, Dprev)
+    # merge into the divisibility chain: slot i from the top sums, per
+    # prime, the i-th largest summand (the earliest first among equals)
+    slots = [[0] * len(raw) for _ in result.invariant_factors]
+    ranks = {}
+    for idx in sorted(range(len(raw)), key=lambda i: -raw_orders[i]):
+        (p, _f), = prime_power_decomposition(raw_orders[idx])
+        rank = ranks.get(p, 0)
+        slots[rank][idx] = 1
+        ranks[p] = rank + 1
     result.representatives = [
-        result.lex_minimal_representative(r) for r in merged_reps
+        result.lex_minimal_representative(result.cochain_from_coordinates(slot))
+        for slot in reversed(slots)
     ]
     return result
 
@@ -534,31 +532,28 @@ def are_cohomologous(c1, c2):
 
 
 def cohomology_classes_mod_aut(G, A, degree=3, max_group=DEFAULT_MAX_GROUP,
-                               max_coeffs=DEFAULT_MAX_COEFFS,
-                               aut_order_bound=12):
+                               max_coeffs=DEFAULT_MAX_COEFFS):
     """Orbit representatives of H^degree(G, A) under the pullback action of
     Aut(G).  Returns (representatives, orbit_count, result)."""
     result = cohomology(G, A, degree, max_group=max_group, max_coeffs=max_coeffs)
-    auts = group_automorphisms(G, order_bound=aut_order_bound)
-    all_coords = result.all_class_coordinates()
-    remaining = set(all_coords)
+    auts = group_automorphisms(G)
+    orders = np.array(result._raw_orders, dtype=np.int64)
+    k = len(orders)
+    # pullback is linear on classes: row i of the matrix of phi holds the
+    # coordinates of raw generator i pulled back along phi
+    actions = np.array([
+        [result.class_coordinates(pull_back_along_automorphism(phi, rep))
+         for rep in result._raw_reps]
+        for phi in auts
+    ], dtype=np.int64).reshape(len(auts), k, k)
+    # auts is all of Aut(G), so the images of start are its whole orbit
+    seen = set()
     reps = []
-    for start in sorted(all_coords):
-        if start not in remaining:
+    for start in result.all_class_coordinates():
+        if start in seen:
             continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            coords = frontier.pop()
-            rep = result.cochain_from_coordinates(coords)
-            for phi in auts:
-                image = result.class_coordinates(
-                    pull_back_along_automorphism(phi, rep)
-                )
-                if image not in orbit:
-                    orbit.add(image)
-                    frontier.append(image)
-        remaining -= orbit
+        orbit = set(map(tuple, (np.array(start, dtype=np.int64) @ actions % orders).tolist()))
+        seen |= orbit
         reps.append(
             result.lex_minimal_representative(
                 result.cochain_from_coordinates(min(orbit))

@@ -1,12 +1,14 @@
 """Exact linear algebra over residue rings.
 
-Invariant factors and kernels come from a diagonal (Smith-style) form over
-a single prime power Z_{p^k}, where an entry of minimal p-valuation is a
-unit multiple of a power of p and can serve as a pivot without coefficient
-growth.  Reduction and solving work over Z_m directly: the Howell form of a
-lattice is computed once, then any number of vectors are reduced against it
-to their lexicographically minimal representatives, with the coefficients
-that express each difference in the generators.
+Invariant factors, kernels and cyclic generators come from a diagonal
+(Smith-style) form over a single prime power Z_{p^k}, where an entry of
+minimal p-valuation is a unit multiple of a power of p and can serve as a
+pivot without coefficient growth.  Everything that reads a vector against a
+lattice works over Z_m directly: the Howell form of the lattice is computed
+once, then any number of vectors are reduced against it to their
+lexicographically minimal representatives, with the coefficients that
+express each difference in the generators.  Membership, solving and
+coordinates against a direct-sum basis are all read off that reduction.
 """
 
 from collections import defaultdict
@@ -31,19 +33,18 @@ def prime_power_decomposition(m):
     return out
 
 
-def smith_mod_prime_power(mat, p, k, want_u=False, want_v=False, want_uinv=False,
+def smith_mod_prime_power(mat, p, k, want_v=False, want_uinv=False,
                           want_vinv=False):
-    """Diagonalize mat over Z_q, q = p^k: U @ mat @ V = S with S diagonal
+    """Diagonalize mat over Z_q, q = p^k: mat @ V = Uinv @ S with S diagonal
     p^{e_0} | p^{e_1} | ... (0 mod q encoded as valuation k).
 
     Returns a dict with "vals" (diagonal valuations, one per pivot position)
-    and "S", plus any of "U", "V", "Uinv", "Vinv" requested; U and V are
-    invertible over Z_q, and the inverses are tracked alongside them.
+    and "S", plus any of "V", "Uinv", "Vinv" requested; V and Uinv are
+    invertible over Z_q, and Vinv is tracked alongside V.
     """
     q = p**k
     M = np.array(mat, dtype=np.int64) % q
     rows, cols = M.shape
-    U = np.eye(rows, dtype=np.int64) if want_u else None
     Uinv = np.eye(rows, dtype=np.int64) if want_uinv else None
     V = np.eye(cols, dtype=np.int64) if want_v else None
     Vinv = np.eye(cols, dtype=np.int64) if want_vinv else None
@@ -68,8 +69,6 @@ def smith_mod_prime_power(mat, p, k, want_u=False, want_v=False, want_uinv=False
         i, j = int(i) + t, int(j) + t
         if i != t:
             M[[t, i]] = M[[i, t]]
-            if U is not None:
-                U[[t, i]] = U[[i, t]]
             if Uinv is not None:
                 Uinv[:, [t, i]] = Uinv[:, [i, t]]
         if j != t:
@@ -82,8 +81,6 @@ def smith_mod_prime_power(mat, p, k, want_u=False, want_v=False, want_uinv=False
         unit = int(M[t, t]) // piv
         uinv = pow(unit, -1, q)
         M[t, :] = (M[t, :] * uinv) % q
-        if U is not None:
-            U[t, :] = (U[t, :] * uinv) % q
         if Uinv is not None:
             Uinv[:, t] = (Uinv[:, t] * unit) % q
         # rows above t are already clear in column t, so the row sweep only
@@ -93,8 +90,6 @@ def smith_mod_prime_power(mat, p, k, want_u=False, want_v=False, want_uinv=False
         nz = np.flatnonzero(factors)
         if nz.size:
             M[nz, t:] = (M[nz, t:] - np.outer(factors[nz], M[t, t:])) % q
-            if U is not None:
-                U[nz] = (U[nz] - np.outer(factors[nz], U[t])) % q
             if Uinv is not None:
                 Uinv[:, t] = (Uinv[:, t] + Uinv[:, nz] @ factors[nz]) % q
         # column t is now clear below the pivot, so the column sweep only
@@ -113,8 +108,6 @@ def smith_mod_prime_power(mat, p, k, want_u=False, want_v=False, want_uinv=False
     while len(diag_vals) < npos:
         diag_vals.append(k)
     out = {"vals": diag_vals, "S": M}
-    if want_u:
-        out["U"] = U
     if want_v:
         out["V"] = V
     if want_uinv:

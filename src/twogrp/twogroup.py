@@ -12,7 +12,10 @@ is_cocycle, so the two certificates stay independent.
 import numpy as np
 
 from .cochain import is_cocycle
-from .errors import DegreeMismatch, NotACocycle, NotNormalized
+from .errors import DegreeMismatch, NotACocycle, NotNormalized, SizeBound
+
+# duality_data lists up to |A| pairs; 2^16 of them take about 25 MiB
+MAX_DUALITY_PAIRS = 2**16
 
 
 class TwoGroupSkeleton:
@@ -100,8 +103,12 @@ def duality_data(alpha, x):
     """All (ev, coev) pairs witnessing duality of x against x^{-1}, ev in
     A.elements() order.  The two zigzags of check_zigzag force
     ev + coev = -alpha(x, x^{-1}, x) and ev + coev = alpha(x^{-1}, x, x^{-1}),
-    so pairs exist iff these agree, and then coev = that sum - ev."""
+    so pairs exist iff these agree, and then coev = that sum - ev.  Refused
+    with SizeBound when |A| exceeds MAX_DUALITY_PAIRS."""
     A = alpha.coeffs
+    if A.order > MAX_DUALITY_PAIRS:
+        raise SizeBound("duality data has up to |A| = %d pairs, above the bound %d"
+                        % (A.order, MAX_DUALITY_PAIRS))
     xbar = alpha.group.inv(x)
     left = alpha.residues[alpha.flat_index((x, xbar, x))]
     right = alpha.residues[alpha.flat_index((xbar, x, xbar))]

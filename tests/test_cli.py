@@ -192,6 +192,13 @@ def test_twogroup_verbs(capsys, tmp_path):
                             "--element", "1")
     assert code == EXIT_PASS
     assert obj["dual"] == 1 and len(obj["pairs"]) == 2
+    # |A| = 2^17 pairs are above the duality bound: exit 1, no traceback
+    big = write_cocycle(tmp_path, "big.json", [[[[0], [0]], [[0], [0]]]] * 2,
+                        coeffs=[2**17])
+    code, out, err = run(capsys, "twogroup", "duality", "--cocycle", big,
+                         "--element", "1")
+    assert code == EXIT_FAIL and not out
+    assert "bound" in err and "Traceback" not in err
     # functor: the zero coherence certifies alpha against itself
     j = write_cocycle(tmp_path, "j.json", [[[0], [0]], [[0], [0]]], degree=2)
     code, obj, _ = run_json(capsys, "twogroup", "functor", "--from", path,

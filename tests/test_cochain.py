@@ -203,10 +203,43 @@ def test_known_h3_values():
 
 
 def test_class_coordinates_round_trip():
-    res = cohomology(dihedral(3), AbelianGroup([6]), 3)
-    for coords in res.all_class_coordinates():
-        rep = res.cochain_from_coordinates(coords)
-        assert res.class_coordinates(rep) == coords
+    for G, A in [(dihedral(3), AbelianGroup([6])), (cyclic(4), AbelianGroup([2, 4]))]:
+        res = cohomology(G, A, 3)
+        for coords in res.all_class_coordinates():
+            rep = res.cochain_from_coordinates(coords)
+            assert res.class_coordinates(rep) == coords
+
+
+def test_representative_orders_match_invariant_factors():
+    # the order of a class is the least n with n * rep a coboundary; each
+    # merged representative must have the order of its invariant factor
+    for G, A in [(cyclic(4), AbelianGroup([2, 4])),
+                 (group_construct("product:cyclic:2,cyclic:4"), AbelianGroup([4]))]:
+        res = cohomology(G, A, 3)
+        zero = Cochain.zero(G, A, 3)
+        orders = [next(n for n in itertools.count(1)
+                       if are_cohomologous(zero, rep.scale(n)) is not None)
+                  for rep in res.representatives]
+        assert orders == res.invariant_factors
+        assert len(res.invariant_factors) > 1
+
+
+def test_class_arithmetic_rejects_other_complex():
+    # H^3(C2, Z2) used to give coordinates (0,) to a degree-2 cochain and to
+    # Z2^2 and Z4 cochains, reduce the latter to a cochain over Z2, and
+    # raise a raw ValueError on a C3 cochain
+    res = cohomology(C2, Z2, 3)
+    others = [
+        nontrivial_c2(2),
+        Cochain.zero(C2, AbelianGroup([2, 2]), 3),
+        Cochain.zero(C2, AbelianGroup([4]), 3),
+        c3_commutator_cocycle(),
+    ]
+    for c in others:
+        with pytest.raises(DegreeMismatch):
+            res.class_coordinates(c)
+        with pytest.raises(DegreeMismatch):
+            res.lex_minimal_representative(c)
 
 
 def test_class_coordinates_rejects_non_cocycle():
@@ -319,7 +352,9 @@ def test_classes_mod_aut():
     reps, count, res = cohomology_classes_mod_aut(C2, Z2)
     assert count == 2  # trivial and nontrivial class, Aut(C2) trivial
     for G, A in [(C3, Z3), (cyclic(4), AbelianGroup([4])),
-                 (cyclic(5), AbelianGroup([5])), (dihedral(3), AbelianGroup([6]))]:
+                 (cyclic(5), AbelianGroup([5])), (dihedral(3), AbelianGroup([6])),
+                 # 16 classes in 6 orbits; Aut(V4) = S3 mixes the coordinates
+                 (group_construct("product:cyclic:2,cyclic:2"), Z2)]:
         reps, count, res = cohomology_classes_mod_aut(G, A)
         assert count == brute_orbit_count(G, A)
         assert len(reps) == count

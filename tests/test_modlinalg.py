@@ -37,9 +37,9 @@ def test_smith_diagonalizes():
         for rows, cols in [(1, 1), (2, 3), (3, 2), (4, 4)]:
             for _ in range(8):
                 M = random_matrix(rows, cols, q)
-                res = smith_mod_prime_power(M, p, k, want_u=True, want_v=True,
+                res = smith_mod_prime_power(M, p, k, want_v=True,
                                             want_uinv=True, want_vinv=True)
-                S = (res["U"] @ M @ res["V"]) % q
+                S = res["S"]
                 # S must be diagonal with the reported p-power entries
                 for i in range(rows):
                     for j in range(cols):
@@ -49,10 +49,12 @@ def test_smith_diagonalizes():
                     assert S[t, t] % q == p**e % q
                 # vals form a divisibility chain
                 assert res["vals"] == sorted(res["vals"])
-                # Uinv really inverts U, and Vinv inverts V
-                assert np.array_equal(
-                    (res["U"] @ res["Uinv"]) % q, np.eye(rows, dtype=np.int64)
-                )
+                # S is M in the bases V and Uinv: M @ V = Uinv @ S, Uinv is
+                # invertible (its columns span Z_q^rows, so its Howell form
+                # has a unit pivot at every coordinate), and Vinv inverts V
+                assert np.array_equal((M @ res["V"]) % q, (res["Uinv"] @ S) % q)
+                positions, divisors, _ = howell_basis(res["Uinv"], q)
+                assert (positions, divisors) == (list(range(rows)), [1] * rows)
                 assert np.array_equal(
                     (res["V"] @ res["Vinv"]) % q, np.eye(cols, dtype=np.int64)
                 )

@@ -5,7 +5,7 @@ import pytest
 
 from twogrp.coeff import AbelianGroup
 from twogrp.cochain import Cochain, coboundary, cohomology, is_cocycle
-from twogrp.errors import DegreeMismatch, NotACocycle, NotNormalized
+from twogrp.errors import DegreeMismatch, NotACocycle, NotNormalized, SizeBound
 from twogrp.group import cyclic, dihedral
 from twogrp.twogroup import (
     TwoGroupSkeleton,
@@ -140,6 +140,16 @@ def test_duality_trivial_cocycle_contains_zero_pair():
             pairs = duality_data(zero, x)
             assert (A.zero, A.zero) in pairs
             assert len(pairs) == A.order
+
+
+def test_duality_pair_bound():
+    # the pair list has |A| entries, so it is refused above the bound
+    # before any of them is built; at the bound it still answers
+    with pytest.raises(SizeBound):
+        duality_data(Cochain.zero(C2, AbelianGroup([2**17]), 3), 1)
+    pairs = duality_data(Cochain.zero(C2, AbelianGroup([2**16]), 3), 1)
+    assert len(pairs) == 2**16
+    assert pairs[1] == ((1,), (2**16 - 1,))
 
 
 def test_zigzag_signature():
