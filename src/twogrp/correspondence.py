@@ -9,6 +9,14 @@ isomorphism is produced in coordinates and machine-checked, along with
 simplicial validity, agreement of the two pullback constructions, and the
 Kan property of the nerve.
 
+Alpha enters only level 3 of the two models (d_0 there), so levels 0-2
+are built once per (G, A) as a 2-truncated frame (_frame, an lru_cache),
+and each model is a 3-truncated set on that base (simplicial.TruncatedSSet
+with base=).  The frame's Kan and validity results, its degree-2 filler
+counts and the codes of its compatible 3-horns are cached on it, so
+verify_theorem computes them once per (G, A) and checks only level 3 per
+alpha, with the same witnesses.
+
 Cells are mixed-radix codes of their coordinates in the order the
 docstrings list them (elements of G, then element indices of A), so every
 table and map component here is one gather over an open index grid of
@@ -60,11 +68,10 @@ def _code3(G, A, f, g, h, a, b, c):
     return encode((f, g, h, a, b, c), (G.order,) * 3 + (A.order,) * 3)
 
 
-def _model(G, A, level3, faces3, degeneracies3, name):
-    """A 3-truncated model shaped like the nerve of G with coordinates in A
-    carried along: one point, the elements of G, 2-cells (f, g, a) with
-    faces g, fg, f, and the given 3-cells (labels and tables), whose
-    coordinates are (f, g, h) in G^3 and three in A."""
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _frame(G, A):
+    """Levels 0-2 of both models, which alpha does not enter: one point,
+    the elements of G, and 2-cells (f, g, a) with faces g, fg, f."""
     ng, na = G.order, A.order
     els = A.elements()
     shape2 = (ng, ng, na)
@@ -78,7 +85,6 @@ def _model(G, A, level3, faces3, degeneracies3, name):
             lambda d: (d[0], d[1], els[d[2]]),
             lambda lab: (lab[0], lab[1], A.index(lab[2])),
         ),
-        level3,
     ]
     faces = {
         (1, 0): np.zeros(ng, dtype=np.int64),
@@ -92,9 +98,15 @@ def _model(G, A, level3, faces3, degeneracies3, name):
         (1, 0): _code2(G, A, 0, f1, 0),
         (1, 1): _code2(G, A, f1, 0, 0),
     }
-    faces.update(faces3)
-    degeneracies.update(degeneracies3)
-    return TruncatedSSet(3, levels, faces, degeneracies, name=name)
+    return TruncatedSSet(2, levels, faces, degeneracies, name="frame")
+
+
+def _model(G, A, level3, faces3, degeneracies3, name):
+    """A 3-truncated model shaped like the nerve of G with coordinates in A
+    carried along: the shared frame of (G, A) below level 3, and the given
+    3-cells (labels and tables), whose coordinates are (f, g, h) in G^3 and
+    three in A."""
+    return TruncatedSSet(3, [level3], faces3, degeneracies3, name=name, base=_frame(G, A))
 
 
 def duskin_nerve(skeleton):

@@ -15,6 +15,20 @@ grids with the group table and A's addition table.  Cell labels are lazy
 per-level sequences (Cells), decoded only for label(), index(), JSON and
 witnesses.  Also provided: fiber products by a sorted join, horns, and the
 Kan condition, swept by one vectorised join over level-(n-1) face tables.
+
+A truncated set may be built on a base, a set of lower truncation whose
+levels, faces and degeneracies it shares as the same array objects; it
+takes and checks only its own upper levels.  Data that the base's levels
+alone determine is cached on the base, so sets that differ only above it
+(the Duskin nerves and pullback models of one (G, A) for every cocycle)
+compute it once: the base's Kan result, simplicial validity and filler
+counts, and the ascending codes of the compatible horns one level above
+it, whose faces are base cells.  is_kan then checks that level by looking
+every cached horn code up among the set's filler keys, and sweeps only a
+horn type with a miss, so the witness is the sweep's; validate_simplicial
+checks only the identities that touch the upper levels once the base has
+passed.  A set with no base (from_json, the nerve, W, Wbar, fiber
+products) computes everything itself.
 """
 
 import functools
@@ -172,6 +186,10 @@ def flat(values, shape):
 
 
 def _index_table(values, what):
+    if (isinstance(values, np.ndarray) and values.dtype == np.int64
+            and values.ndim == 1 and values.flags.owndata
+            and not values.flags.writeable):
+        return values  # frozen and no view of a writable buffer: share it
     try:
         arr = np.asarray(values)
     except (TypeError, ValueError):
@@ -203,32 +221,51 @@ class TruncatedSSet:
 
     levels[n] is the sequence of cell labels of level n (a Cells); faces[(n,
     i)] and degeneracies[(n, i)] are int64 index tables.
+
+    With a base (a TruncatedSSet of lower truncation), levels lists only
+    the levels above the base's truncation, faces only their faces and
+    degeneracies only the degeneracies into them; every other table is the
+    base's own array, already checked.
     """
 
-    def __init__(self, truncation, levels, faces, degeneracies, name=None):
+    def __init__(self, truncation, levels, faces, degeneracies, name=None, base=None):
         self.truncation = int(truncation)
         if self.truncation < 0:
             raise TruncationMismatch("truncation must be >= 0, got %d" % self.truncation)
-        if len(levels) != self.truncation + 1:
+        low = 0 if base is None else base.truncation + 1
+        if low > self.truncation:
             raise TruncationMismatch(
-                "expected %d levels, got %d" % (self.truncation + 1, len(levels))
+                "base truncation %d is not below %d" % (base.truncation, self.truncation)
             )
-        self.levels = [_as_cells(lv) for lv in levels]
+        if len(levels) != self.truncation + 1 - low:
+            raise TruncationMismatch(
+                "expected %d levels, got %d" % (self.truncation + 1 - low, len(levels))
+            )
+        if any(k[0] < low for k in faces) or any(k[0] < low - 1 for k in degeneracies):
+            raise ShapeMismatch("a table below level %d belongs to the base" % low)
+        self.base = base
+        self.levels = ([] if base is None else base.levels) + [_as_cells(lv) for lv in levels]
         self._sizes = [len(lv) for lv in self.levels]
-        self.faces = {
-            k: _index_table(v, "face table %r" % (k,)) for k, v in faces.items()
-        }
-        self.degeneracies = {
-            k: _index_table(v, "degeneracy table %r" % (k,))
+        self.faces = {} if base is None else dict(base.faces)
+        self.faces.update(
+            (k, _index_table(v, "face table %r" % (k,))) for k, v in faces.items()
+        )
+        self.degeneracies = {} if base is None else dict(base.degeneracies)
+        self.degeneracies.update(
+            (k, _index_table(v, "degeneracy table %r" % (k,)))
             for k, v in degeneracies.items()
-        }
+        )
         self.name = name
-        self._check_tables()
-        self._derived = {}  # filler indexes and face groupings, built on demand
+        self._check_tables(low)
+        # filler indexes and face groupings, built on demand; on a base, also
+        # the results that the sets built on it share
+        self._derived = {}
 
-    def _check_tables(self):
+    def _check_tables(self, low):
+        """Check the tables of levels low and up (faces of those levels,
+        degeneracies into them)."""
         size = self._sizes
-        for n in range(1, self.truncation + 1):
+        for n in range(max(1, low), self.truncation + 1):
             for i in range(n + 1):
                 tab = self.faces.get((n, i))
                 if tab is None or len(tab) != size[n]:
@@ -236,7 +273,7 @@ class TruncatedSSet:
                 x = _first_outside(tab, size[n - 1])
                 if x is not None:
                     raise IndexOutOfRange("face (%d,%d) hits cell %d" % (n, i, x))
-        for n in range(self.truncation):
+        for n in range(max(0, low - 1), self.truncation):
             for i in range(n + 1):
                 tab = self.degeneracies.get((n, i))
                 if tab is None or len(tab) != size[n]:
@@ -329,10 +366,17 @@ def _parse_tables(tables, what):
 
 def validate_simplicial(X):
     """Check every simplicial identity expressible within the truncation.
-    Returns (True, None) or (False, description_string)."""
+    Returns (True, None) or (False, description_string).  On a set whose
+    base passed (a result cached on the base), only the identities that
+    touch a level above the base are checked; the first failure is the
+    same, as the base's identities hold."""
+    base = X.base
+    low = 0
+    if base is not None and _cached(base, ("valid",), lambda: validate_simplicial(base))[0]:
+        low = base.truncation + 1
     N = X.truncation
     F, S = X.faces, X.degeneracies
-    for n in range(2, N + 1):
+    for n in range(max(2, low), N + 1):
         for j in range(n + 1):
             for i in range(j):
                 x = _first_mismatch(F[(n - 1, i)][F[(n, j)]], F[(n - 1, j - 1)][F[(n, i)]])
@@ -340,7 +384,7 @@ def validate_simplicial(X):
                     return False, "d%d d%d != d%d d%d at level %d cell %d" % (
                         i, j, j - 1, i, n, x,
                     )
-    for n in range(N - 1):
+    for n in range(max(0, low - 2), N - 1):
         for j in range(n + 1):
             for i in range(j + 1):
                 x = _first_mismatch(S[(n + 1, i)][S[(n, j)]], S[(n + 1, j + 1)][S[(n, i)]])
@@ -348,7 +392,7 @@ def validate_simplicial(X):
                     return False, "s%d s%d != s%d s%d at level %d cell %d" % (
                         i, j, j + 1, i, n, x,
                     )
-    for n in range(N):
+    for n in range(max(0, low - 1), N):
         identity = np.arange(X.size(n), dtype=np.int64)
         for j in range(n + 1):
             for i in range(n + 2):
@@ -925,8 +969,18 @@ def _face_groups(X, n, i):
     return _cached(X, ("groups", n, i), build)
 
 
+def _check_horn_type(X, n, missing):
+    if not 1 <= n <= X.truncation:
+        raise DimensionBound(
+            "horns have dimension 1..%d here, got %d" % (X.truncation, n)
+        )
+    if not 0 <= missing <= n:
+        raise IndexOutOfRange("missing face %d of a %d-horn" % (missing, n))
+
+
 def fillers(X, horn):
     """All cells whose faces extend the horn, ascending."""
+    _check_horn_type(X, horn.n, horn.missing)
     index = _filler_index(X, horn.n, horn.missing)
     key, found = index.horn_keys([np.array([c], dtype=np.int64) for c in horn.key()])
     return np.flatnonzero(index.keys == key[0]).tolist() if found[0] else []
@@ -993,6 +1047,7 @@ def _horn(n, missing, cols, x):
 def enumerate_horns(X, n, missing):
     """All compatible (n, missing)-horns, in the lexicographic order of
     their faces in increasing face index."""
+    _check_horn_type(X, n, missing)
     return [
         _horn(n, missing, cols, x)
         for cols in _horn_rows(X, n, missing)
@@ -1002,10 +1057,65 @@ def enumerate_horns(X, n, missing):
 
 def filler_counts(X, n, missing):
     """The number of fillers of every compatible (n, missing)-horn, in
-    enumerate_horns order, as an int64 array."""
+    enumerate_horns order, as an int64 array.  Counts at the levels of X's
+    base are computed once, on the base."""
+    _check_horn_type(X, n, missing)
+    base = X.base
+    if base is not None and n <= base.truncation:
+        counts = _cached(base, ("counts", n, missing), lambda: filler_counts(base, n, missing))
+        return counts.copy()
     index = _filler_index(X, n, missing)
     blocks = [index.counts(cols) for cols in _horn_rows(X, n, missing)]
     return np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.int64)
+
+
+def _first_unfilled(X, n, missing):
+    """The first compatible (n, missing)-horn without a filler, or None."""
+    index = _filler_index(X, n, missing)
+    cells = index.sorted_keys
+    for cols in _horn_rows(X, n, missing):
+        key, found = index.horn_keys(cols)
+        pos = np.minimum(np.searchsorted(cells, key), max(len(cells) - 1, 0))
+        if len(cells):
+            found &= cells[pos] == key
+        bad = np.flatnonzero(~found)
+        if bad.size:
+            return _horn(n, missing, cols, bad[0])
+    return None
+
+
+def _horn_codes(base, missing):
+    """The ascending mixed-radix codes (radix the size of the base's top
+    level, first slot most significant) of the compatible (n, missing)-horns
+    one level above the base, n = base.truncation + 1.  Their faces are base
+    cells, so every set on the base has these horns."""
+
+    def build():
+        n = base.truncation + 1
+        radices = (base.size(n - 1),) * n
+        blocks = [encode(cols, radices) for cols in _horn_rows(base, n, missing)]
+        return np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.int64)
+
+    return _cached(base, ("horn codes", missing), build)
+
+
+def _all_filled(X, n, missing):
+    """Whether the (n, missing)-horn codes cached on X's base all occur
+    among X's filler keys.  False when nothing is cached for level n, the
+    filler keys are ranked rather than plain codes, or a horn is unfilled:
+    the caller then sweeps."""
+    base = X.base
+    if base is None or n != base.truncation + 1:
+        return False
+    index = _filler_index(X, n, missing)
+    if index.steps:
+        return False
+    codes = _horn_codes(base, missing)
+    cells = index.sorted_keys
+    if not len(cells):
+        return not len(codes)
+    pos = np.minimum(np.searchsorted(cells, codes), len(cells) - 1)
+    return bool(np.array_equal(cells[pos], codes))
 
 
 def is_kan(X, up_to=None):
@@ -1013,21 +1123,25 @@ def is_kan(X, up_to=None):
     has at least one filler.  Returns (True, None) or (False, horn) with
     the first unfilled horn in enumerate_horns order, n and missing
     ascending.  up_to, when given, must be at least 1: a sweep over no level
-    would pass vacuously."""
+    would pass vacuously.  On a set with a base, the base's levels take
+    the base's cached result, and the level above reads the horn codes
+    cached on the base; only a horn type with a miss is swept."""
     if up_to is not None and up_to < 1:
         raise DimensionBound("is_kan checks levels 1..up_to, got up_to = %d" % up_to)
     N = up_to if up_to is not None else X.truncation
     N = min(N, X.truncation)
-    for n in range(1, N + 1):
+    low = 1
+    base = X.base
+    if base is not None:
+        ok, horn = _cached(base, ("kan",), lambda: is_kan(base))
+        if not ok and horn.n <= N:
+            return False, Horn(horn.n, horn.missing, horn.faces)
+        low = base.truncation + 1
+    for n in range(low, N + 1):
         for missing in range(n + 1):
-            index = _filler_index(X, n, missing)
-            cells = index.sorted_keys
-            for cols in _horn_rows(X, n, missing):
-                key, found = index.horn_keys(cols)
-                pos = np.minimum(np.searchsorted(cells, key), max(len(cells) - 1, 0))
-                if len(cells):
-                    found &= cells[pos] == key
-                bad = np.flatnonzero(~found)
-                if bad.size:
-                    return False, _horn(n, missing, cols, bad[0])
+            if _all_filled(X, n, missing):
+                continue
+            horn = _first_unfilled(X, n, missing)
+            if horn is not None:
+                return False, horn
     return True, None

@@ -2,6 +2,7 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from twogrp.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main
 from twogrp.coeff import MAX_COEFF_ORDER, AbelianGroup
@@ -256,6 +257,65 @@ def test_sset_malformed_files_are_usage_errors(capsys, tmp_path):
     # the well-formed original passes
     code, out, err = run(capsys, "sset", "validate", write_sset(tmp_path, nerve))
     assert code == EXIT_PASS
+
+
+JUNK = st.one_of(
+    st.integers(-3, 9),
+    st.sampled_from([2**20, 2**21, 2**63, 2**70, -2**70, None, "1", 1.5, True, [], {}]),
+)
+TABLE_KEYS = ["0,0", "1,0", "1,2", "2,0", "2,3", "3,0", "-1,0", "1", "1,2,3", "a,b", " 1,0"]
+
+
+@st.composite
+def garbled_nerve(draw):
+    """nerve_bg(C2, 2) as JSON with one to four parts garbled: the
+    truncation, level sizes, table keys, table entries, whole tables and
+    missing keys."""
+    obj = nerve_bg(cyclic(2), 2).to_json()
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(
+            ["truncation", "size", "levels", "key", "entry", "table", "drop"]))
+        part = draw(st.sampled_from(["faces", "degeneracies"]))
+        tables = obj.get(part)
+        keys = sorted(tables) if isinstance(tables, dict) else []
+        if kind == "truncation":
+            obj["truncation"] = draw(JUNK)
+        elif kind == "size" and isinstance(obj.get("levels"), list) and obj["levels"]:
+            obj["levels"][draw(st.integers(0, len(obj["levels"]) - 1))] = draw(JUNK)
+        elif kind == "levels":
+            obj["levels"] = draw(st.one_of(st.lists(st.integers(0, 6), max_size=5), JUNK))
+        elif kind == "key" and keys:
+            tables[draw(st.sampled_from(TABLE_KEYS))] = tables.pop(draw(st.sampled_from(keys)))
+        elif kind == "entry" and keys:
+            table = tables[draw(st.sampled_from(keys))]
+            if isinstance(table, list) and table:
+                table[draw(st.integers(0, len(table) - 1))] = draw(JUNK)
+        elif kind == "table" and keys:
+            tables[draw(st.sampled_from(keys))] = draw(
+                st.one_of(st.lists(st.integers(-2, 8), max_size=6), JUNK))
+        elif kind == "drop":
+            names = sorted(obj) + ["%s/%s" % (part, k) for k in keys]
+            name = draw(st.sampled_from(names))
+            if "/" in name:
+                del tables[name.split("/")[1]]
+            else:
+                del obj[name]
+    return obj
+
+
+@settings(derandomize=True, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(garbled_nerve())
+def test_sset_verbs_survive_garbled_files(capsys, tmp_path, obj):
+    path = write_sset(tmp_path, obj)
+    for argv in (["validate", path], ["kan", path], ["kan", "--up-to", "5", path]):
+        code, out, err = run(capsys, "--format", "json", "sset", *argv)
+        assert code in (EXIT_PASS, EXIT_FAIL, EXIT_USAGE), (argv, obj)
+        assert "Traceback" not in err
+        if code == EXIT_USAGE or code == EXIT_FAIL and not out:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+        else:
+            assert json.loads(out)["ok"] is (code == EXIT_PASS)
 
 
 # SHA-256 of `--format json` stdout, recorded before the simplicial layer

@@ -1,24 +1,35 @@
+import hashlib
 import itertools
+import json
+import random
 
+import numpy as np
 import pytest
 
+from twogrp import correspondence
 from twogrp.coeff import AbelianGroup
 from twogrp.cochain import Cochain, coboundary, cohomology
 from twogrp.correspondence import (
     TheoremReport,
+    _frame,
     canonical_iso,
     duskin_nerve,
     pullback_model,
     verify_theorem,
 )
 from twogrp.errors import DegreeMismatch
-from twogrp.group import cyclic, dihedral
+from twogrp.group import cyclic, dihedral, group_construct
 from twogrp.simplicial import (
     SimplicialMap,
+    TruncatedSSet,
+    filler_counts,
     is_isomorphism,
+    is_kan,
     validate_simplicial,
 )
 from twogrp.twogroup import TwoGroupSkeleton
+
+from oracles import brute_first_unfilled_horn
 
 C2 = cyclic(2)
 Z2 = AbelianGroup([2])
@@ -161,3 +172,142 @@ def test_cohomologous_cocycles_give_isomorphic_models():
     ok, why = f.validate()
     assert ok, why
     assert is_isomorphism(f)
+
+
+# ---------------------------------------------------------------------------
+# the shared 2-truncated frame
+
+
+def lex_reps(G, A):
+    res = cohomology(G, A, 3)
+    return [res.lex_minimal_representative(res.cochain_from_coordinates(c))
+            for c in res.all_class_coordinates()]
+
+
+def moved(X, rng, kind, key):
+    """A copy of X on X's frame with one seeded entry of a level-3 table
+    moved to another in-range cell."""
+    faces = {k: v for k, v in X.faces.items() if k[0] == 3}
+    degs = {k: v for k, v in X.degeneracies.items() if k[0] == 2}
+    tables, bound = (faces, X.size(2)) if kind == "face" else (degs, X.size(3))
+    tab = tables[key] = tables[key].copy()
+    x = rng.randrange(len(tab))
+    tab[x] = (tab[x] + rng.randrange(1, bound)) % bound
+    return TruncatedSSet(3, [X.levels[3]], faces, degs, name=X.name, base=X.base)
+
+
+FRAME_STRATA = [(C2, Z2), (cyclic(3), AbelianGroup([3])), (dihedral(3), Z2)]
+CORRUPTIONS = [("face", (3, 0)), ("face", (3, 2)), ("degeneracy", (2, 1))]
+
+
+def frame_corruptions():
+    """Seeded level-3 corruptions of Duskin nerves and pullback models, all
+    of one stratum on one frame, so the frame's caches carry over from one
+    to the next; the first of each stratum moves a d0 entry of a Duskin
+    nerve."""
+    rng = random.Random(20261018)
+    for G, A in FRAME_STRATA:
+        first = True
+        for alpha in lex_reps(G, A)[:2]:
+            sk = TwoGroupSkeleton(alpha)
+            for X in (duskin_nerve(sk), pullback_model(sk)):
+                for kind, key in CORRUPTIONS:
+                    yield first, X, moved(X, rng, kind, key)
+                    first = False
+
+
+def kan_answer(X):
+    ok, horn = is_kan(X)
+    return ok, horn and (horn.n, horn.missing, horn.key())
+
+
+def answers(X):
+    return kan_answer(X), validate_simplicial(X)
+
+
+def test_frame_is_shared():
+    sk = TwoGroupSkeleton(c2_nontrivial())
+    X, Y = duskin_nerve(sk), pullback_model(sk)
+    assert X.base is Y.base and X.base.truncation == 2
+    for n in range(3):
+        assert X.levels[n] is X.base.levels[n]
+    for k, v in X.base.faces.items():
+        assert X.faces[k] is v and Y.faces[k] is v
+    for k, v in X.base.degeneracies.items():
+        assert X.degeneracies[k] is v
+    assert X.to_json() == TruncatedSSet.from_json(X.to_json()).to_json()
+
+
+def test_frame_never_changes_an_answer():
+    total = non_kan = invalid = 0
+    for first, X, Y in frame_corruptions():
+        obj = Y.to_json()
+        Z = TruncatedSSet.from_json(obj)
+        assert Z.base is None and Y.base is X.base
+        got, valid = answers(Y)
+        assert (got, valid) == answers(Z)
+        sizes = obj["levels"]
+        faces = {tuple(map(int, k.split(","))): v for k, v in obj["faces"].items()}
+        # the oracle scans level 3 cell by cell: 3 s for one D3/Z2 horn type
+        if first or sizes[3] <= 64:
+            want = brute_first_unfilled_horn(faces, sizes, 3)
+            assert got == (want is None, want)
+        for n in range(1, 4):
+            for missing in range(n + 1):
+                assert np.array_equal(filler_counts(Y, n, missing),
+                                      filler_counts(Z, n, missing))
+        total += 1
+        non_kan += not got[0]
+        invalid += not valid[0]
+    assert non_kan > total // 3 and invalid > total // 2
+
+
+@pytest.mark.parametrize("bad_first", [False, True])
+def test_classes_of_one_stratum_get_their_own_answers(bad_first):
+    # a fresh frame, then a Kan class and a Kan-breaking one on it, in
+    # either order
+    _frame.cache_clear()
+    G, A = cyclic(3), AbelianGroup([3])
+    good = duskin_nerve(TwoGroupSkeleton(lex_reps(G, A)[1]))
+    bad = moved(good, random.Random(7), "face", (3, 0))
+    want = {name: answers(TruncatedSSet.from_json(X.to_json()))
+            for name, X in (("good", good), ("bad", bad))}
+    assert want["good"] == ((True, None), (True, None))
+    assert not want["bad"][0][0] and not want["bad"][1][0]
+    order = [("bad", bad), ("good", good)] if bad_first else [("good", good), ("bad", bad)]
+    for name, X in order:
+        assert answers(X) == want[name]
+
+
+# SHA-256 of the sorted-key JSON of the reports below, recorded before
+# levels 0-2 were shared between classes: a corrupted d0 entry must be
+# caught at the same stages with the same witnesses.
+CORRUPT_D0_DIGEST = "ac948fe8f65369608615392370d2c026c4ff48d4778b59f2c80fa7d9a76d654f"
+
+
+def test_corrupted_d0_fails_the_same_stages(monkeypatch):
+    real = correspondence.duskin_nerve
+    rng = random.Random(20261019)
+
+    def corrupted(skeleton):
+        X = real(skeleton)
+        faces = {k: v for k, v in X.faces.items() if k[0] == 3}
+        degs = {k: v for k, v in X.degeneracies.items() if k[0] == 2}
+        d0 = faces[(3, 0)].copy()
+        x = rng.randrange(len(d0))
+        d0[x] = (d0[x] + rng.randrange(1, X.size(2))) % X.size(2)
+        faces[(3, 0)] = d0
+        return correspondence._model(
+            skeleton.group, skeleton.coeffs, X.levels[3], faces, degs, X.name)
+
+    monkeypatch.setattr(correspondence, "duskin_nerve", corrupted)
+    reports = []
+    for G, A in FRAME_STRATA + [(group_construct("product:cyclic:2,cyclic:2"),
+                                 AbelianGroup([2, 2]))]:
+        for alpha in lex_reps(G, A)[:3]:
+            report = verify_theorem(alpha).to_json()
+            failed = [st["name"] for st in report["stages"] if not st["ok"]]
+            assert "simplicial:duskin" in failed and "kan:duskin" in failed
+            reports.append(report)
+    text = json.dumps(reports, sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CORRUPT_D0_DIGEST

@@ -11,6 +11,7 @@ from twogrp.errors import (
     IndexOutOfRange,
     NotACocycle,
     ShapeMismatch,
+    TruncationMismatch,
 )
 from twogrp.group import cyclic, dihedral
 from twogrp import simplicial
@@ -278,6 +279,76 @@ def test_horn_validation():
         Horn(2, 1, {0: 0})
     with pytest.raises(IndexOutOfRange):
         Horn(2, 5, {0: 0, 1: 0})
+
+
+@pytest.mark.parametrize("n, missing, error", [
+    (0, 0, DimensionBound), (4, 0, DimensionBound), (5, 0, DimensionBound),
+    (-1, 0, DimensionBound), (2, 9, IndexOutOfRange), (2, -1, IndexOutOfRange),
+    (1, 2, IndexOutOfRange),
+])
+def test_horn_type_out_of_range(n, missing, error):
+    X = nerve_bg(C2, 3)
+    with pytest.raises(error):
+        filler_counts(X, n, missing)
+    with pytest.raises(error):
+        enumerate_horns(X, n, missing)
+    if 0 <= missing <= n:
+        with pytest.raises(error):
+            fillers(X, Horn(n, missing, {j: 0 for j in range(n + 1) if j != missing}))
+
+
+def test_index_table_shares_only_frozen_owned_arrays():
+    frozen = np.arange(4, dtype=np.int64)
+    frozen.flags.writeable = False
+    assert simplicial._index_table(frozen, "t") is frozen
+    writable = np.arange(4, dtype=np.int64)
+    view = writable[:]
+    view.flags.writeable = False
+    for arr in (writable, view, frozen.astype(np.int32), [0, 1, 2, 3]):
+        out = simplicial._index_table(arr, "t")
+        assert out is not arr and not out.flags.writeable
+        assert not np.shares_memory(out, writable)
+    writable[0] = 9
+    assert simplicial._index_table(view, "t")[0] == 9
+
+
+def test_set_on_a_base():
+    N = nerve_bg(C2, 3)
+    base = TruncatedSSet(2, N.levels[:3], {k: v for k, v in N.faces.items() if k[0] <= 2},
+                         {k: v for k, v in N.degeneracies.items() if k[0] <= 1})
+    faces3 = {k: v for k, v in N.faces.items() if k[0] == 3}
+    degs3 = {k: v for k, v in N.degeneracies.items() if k[0] == 2}
+    X = TruncatedSSet(3, N.levels[3:], faces3, degs3, base=base)
+    assert X.to_json() == N.to_json()
+    assert all(X.faces[k] is base.faces[k] for k in base.faces)
+    assert is_kan(X) == (True, None) and validate_simplicial(X) == (True, None)
+    # a broken base: its witnesses are the set's, at every up_to
+    non_kan = 0
+    # (s0 on level 0 breaks only an identity below level 3)
+    for part, key, x, value in (("faces", (2, 1), 1, 0), ("faces", (2, 0), 1, 0),
+                                ("faces", (2, 2), 2, 0), ("degeneracies", (0, 0), 0, 1)):
+        tables = {"faces": dict(base.faces), "degeneracies": dict(base.degeneracies)}
+        tab = tables[part][key] = tables[part][key].copy()
+        tab[x] = value
+        broken = TruncatedSSet(2, N.levels[:3], tables["faces"], tables["degeneracies"])
+        Y = TruncatedSSet(3, N.levels[3:], faces3, degs3, base=broken)
+        Z = TruncatedSSet.from_json(Y.to_json())
+        assert validate_simplicial(Y) == validate_simplicial(Z) != (True, None)
+        for up_to in (1, 2, 3):
+            got = [(ok, horn and (horn.n, horn.missing, horn.key()))
+                   for ok, horn in (is_kan(Y, up_to), is_kan(Z, up_to))]
+            assert got[0] == got[1]
+            non_kan += not got[0][0]
+    assert non_kan >= 3
+    with pytest.raises(TruncationMismatch):
+        TruncatedSSet(2, [], {}, {}, base=base)
+    with pytest.raises(TruncationMismatch):
+        TruncatedSSet(3, N.levels[2:], faces3, degs3, base=base)
+    with pytest.raises(ShapeMismatch):
+        TruncatedSSet(3, N.levels[3:], {**faces3, (2, 0): N.faces[(2, 0)]}, degs3,
+                      base=base)
+    with pytest.raises(ShapeMismatch):
+        TruncatedSSet(3, N.levels[3:], faces3, {(2, 0): degs3[(2, 0)]}, base=base)
 
 
 def test_json_round_trip():
