@@ -46,6 +46,8 @@ def _load_json(path):
         raise ParseError("cannot read %s: %s" % (path, exc))
     except json.JSONDecodeError as exc:
         raise ParseError("invalid JSON in %s: %s" % (path, exc))
+    except RecursionError:
+        raise ParseError("JSON in %s is nested too deeply" % path)
 
 
 def load_group(spec_or_path):

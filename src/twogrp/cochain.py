@@ -48,16 +48,36 @@ from .modlinalg import (
     prime_power_decomposition,
     smith_mod_prime_power,
 )
-from .simplicial import encode, flat, grid, nerve_face
+from .simplicial import CACHE_SIZE, MAX_CELLS_PER_LEVEL, encode, flat, grid, nerve_face
 
 DEFAULT_MAX_GROUP = 8
 DEFAULT_MAX_COEFFS = 8
+
+# A degree-n cochain is read as an n-dimensional array and its coboundary
+# as an (n+1)-dimensional one; numpy 1.x allows at most 32 dimensions.
+MAX_DEGREE = 31
 
 
 def _check_degree(degree):
     degree = int(degree)
     if degree < 0:
         raise DegreeMismatch("cochain degree must be >= 0, got %d" % degree)
+    if degree > MAX_DEGREE:
+        raise SizeBound("cochain degree %d exceeds bound %d" % (degree, MAX_DEGREE))
+    return degree
+
+
+def _check_cells(count, what):
+    """Refuse, before allocating, an array of count tuples of G^n or matrix
+    entries above the bound each level of a simplicial set keeps."""
+    if count > MAX_CELLS_PER_LEVEL:
+        raise SizeBound("%s would hold %d cells, above the bound %d"
+                        % (what, count, MAX_CELLS_PER_LEVEL))
+
+
+def _cochain_degree(group, degree):
+    degree = _check_degree(degree)
+    _check_cells(group.order**degree, "a degree-%d cochain" % degree)
     return degree
 
 
@@ -91,7 +111,7 @@ class Cochain:
     def __init__(self, group, coeffs, degree, values):
         self.group = group
         self.coeffs = coeffs
-        self.degree = _check_degree(degree)
+        self.degree = _cochain_degree(group, degree)
         rows = group.order**self.degree
         if len(values) != rows:
             raise ShapeMismatch("expected %d values, got %d" % (rows, len(values)))
@@ -99,13 +119,13 @@ class Cochain:
 
     @classmethod
     def zero(cls, group, coeffs, degree):
-        degree = _check_degree(degree)
+        degree = _cochain_degree(group, degree)
         shape = (group.order**degree, len(coeffs.moduli))
         return cls(group, coeffs, degree, np.zeros(shape, dtype=np.int64))
 
     @classmethod
     def from_function(cls, group, coeffs, degree, fn):
-        degree = _check_degree(degree)
+        degree = _cochain_degree(group, degree)
         vals = [
             fn(*args)
             for args in itertools.product(range(group.order), repeat=degree)
@@ -212,6 +232,7 @@ class Cochain:
             raise DegreeMismatch(
                 "cochain degree must be an integer >= 0, got %r" % (degree,)
             )
+        degree = _cochain_degree(group, degree)
         rows = []
 
         def walk(node, depth):
@@ -239,6 +260,7 @@ def _coboundary_residues(c):
     """The residues of dc, one row per tuple of G^(n+1): the alternating
     sum of c over the nerve faces d_0..d_(n+1), modulo A.moduli."""
     G, n = c.group, c.degree
+    _check_cells(G.order ** (n + 1), "the coboundary of a degree-%d cochain" % n)
     shape = (G.order,) * (n + 1)
     g = grid(shape)
     acc = 0
@@ -286,6 +308,7 @@ def bar_matrix(G, degree):
     whenever that face is normalized."""
     n = degree
     m = G.order - 1  # element g >= 1 has coordinate g - 1
+    _check_cells(m ** (2 * n + 1), "the degree-%d bar matrix" % n)
     shape = (m,) * (n + 1)
     D = np.zeros((m ** (n + 1), m**n), dtype=np.int64)
     rows = np.arange(D.shape[0])
@@ -299,6 +322,23 @@ def bar_matrix(G, degree):
         cols = flat(encode([part - 1 for part in face], (m,) * n), shape)
         np.add.at(D, (rows[keep], cols[keep]), -1 if i % 2 else 1)
     return D
+
+
+def _boundary_matrix(G, degree):
+    """The bar matrix of d: normalized C^(degree-1) -> C^degree (no columns
+    at degree 0)."""
+    if degree == 0:
+        return np.zeros((1, 0), dtype=np.int64)
+    return bar_matrix(G, degree - 1)
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _boundary_basis(G, degree, m):
+    """The Howell basis over Z_m of the image of d: normalized C^(degree-1)
+    -> C^degree, built once per (G, degree, m)."""
+    positions, divisors, rows = howell_basis(_boundary_matrix(G, degree), m)
+    rows.flags.writeable = False
+    return positions, divisors, rows
 
 
 def _check_bounds(G, A, degree, max_group, max_coeffs):
@@ -390,7 +430,7 @@ class CohomologyResult:
         self.class_count = math.prod(self._raw_orders)
         self._boundary = boundary_matrix
         # the Howell basis of the image of d^(n-1), one per invariant factor
-        self._bases = [howell_basis(boundary_matrix, m)
+        self._bases = [_boundary_basis(group, degree, m)
                        for m in coeffs.invariant_factors]
 
     @functools.cached_property
@@ -462,11 +502,7 @@ def cohomology(G, A, degree, max_group=DEFAULT_MAX_GROUP,
     the image of d^(n-1) imposes on the kernel generators of d^n."""
     _check_bounds(G, A, degree, max_group, max_coeffs)
     D = bar_matrix(G, degree)
-    Dprev = (
-        bar_matrix(G, degree - 1)
-        if degree >= 1
-        else np.zeros(((G.order - 1) ** 0, 0), dtype=np.int64)
-    )
+    Dprev = _boundary_matrix(G, degree)
     raw = []  # (invariant factor t, order p^f, vector mod m_t)
     for t, m in enumerate(A.invariant_factors):
         for p, k in prime_power_decomposition(m):
@@ -516,12 +552,11 @@ def are_cohomologous(c1, c2):
         return None
     if n == 0:
         return None if not delta.is_zero() else Cochain.zero(G, A, 0)
-    Dprev = bar_matrix(G, n - 1)
     vectors = {}
     for t, m in enumerate(A.invariant_factors):
         # delta is a coboundary iff the minimum of its coset is zero, and
         # then the reduction's coefficients are a primitive
-        rest, vectors[t] = lex_reduce_mod(howell_basis(Dprev, m), m,
+        rest, vectors[t] = lex_reduce_mod(_boundary_basis(G, n, m), m,
                                           _factor_vector(delta, t))
         if rest.any():
             return None

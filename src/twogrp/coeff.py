@@ -5,7 +5,6 @@ additively.  The empty factor list gives the trivial group and the empty
 tuple its only element.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -37,7 +36,6 @@ class AbelianGroup:
         self.moduli = _frozen(factors)
         self.weights = _frozen([math.prod(factors[t + 1:]) for t in range(len(factors))])
         self._elements = None
-        self._index = None
         self._add = self._neg = self._sub = None
 
     def __repr__(self):
@@ -80,23 +78,21 @@ class AbelianGroup:
     def scale(self, n, x):
         return tuple((n * a) % m for a, m in zip(x, self.invariant_factors))
 
+    def _residue_grid(self):
+        """All elements as an |A| x k int64 array of residues, in
+        elements() order."""
+        k = len(self.moduli)
+        return np.indices(self.invariant_factors).reshape(k, self.order).T
+
     def elements(self):
         """All elements in lexicographic order, zero first."""
         if self._elements is None:
-            self._elements = [
-                tuple(t)
-                for t in itertools.product(*(range(m) for m in self.invariant_factors))
-            ]
-            self._index = {e: i for i, e in enumerate(self._elements)}
+            self._elements = list(map(tuple, self._residue_grid().tolist()))
         return self._elements
 
     def index(self, x):
-        self.elements()
-        try:
-            return self._index[tuple(x)]
-        except KeyError:
-            self.check(tuple(x))
-            raise
+        self.check(x)
+        return int(np.asarray(x, dtype=np.int64) @ self.weights)
 
     # The tables are built on first use and kept as plain attributes
     # (functools.cached_property would materialize the instance __dict__,
@@ -106,15 +102,15 @@ class AbelianGroup:
     def add_array(self):
         """Read-only |A| x |A| int64 table of element-index sums."""
         if self._add is None:
-            els = self.elements()
-            self._add = _frozen([[self.index(self.add(x, y)) for y in els] for x in els])
+            R = self._residue_grid()
+            self._add = _frozen((R[:, None] + R) % self.moduli @ self.weights)
         return self._add
 
     @property
     def neg_array(self):
         """Read-only int64 table of element-index negatives."""
         if self._neg is None:
-            self._neg = _frozen([self.index(self.neg(x)) for x in self.elements()])
+            self._neg = _frozen(-self._residue_grid() % self.moduli @ self.weights)
         return self._neg
 
     @property

@@ -280,6 +280,8 @@ def verify_theorem(alpha, check_kan=True):
     if alpha.degree != 3:
         raise DegreeMismatch("expected a degree-3 cochain")
     G, A = alpha.group, alpha.coeffs
+    # the models' level 3 is refused before the skeleton checks alpha over G^4
+    _guard_level(G.order**3 * A.order**3)
     report = TheoremReport(G, A)
 
     # construction: skeleton validation plus all simplicial objects

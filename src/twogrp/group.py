@@ -1,10 +1,14 @@
 """Finite groups as validated multiplication tables.
 
-Elements are indices 0..order-1 with 0 the identity.  Constructors for the
-standard families document their element orderings; every constructed table
-goes through the same validation as user-supplied ones.
+Elements are indices 0..order-1 with 0 the identity.  A group holds its
+table as one read-only int64 array; validation, inverses, element orders,
+the standard families and the automorphism search are array expressions
+over it.  Constructors for the families document their element orderings;
+every constructed table goes through the same validation as user-supplied
+ones.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -13,8 +17,8 @@ from .errors import IndexOutOfRange, NotAGroup, ParseError, SizeBound, Unsupport
 
 AUTOMORPHISM_ORDER_BOUND = 12
 
-# Largest group any constructor builds.  Validating a table costs order^3
-# lookups; order 128 takes about half a second.
+# Largest group any constructor builds.  Validation gathers order^3 table
+# entries; order 128 takes a few tens of milliseconds.
 MAX_GROUP_ORDER = 128
 
 
@@ -23,72 +27,124 @@ def _check_order(order):
         raise SizeBound("group order %d exceeds bound %d" % (order, MAX_GROUP_ORDER))
 
 
+def _first(mask):
+    """The first flat index where mask holds, or None."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
+
+
+def _table_array(table):
+    """table as an n x n int64 array, or NotAGroup("closure") for the first
+    row, in order, that is not n entries in [0, n): its length if that is
+    wrong, else its first entry out of range.  Entries are checked as Python
+    integers, so no entry can overflow int64 before it is refused."""
+    n = len(table)
+    if n == 0:
+        raise NotAGroup("closure", witness=())
+    entries = list(map(int, itertools.chain.from_iterable(table)))
+    lengths = np.fromiter(map(len, table), dtype=np.int64, count=n)
+    short = _first(lengths != n)
+    if entries and (min(entries) < 0 or max(entries) >= n):
+        values = np.array(entries, dtype=object)
+        bad = _first((values < 0) | (values >= n))
+        row = int(np.searchsorted(np.cumsum(lengths), bad, side="right"))
+        if short is None or row < short:
+            raise NotAGroup("closure", witness=(entries[bad],))
+    if short is not None:
+        raise NotAGroup("closure", witness=(int(lengths[short]), n))
+    return np.array(entries, dtype=np.int64).reshape(n, n)
+
+
+def _validate(T):
+    """Raise NotAGroup with the first failing identity entry, row or column
+    without inverses (row i before column i), or associativity triple in
+    lexicographic order."""
+    n = len(T)
+    elements = np.arange(n)
+    i = _first((T[0] != elements) | (T[:, 0] != elements))
+    if i is not None:
+        raise NotAGroup("identity", witness=(i,))
+    rows = (np.sort(T, axis=1) == elements).all(axis=1)
+    cols = (np.sort(T, axis=0) == elements[:, None]).all(axis=0)
+    i = _first(~rows | ~cols)
+    if i is not None:
+        raise NotAGroup("inverse", witness=("row" if not rows[i] else "column", i))
+    small = T.astype(np.min_scalar_type(n - 1))
+    # small[small][x, y, z] = (xy)z and small[:, small][x, y, z] = x(yz)
+    bad = _first(small[small] != small[:, small])
+    if bad is not None:
+        raise NotAGroup("associativity", witness=tuple(
+            int(v) for v in np.unravel_index(bad, (n, n, n))))
+
+
 class FiniteGroup:
-    def __init__(self, table, name=None, _validated=False):
+    def __init__(self, table, name=None):
         _check_order(len(table))
-        self.table = tuple(tuple(int(x) for x in row) for row in table)
-        self.order = len(self.table)
+        T = _table_array(table)
+        _validate(T)
+        T.flags.writeable = False
+        self.table_array = T
+        self.order = len(T)
         self.name = name or "order%d" % self.order
-        if not _validated:
-            _validate_table(self.table)
-        self._inv = None
-        self._table_array = None
+        self._hash = hash(T.tobytes())
 
     def __repr__(self):
         return "FiniteGroup(%s, order=%d)" % (self.name, self.order)
 
     def __eq__(self, other):
-        return isinstance(other, FiniteGroup) and self.table == other.table
+        return self is other or (
+            isinstance(other, FiniteGroup)
+            and self._hash == other._hash
+            and np.array_equal(self.table_array, other.table_array)
+        )
 
     def __hash__(self):
-        return hash(self.table)
+        return self._hash
 
-    @property
-    def table_array(self):
-        """The multiplication table as a read-only int64 array, built on
-        first use."""
-        if self._table_array is None:
-            arr = np.array(self.table, dtype=np.int64).reshape(self.order, self.order)
-            arr.flags.writeable = False
-            self._table_array = arr
-        return self._table_array
+    @functools.cached_property
+    def table(self):
+        """The multiplication table as a tuple of int tuples, decoded from
+        table_array on first use."""
+        return tuple(map(tuple, self.table_array.tolist()))
+
+    @functools.cached_property
+    def _inverses(self):
+        return np.argmin(self.table_array, axis=1)
+
+    @functools.cached_property
+    def _element_orders(self):
+        """Per element, the least k >= 1 with x^k the identity."""
+        T, n = self.table_array, self.order
+        orders = np.zeros(n, dtype=np.int64)
+        power = np.arange(n)
+        for k in range(1, n + 1):
+            orders[(power == 0) & (orders == 0)] = k
+            power = T[power, np.arange(n)]
+        return orders
 
     def mul(self, x, y):
         if not (0 <= x < self.order and 0 <= y < self.order):
             raise IndexOutOfRange("element index out of range: %r" % ((x, y),))
-        return self.table[x][y]
+        return int(self.table_array[x, y])
 
     def inv(self, x):
         if not 0 <= x < self.order:
             raise IndexOutOfRange("element index out of range: %r" % (x,))
-        if self._inv is None:
-            inv = [0] * self.order
-            for a in range(self.order):
-                for b in range(self.order):
-                    if self.table[a][b] == 0:
-                        inv[a] = b
-                        break
-            self._inv = inv
-        return self._inv[x]
+        return int(self._inverses[x])
 
     def elements(self):
         return range(self.order)
 
     def is_abelian(self):
-        t = self.table
-        return all(
-            t[x][y] == t[y][x] for x in range(self.order) for y in range(x)
-        )
+        return bool(np.array_equal(self.table_array, self.table_array.T))
 
     def element_order(self, x):
-        n, y = 1, x
-        while y != 0:
-            y = self.table[y][x]
-            n += 1
-        return n
+        if not 0 <= x < self.order:
+            raise IndexOutOfRange("element index out of range: %r" % (x,))
+        return int(self._element_orders[x])
 
     def to_json(self):
-        return {"name": self.name, "order": self.order, "table": [list(r) for r in self.table]}
+        return {"name": self.name, "order": self.order, "table": self.table_array.tolist()}
 
     @classmethod
     def from_json(cls, obj):
@@ -100,42 +156,10 @@ class FiniteGroup:
         for i, row in enumerate(table):
             if not isinstance(row, list) or not all(type(x) is int for x in row):
                 raise ParseError("group table row %d is not a list of integers" % i)
-        g = group_from_table(table)
+        g = cls(table)
         if "name" in obj:
             g.name = obj["name"]
         return g
-
-
-def _validate_table(table):
-    n = len(table)
-    if n == 0:
-        raise NotAGroup("closure", witness=())
-    for row in table:
-        if len(row) != n:
-            raise NotAGroup("closure", witness=(len(row), n))
-        for x in row:
-            if not 0 <= x < n:
-                raise NotAGroup("closure", witness=(x,))
-    for i in range(n):
-        if table[0][i] != i or table[i][0] != i:
-            raise NotAGroup("identity", witness=(i,))
-    for i in range(n):
-        if len(set(table[i])) != n:
-            raise NotAGroup("inverse", witness=("row", i))
-        if len({table[j][i] for j in range(n)}) != n:
-            raise NotAGroup("inverse", witness=("column", i))
-    for x in range(n):
-        for y in range(n):
-            xy = table[x][y]
-            for z in range(n):
-                if table[xy][z] != table[x][table[y][z]]:
-                    raise NotAGroup("associativity", witness=(x, y, z))
-
-
-def group_from_table(table, name=None):
-    _check_order(len(table))
-    _validate_table(tuple(tuple(row) for row in table))
-    return FiniteGroup(table, name=name, _validated=True)
 
 
 def cyclic(n):
@@ -143,8 +167,8 @@ def cyclic(n):
     if n < 1:
         raise UnsupportedSpec("cyclic(n) needs n >= 1")
     _check_order(n)
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return FiniteGroup(table, name="cyclic:%d" % n, _validated=True)
+    i = np.arange(n)
+    return FiniteGroup((i[:, None] + i) % n, name="cyclic:%d" % n)
 
 
 def dihedral(n):
@@ -156,18 +180,10 @@ def dihedral(n):
         raise UnsupportedSpec("dihedral(n) needs n >= 1")
     order = 2 * n
     _check_order(order)
-
-    def idx(i, j):
-        return i % n + n * (j % 2)
-
-    table = [[0] * order for _ in range(order)]
-    for i in range(n):
-        for j in range(2):
-            for k in range(n):
-                for l in range(2):
-                    sign = -1 if j else 1
-                    table[idx(i, j)][idx(k, l)] = idx(i + sign * k, j + l)
-    return group_from_table(table, name="dihedral:%d" % n)
+    x = np.arange(order)
+    i, j = x % n, x // n
+    r = (i[:, None] + (1 - 2 * j[:, None]) * i) % n
+    return FiniteGroup(r + n * ((j[:, None] + j) % 2), name="dihedral:%d" % n)
 
 
 def symmetric(n):
@@ -175,31 +191,22 @@ def symmetric(n):
     order (identity first), product (s*t)(x) = s(t(x))."""
     if not 1 <= n <= 4:
         raise UnsupportedSpec("symmetric(n) supports 1 <= n <= 4")
-    perms = sorted(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    table = [
-        [index[tuple(s[t[x]] for x in range(n))] for t in perms] for s in perms
-    ]
-    return group_from_table(table, name="symmetric:%d" % n)
+    perms = np.array(sorted(itertools.permutations(range(n))), dtype=np.int64)
+    # a permutation's digits in base n sort like the permutation itself
+    digits = n ** np.arange(n - 1, -1, -1)
+    # perms[:, perms][s, t] is the permutation s(t(x))
+    return FiniteGroup(np.searchsorted(perms @ digits, perms[:, perms] @ digits),
+                       name="symmetric:%d" % n)
 
 
 def product(g, h):
     """Direct product; pair (x, y) has index x*|H| + y."""
     order = g.order * h.order
     _check_order(order)
-
-    def idx(x, y):
-        return x * h.order + y
-
-    table = [[0] * order for _ in range(order)]
-    for x1 in range(g.order):
-        for y1 in range(h.order):
-            for x2 in range(g.order):
-                for y2 in range(h.order):
-                    table[idx(x1, y1)][idx(x2, y2)] = idx(
-                        g.table[x1][x2], h.table[y1][y2]
-                    )
-    return group_from_table(table, name="product:%s,%s" % (g.name, h.name))
+    x, y = np.divmod(np.arange(order), h.order)
+    table = (g.table_array[x[:, None], x] * h.order
+             + h.table_array[y[:, None], y])
+    return FiniteGroup(table, name="product:%s,%s" % (g.name, h.name))
 
 
 def group_construct(spec):
@@ -262,101 +269,56 @@ class GroupAutomorphism:
         return "GroupAutomorphism(%r)" % (self.image,)
 
     def compose(self, other):
-        return GroupAutomorphism(
-            self.group, tuple(self.image[other.image[x]] for x in range(self.group.order))
-        )
+        return GroupAutomorphism(self.group, (self.image[y] for y in other.image))
 
     def inverse(self):
-        inv = [0] * self.group.order
-        for x, y in enumerate(self.image):
-            inv[y] = x
-        return GroupAutomorphism(self.group, inv)
+        return GroupAutomorphism(self.group, np.argsort(self.image).tolist())
 
 
-def generating_set(g):
-    """Greedy generating set: repeatedly add the smallest index outside the
-    current span."""
-    span = {0}
-    gens = []
-    while len(span) < g.order:
-        x = min(i for i in range(g.order) if i not in span)
-        gens.append(x)
-        # close span under multiplication
-        frontier = set(span) | {x}
-        while True:
-            new = {g.table[a][b] for a in frontier for b in frontier} | frontier
-            if new == frontier:
-                break
-            frontier = new
-        span = frontier
-    return gens
+def _words(T, gens):
+    """The span of gens, breadth first from the identity by right
+    multiplication: (reach, parent, step) with reach[k] =
+    T[parent[k], gens[step[k]]] for every k >= 1."""
+    none = np.zeros(0, dtype=np.int64)
+    reach, parent, step = [np.zeros(1, dtype=np.int64)], [none], [none]
+    seen = np.zeros(len(T), dtype=bool)
+    seen[0] = True
+    while gens and reach[-1].size:
+        frontier = reach[-1]
+        hits = T[np.ix_(frontier, gens)].ravel()
+        values, first = np.unique(hits, return_index=True)
+        first = np.sort(first[~seen[values]])
+        seen[hits[first]] = True
+        reach.append(hits[first])
+        parent.append(frontier[first // len(gens)])
+        step.append(first % len(gens))
+    return np.concatenate(reach), np.concatenate(parent), np.concatenate(step)
 
 
-def group_automorphisms(g, order_bound=AUTOMORPHISM_ORDER_BOUND):
-    """All automorphisms, identity first, by backtracking over images of a
-    greedy generating set."""
-    if g.order > order_bound:
+def group_automorphisms(g):
+    """All automorphisms, sorted by image (so the identity comes first).
+
+    Greedy generators (repeatedly the smallest element outside the span so
+    far) determine an automorphism; every assignment of images of equal
+    element orders is extended along the generators' breadth-first words at
+    once, and the bijective homomorphisms are kept."""
+    if g.order > AUTOMORPHISM_ORDER_BOUND:
         raise SizeBound(
             "automorphism search limited to order <= %d (got %d)"
-            % (order_bound, g.order)
+            % (AUTOMORPHISM_ORDER_BOUND, g.order)
         )
-    gens = generating_set(g)
-    order_of = [g.element_order(x) for x in range(g.order)]
-    results = []
-
-    def close(partial):
-        """Close a generator assignment to a full map, or None on clash."""
-        assigned = dict(partial)
-        changed = True
-        known = {0: 0}
-        while changed:
-            changed = False
-            items = list(known.items())
-            for x, fx in items:
-                for gidx, ggen in enumerate(gens):
-                    y = g.table[x][ggen]
-                    fy = g.table[fx][assigned[ggen]]
-                    if y in known:
-                        if known[y] != fy:
-                            return None
-                    else:
-                        known[y] = fy
-                        changed = True
-        if len(known) != g.order:
-            return None
-        image = [known[x] for x in range(g.order)]
-        if len(set(image)) != g.order:
-            return None
-        return image
-
-    def is_automorphism(image):
-        t = g.table
-        return all(
-            image[t[x][y]] == t[image[x]][image[y]]
-            for x in range(g.order)
-            for y in range(g.order)
-        )
-
-    candidates = [
-        [y for y in range(g.order) if order_of[y] == order_of[x]] for x in gens
-    ]
-
-    def backtrack(i, partial):
-        if i == len(gens):
-            image = close(partial)
-            if image is not None and is_automorphism(image):
-                results.append(GroupAutomorphism(g, image))
-            return
-        for y in candidates[i]:
-            partial[gens[i]] = y
-            backtrack(i + 1, partial)
-        del partial[gens[i]]
-
-    if not gens:
-        results.append(GroupAutomorphism(g, [0]))
-    else:
-        backtrack(0, {})
-    results.sort(key=lambda a: a.image)
-    identity = GroupAutomorphism(g, range(g.order))
-    results.remove(identity)
-    return [identity] + results
+    T, n = g.table_array, g.order
+    gens = []
+    reach, parent, step = _words(T, gens)
+    while reach.size < n:
+        gens.append(int(np.setdiff1d(np.arange(n), reach)[0]))
+        reach, parent, step = _words(T, gens)
+    orders = g._element_orders
+    candidates = [np.flatnonzero(orders == orders[x]) for x in gens]
+    assignments = np.array(list(itertools.product(*candidates)), dtype=np.int64)
+    image = np.zeros((len(assignments), n), dtype=np.int64)
+    for x, p, s in zip(reach[1:], parent, step):
+        image[:, x] = T[image[:, p], assignments[:, s]]
+    keep = (np.sort(image, axis=1) == np.arange(n)).all(axis=1)
+    keep &= (image[:, T] == T[image[:, :, None], image[:, None, :]]).all(axis=(1, 2))
+    return [GroupAutomorphism(g, im) for im in sorted(map(tuple, image[keep].tolist()))]

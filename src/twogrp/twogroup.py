@@ -11,7 +11,7 @@ is_cocycle, so the two certificates stay independent.
 
 import numpy as np
 
-from .cochain import is_cocycle
+from .cochain import _check_cells, is_cocycle
 from .errors import DegreeMismatch, NotACocycle, NotNormalized, SizeBound
 
 # duality_data lists up to |A| pairs; 2^16 of them take about 25 MiB
@@ -68,6 +68,7 @@ def check_pentagon(alpha):
     (w, x, y, z)) for the lexicographically first mismatch.
     """
     _check_associator(alpha)
+    _check_cells(alpha.group.order**4, "the pentagon grid")
     T, a = alpha.group.table_array, alpha.cube()
     w, x, y, z = np.ogrid[(slice(0, alpha.group.order),) * 4]
     route_a = a[T[w, x], y, z] + a[w, x, T[y, z]]

@@ -212,6 +212,35 @@ def automorphism_images(G):
     return out
 
 
+def table_violation(table):
+    """The first group-axiom violation of a table of Python integers, as
+    (reason, witness), or None: closure row by row (a row's length before
+    its entries), the identity, inverses (row i before column i), then
+    associativity over (x, y, z) in lexicographic order, each by direct
+    scanning."""
+    n = len(table)
+    if n == 0:
+        return "closure", ()
+    for row in table:
+        if len(row) != n:
+            return "closure", (len(row), n)
+        for x in row:
+            if not 0 <= x < n:
+                return "closure", (x,)
+    for i in range(n):
+        if table[0][i] != i or table[i][0] != i:
+            return "identity", (i,)
+    for i in range(n):
+        if sorted(table[i]) != list(range(n)):
+            return "inverse", ("row", i)
+        if sorted(table[j][i] for j in range(n)) != list(range(n)):
+            return "inverse", ("column", i)
+    for x, y, z in itertools.product(range(n), repeat=3):
+        if table[table[x][y]][z] != table[x][table[y][z]]:
+            return "associativity", (x, y, z)
+    return None
+
+
 def brute_coboundary(G, A, degree, values):
     """Values of the bar coboundary of a degree-n cochain with trivial
     action, listed over G^(n+1) with the first argument most significant, by

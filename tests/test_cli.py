@@ -8,7 +8,7 @@ from twogrp.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main
 from twogrp.coeff import MAX_COEFF_ORDER, AbelianGroup
 from twogrp.cochain import Cochain
 from twogrp.errors import TwogrpError
-from twogrp.group import MAX_GROUP_ORDER, cyclic, dihedral
+from twogrp.group import MAX_GROUP_ORDER, cyclic, dihedral, product
 from twogrp.simplicial import TruncatedSSet, is_kan, nerve_bg
 
 
@@ -259,6 +259,17 @@ def test_sset_malformed_files_are_usage_errors(capsys, tmp_path):
     assert code == EXIT_PASS
 
 
+def check_exit(code, out, err, context):
+    """Every verb exits 0, 1 or 2 with no traceback; a refusal is one
+    `error:` line and a report is JSON whose ok flag matches the code."""
+    assert code in (EXIT_PASS, EXIT_FAIL, EXIT_USAGE), context
+    assert "Traceback" not in err
+    if code == EXIT_USAGE or code == EXIT_FAIL and not out:
+        assert err.startswith("error: ") and err.count("\n") == 1, (context, err)
+    else:
+        assert json.loads(out)["ok"] is (code == EXIT_PASS), context
+
+
 JUNK = st.one_of(
     st.integers(-3, 9),
     st.sampled_from([2**20, 2**21, 2**63, 2**70, -2**70, None, "1", 1.5, True, [], {}]),
@@ -310,12 +321,155 @@ def test_sset_verbs_survive_garbled_files(capsys, tmp_path, obj):
     path = write_sset(tmp_path, obj)
     for argv in (["validate", path], ["kan", path], ["kan", "--up-to", "5", path]):
         code, out, err = run(capsys, "--format", "json", "sset", *argv)
-        assert code in (EXIT_PASS, EXIT_FAIL, EXIT_USAGE), (argv, obj)
-        assert "Traceback" not in err
-        if code == EXIT_USAGE or code == EXIT_FAIL and not out:
-            assert err.startswith("error: ") and err.count("\n") == 1, err
-        else:
-            assert json.loads(out)["ok"] is (code == EXIT_PASS)
+        check_exit(code, out, err, (argv, obj))
+
+
+def test_deeply_nested_json_is_usage_error(capsys, tmp_path):
+    # json raises RecursionError past the interpreter's recursion limit
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    for argv in (["group", str(path)], ["cocycle", "verify", str(path)],
+                 ["sset", "validate", str(path)]):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == "", argv
+        assert err == "error: JSON in %s is nested too deeply\n" % path
+
+
+# JSON text spliced in place of the string DEEP: nesting that decodes,
+# nesting past the recursion limit, and a row of 2**70
+DEEP = st.sampled_from(["[" * k + "]" * k for k in (3, 60, 5000)] + ["[%d]" % 2**70])
+ENTRY = st.one_of(
+    st.integers(-2, 6),
+    st.sampled_from([-1, 2**63, 2**70, -2**70, True, False, 1.5, 0.0, None, "1",
+                     [], [0], {}, "DEEP"]),
+)
+
+
+def splice(obj, deep):
+    return json.dumps(obj).replace('"DEEP"', deep)
+
+
+@st.composite
+def garbled_group(draw):
+    """A family group's JSON with one to three parts garbled: entries,
+    whole rows (ragged, non-list or deeply nested), the table, the name and
+    missing keys."""
+    G = draw(st.sampled_from([cyclic(1), cyclic(2), cyclic(3), dihedral(2),
+                              product(cyclic(2), cyclic(3))]))
+    obj = G.to_json()
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["entry", "entry", "row", "ragged", "table",
+                                     "deep", "name", "drop"]))
+        table = obj.get("table")
+        rows = table if isinstance(table, list) and table else None
+        if kind == "entry" and rows and isinstance(rows[0], list) and rows[0]:
+            row = draw(st.sampled_from(rows))
+            if isinstance(row, list) and row:
+                row[draw(st.integers(0, len(row) - 1))] = draw(ENTRY)
+        elif kind in ("row", "deep") and rows:
+            rows[draw(st.integers(0, len(rows) - 1))] = (
+                "DEEP" if kind == "deep" else draw(ENTRY))
+        elif kind == "ragged" and rows:
+            i = draw(st.integers(0, len(rows) - 1))
+            if isinstance(rows[i], list):
+                rows[i] = rows[i][:draw(st.integers(0, len(rows[i])))] + draw(
+                    st.lists(st.integers(-1, 7), max_size=2))
+        elif kind == "table":
+            obj["table"] = draw(st.one_of(ENTRY, st.lists(
+                st.lists(st.integers(-1, 3), max_size=3), max_size=3)))
+        elif kind == "name":
+            obj["name"] = draw(ENTRY)
+        elif kind == "drop":
+            del obj[draw(st.sampled_from(sorted(obj)))]
+    return splice(obj, draw(DEEP))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(garbled_group())
+def test_group_file_verbs_survive_garbled_tables(capsys, tmp_path, text):
+    path = tmp_path / "group.json"
+    path.write_text(text)
+    for argv in (["group", str(path), "--automorphisms"],
+                 ["cohomology", "--group", str(path), "--coeffs", "2"]):
+        code, out, err = run(capsys, "--format", "json", *argv)
+        check_exit(code, out, err, (argv, text))
+
+
+@st.composite
+def garbled_cocycle(draw):
+    """The nontrivial C2/Z2 cocycle file with one to three parts garbled:
+    residues, fanout, the degree, the group (spec or table), the
+    coefficients, deep nesting and missing keys."""
+    obj = {"group": "cyclic:2", "coeffs": {"invariant_factors": [2]},
+           "degree": 3, "values": nontrivial_values()}
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["residue", "node", "deep", "degree", "group",
+                                     "coeffs", "drop"]))
+        node = obj.get("values")
+        if kind in ("residue", "node", "deep"):
+            path = draw(st.lists(st.integers(0, 1), min_size=1, max_size=4))
+            for i in path[:-1]:
+                if isinstance(node, list) and i < len(node):
+                    node = node[i]
+            if isinstance(node, list) and path[-1] < len(node):
+                if kind == "residue" and isinstance(node[path[-1]], list) and node[path[-1]]:
+                    node = node[path[-1]]
+                node[min(path[-1], len(node) - 1)] = (
+                    "DEEP" if kind == "deep" else draw(ENTRY))
+        elif kind == "degree":
+            obj["degree"] = draw(st.one_of(st.integers(-1, 6), st.sampled_from(
+                [40, 70, 2**70, True, 3.0, "3", None])))
+        elif kind == "group":
+            obj["group"] = draw(st.one_of(
+                st.sampled_from(["cyclic:1", "cyclic:3", "dihedral:1", "cyclic:0",
+                                 "cyclic:129", "frobnitz:2", "cyclic:2x"]),
+                st.builds(lambda t: {"table": t}, st.lists(
+                    st.lists(st.integers(-1, 2), max_size=3), max_size=3)),
+                ENTRY))
+        elif kind == "coeffs":
+            obj["coeffs"] = draw(st.one_of(
+                st.builds(lambda f: {"invariant_factors": f}, st.lists(
+                    st.sampled_from([0, 1, 2, 3, 2**70, True, 2.0]), max_size=3)),
+                ENTRY))
+        elif kind == "drop":
+            del obj[draw(st.sampled_from(sorted(obj)))]
+    return splice(obj, draw(DEEP))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(garbled_cocycle())
+def test_cocycle_file_verbs_survive_garbling(capsys, tmp_path, text):
+    path = tmp_path / "alpha.json"
+    path.write_text(text)
+    for argv in (["cocycle", "verify", str(path)],
+                 ["twogroup", "check", "--cocycle", str(path)],
+                 ["theorem", "verify", "--group", "cyclic:2", "--coeffs", "2",
+                  "--cocycle", str(path)]):
+        code, out, err = run(capsys, "--format", "json", *argv)
+        check_exit(code, out, err, (argv, text))
+
+
+def test_group_power_allocations_are_refused(capsys, tmp_path):
+    # each would allocate gigabytes or more before the bound: the
+    # theorem's alpha over C128^3, the degree-3 bar matrix of C128, a
+    # 70-dimensional cochain array, the pentagon over C33^4
+    values = [[[[0]] * 33] * 33] * 33
+    big = write_cocycle(tmp_path, "c33.json", values, group="cyclic:33")
+    deep = [0]
+    for _ in range(70):
+        deep = [deep]
+    for argv in (["theorem", "verify", "--group", "cyclic:128", "--coeffs", "2"],
+                 ["--max-group", "128", "cohomology", "--group", "cyclic:128",
+                  "--coeffs", "2"],
+                 ["cocycle", "verify", write_cocycle(
+                     tmp_path, "c70.json", deep, group="cyclic:1", degree=70)],
+                 ["twogroup", "check", "--cocycle", big]):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_FAIL and out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "bound" in err
 
 
 # SHA-256 of `--format json` stdout, recorded before the simplicial layer

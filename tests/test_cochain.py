@@ -4,8 +4,10 @@ import random
 import numpy as np
 import pytest
 
+from twogrp import cochain
 from twogrp.coeff import MAX_COEFF_ORDER, AbelianGroup
 from twogrp.cochain import (
+    MAX_DEGREE,
     Cochain,
     are_cohomologous,
     bar_matrix,
@@ -295,6 +297,50 @@ def test_are_cohomologous_rejects_bad_witness(monkeypatch):
     zero = Cochain.zero(C2, Z2, 3)
     with pytest.raises(WitnessMismatch):
         are_cohomologous(zero, zero)
+
+
+def test_are_cohomologous_reuses_the_boundary_basis(monkeypatch):
+    G, A = dihedral(2), AbelianGroup([2, 4])
+    alpha = cohomology(G, A, 3).representatives[-1]
+    b = Cochain.from_function(
+        G, A, 2, lambda x, y: (0, 0) if 0 in (x, y) else ((x * y) % 2, (x + y) % 2))
+    shifted = alpha.add(coboundary(b))
+    calls = []
+    real = cochain.bar_matrix
+    monkeypatch.setattr(cochain, "bar_matrix",
+                        lambda *args: calls.append(args) or real(*args))
+    first = are_cohomologous(alpha, shifted)
+    calls.clear()
+    second = are_cohomologous(alpha, shifted)
+    assert calls == []
+    assert second == first and coboundary(second) == shifted.sub(alpha)
+    # cohomology reads the same bases; only its own d^n and d^(n-1) remain
+    assert cohomology(G, A, 3).representatives[-1] == alpha
+    assert calls == [(G, 3), (G, 2)]
+
+
+def test_group_power_allocations_are_bounded():
+    # each of these allocated |G|^n-sized arrays of gigabytes or more
+    G = cyclic(128)
+    for build in (lambda: Cochain.zero(G, Z2, 5),
+                  lambda: Cochain.zero(G, Z2, 3),
+                  lambda: Cochain.from_function(G, Z2, 3, lambda *a: (0,)),
+                  lambda: Cochain(G, Z2, 3, []),
+                  lambda: bar_matrix(G, 3),
+                  lambda: cohomology(G, Z2, 3, max_group=128)):
+        with pytest.raises(SizeBound, match="bound 1048576"):
+            build()
+    c = Cochain.zero(G, Z2, 2)
+    with pytest.raises(SizeBound, match="bar matrix"):
+        are_cohomologous(c, c)
+    with pytest.raises(SizeBound, match="coboundary"):
+        is_cocycle(Cochain.zero(cyclic(33), Z2, 3))
+    # numpy arrays have at most 32 axes (64 from numpy 2)
+    with pytest.raises(SizeBound, match="degree"):
+        Cochain.zero(cyclic(1), Z2, MAX_DEGREE + 1)
+    assert Cochain.zero(cyclic(1), Z2, MAX_DEGREE).is_normalized()
+    # the largest grid the bound allows still runs
+    assert is_cocycle(Cochain.zero(cyclic(32), Z2, 3)) == (True, None)
 
 
 def test_lex_minimal_representative():

@@ -17,7 +17,7 @@ from twogrp.correspondence import (
     pullback_model,
     verify_theorem,
 )
-from twogrp.errors import DegreeMismatch
+from twogrp.errors import DegreeMismatch, DimensionBound
 from twogrp.group import cyclic, dihedral, group_construct
 from twogrp.simplicial import (
     SimplicialMap,
@@ -311,3 +311,14 @@ def test_corrupted_d0_fails_the_same_stages(monkeypatch):
             reports.append(report)
     text = json.dumps(reports, sort_keys=True)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CORRUPT_D0_DIGEST
+
+
+def test_level_bound_comes_before_the_skeleton(monkeypatch):
+    # 32^3 * 4^3 = 2^21 level-3 cells: refused before the skeleton checks
+    # alpha over all of C32^4
+    def skeleton(alpha):
+        raise AssertionError("skeleton built before the level bound")
+
+    monkeypatch.setattr(correspondence, "TwoGroupSkeleton", skeleton)
+    with pytest.raises(DimensionBound, match="2097152"):
+        verify_theorem(Cochain.zero(cyclic(32), AbelianGroup([4]), 3))

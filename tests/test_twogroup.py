@@ -179,3 +179,10 @@ def test_monoidal_functor():
         assert not ok
     with pytest.raises(DegreeMismatch):
         monoidal_functor_check(zero, alpha, Cochain.zero(C2, Z2, 3))
+
+
+def test_pentagon_grid_is_bounded():
+    # C33^4 is just above the 2^20 cells a grid may hold; C32^4 is at it
+    with pytest.raises(SizeBound, match="pentagon"):
+        check_pentagon(Cochain.zero(cyclic(33), Z2, 3))
+    assert check_pentagon(Cochain.zero(cyclic(32), Z2, 3)) == (True, None)
