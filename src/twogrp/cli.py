@@ -256,7 +256,12 @@ def run_theorem(args):
     G = load_group(args.group)
     A = load_coeffs(args.coeffs)
     if args.cocycle:
-        alphas = [("file:%s" % args.cocycle, load_cocycle(args.cocycle))]
+        alpha = load_cocycle(args.cocycle)
+        if alpha.group != G or alpha.coeffs != A:
+            raise ParseError("cocycle file %s is over %s with coefficients %s, not %s with %s" % (
+                args.cocycle, alpha.group.name, list(alpha.coeffs.invariant_factors),
+                G.name, list(A.invariant_factors)))
+        alphas = [("file:%s" % args.cocycle, alpha)]
     elif args.all_classes:
         res = cohomology(G, A, 3, max_group=args.max_group,
                          max_coeffs=args.max_coeffs)

@@ -21,10 +21,11 @@ class AbelianGroup:
     """A finite abelian group presented as Z_{m1} x ... x Z_{mk}."""
 
     def __init__(self, invariant_factors):
-        factors = tuple(int(m) for m in invariant_factors)
+        factors = tuple(invariant_factors)
         for m in factors:
-            if m < 2:
-                raise InvalidFactor("invariant factors must be >= 2, got %r" % (m,))
+            if not is_integer(m) or m < 2:
+                raise InvalidFactor("invariant factors must be integers >= 2, got %r" % (m,))
+        factors = tuple(map(int, factors))
         order = math.prod(factors)
         if order > MAX_COEFF_ORDER:
             raise SizeBound("coefficient order %d exceeds bound %d"
@@ -57,7 +58,7 @@ class AbelianGroup:
                 % (x, len(x), len(self.invariant_factors))
             )
         for r, m in zip(x, self.invariant_factors):
-            if not isinstance(r, (int, np.integer)) or isinstance(r, bool):
+            if not is_integer(r):
                 raise ShapeMismatch("residue %r is not an integer" % (r,))
             if not 0 <= r < m:
                 raise ShapeMismatch("residue %r out of range for factor %d" % (r, m))
@@ -132,6 +133,11 @@ class AbelianGroup:
             raise ParseError("invariant_factors must be a list of integers, got %r"
                              % (factors,))
         return cls(factors)
+
+
+def is_integer(x):
+    """Whether x is a Python or numpy integer; bools are not."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _frozen(table):

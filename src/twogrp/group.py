@@ -13,6 +13,7 @@ import itertools
 
 import numpy as np
 
+from .coeff import is_integer
 from .errors import IndexOutOfRange, NotAGroup, ParseError, SizeBound, UnsupportedSpec
 
 AUTOMORPHISM_ORDER_BOUND = 12
@@ -35,18 +36,19 @@ def _first(mask):
 
 def _table_array(table):
     """table as an n x n int64 array, or NotAGroup("closure") for the first
-    row, in order, that is not n entries in [0, n): its length if that is
-    wrong, else its first entry out of range.  Entries are checked as Python
-    integers, so no entry can overflow int64 before it is refused."""
+    row, in order, that is not n integers in [0, n): its length if that is
+    wrong, else its first entry that is not an integer in range (a bool,
+    float or string is not).  Entries are checked as Python integers, so no
+    entry can overflow int64 before it is refused."""
     n = len(table)
     if n == 0:
         raise NotAGroup("closure", witness=())
-    entries = list(map(int, itertools.chain.from_iterable(table)))
+    entries = [int(x) if is_integer(x) else x for x in itertools.chain.from_iterable(table)]
     lengths = np.fromiter(map(len, table), dtype=np.int64, count=n)
     short = _first(lengths != n)
-    if entries and (min(entries) < 0 or max(entries) >= n):
-        values = np.array(entries, dtype=object)
-        bad = _first((values < 0) | (values >= n))
+    bad = next((k for k, x in enumerate(entries) if type(x) is not int or not 0 <= x < n),
+               None)
+    if bad is not None:
         row = int(np.searchsorted(np.cumsum(lengths), bad, side="right"))
         if short is None or row < short:
             raise NotAGroup("closure", witness=(entries[bad],))
@@ -164,8 +166,8 @@ class FiniteGroup:
 
 def cyclic(n):
     """Z_n; element i is the i-th power of the generator."""
-    if n < 1:
-        raise UnsupportedSpec("cyclic(n) needs n >= 1")
+    if not is_integer(n) or n < 1:
+        raise UnsupportedSpec("cyclic(n) needs an integer n >= 1, got %r" % (n,))
     _check_order(n)
     i = np.arange(n)
     return FiniteGroup((i[:, None] + i) % n, name="cyclic:%d" % n)
@@ -176,8 +178,8 @@ def dihedral(n):
 
     Multiplication follows (r^i s^j)(r^k s^l) = r^(i + (-1)^j k) s^(j+l).
     """
-    if n < 1:
-        raise UnsupportedSpec("dihedral(n) needs n >= 1")
+    if not is_integer(n) or n < 1:
+        raise UnsupportedSpec("dihedral(n) needs an integer n >= 1, got %r" % (n,))
     order = 2 * n
     _check_order(order)
     x = np.arange(order)
@@ -189,8 +191,8 @@ def dihedral(n):
 def symmetric(n):
     """S_n for n <= 4; elements are permutation tuples in lexicographic
     order (identity first), product (s*t)(x) = s(t(x))."""
-    if not 1 <= n <= 4:
-        raise UnsupportedSpec("symmetric(n) supports 1 <= n <= 4")
+    if not is_integer(n) or not 1 <= n <= 4:
+        raise UnsupportedSpec("symmetric(n) supports integers 1 <= n <= 4, got %r" % (n,))
     perms = np.array(sorted(itertools.permutations(range(n))), dtype=np.int64)
     # a permutation's digits in base n sort like the permutation itself
     digits = n ** np.arange(n - 1, -1, -1)

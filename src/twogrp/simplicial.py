@@ -18,22 +18,20 @@ Kan condition, swept by one vectorised join over level-(n-1) face tables.
 
 A truncated set may be built on a base, a set of lower truncation whose
 levels, faces and degeneracies it shares as the same array objects; it
-takes and checks only its own upper levels.  Data that the base's levels
-alone determine is cached on the base, so sets that differ only above it
-(the Duskin nerves and pullback models of one (G, A) for every cocycle)
-compute it once: the base's Kan result, simplicial validity and filler
-counts, and the ascending codes of the compatible horns one level above
-it, whose faces are base cells.  is_kan then checks that level by looking
-every cached horn code up among the set's filler keys, and sweeps only a
-horn type with a miss, so the witness is the sweep's; validate_simplicial
-checks only the identities that touch the upper levels once the base has
-passed.  A set with no base (from_json, the nerve, W, Wbar, fiber
-products) computes everything itself.
+takes and checks only its own upper levels.  Tables and components are
+read-only, so checks keep their results on the object: validate_simplicial
+and SimplicialMap.validate on the set or map, and a result that reads only
+levels 0..n of a set X (a horn type's filler index, face groups, first
+unfilled horn, filler counts) on _owner(X, n), the base when it reaches
+level n.  Sets that differ only above a base (the Duskin nerves and
+pullback models of one (G, A) for every cocycle) thus share the base's
+results, including the codes of the compatible horns one level above it.
 """
 
 import functools
 import itertools
 import operator
+import types
 
 import numpy as np
 
@@ -201,6 +199,12 @@ def _index_table(values, what):
     return arr
 
 
+def _frozen_tables(shared, own, what):
+    """A read-only mapping of the shared tables and the own ones."""
+    own = {k: _index_table(v, "%s table %r" % (what, k)) for k, v in own.items()}
+    return types.MappingProxyType({**shared, **own})
+
+
 def _first_outside(tab, bound):
     """The first entry of an int64 table outside [0, bound), or None."""
     if not len(tab):
@@ -220,7 +224,8 @@ class TruncatedSSet:
     """A simplicial set truncated at a fixed level.
 
     levels[n] is the sequence of cell labels of level n (a Cells); faces[(n,
-    i)] and degeneracies[(n, i)] are int64 index tables.
+    i)] and degeneracies[(n, i)] are read-only int64 index tables in
+    read-only mappings.
 
     With a base (a TruncatedSSet of lower truncation), levels lists only
     the levels above the base's truncation, faces only their faces and
@@ -246,19 +251,13 @@ class TruncatedSSet:
         self.base = base
         self.levels = ([] if base is None else base.levels) + [_as_cells(lv) for lv in levels]
         self._sizes = [len(lv) for lv in self.levels]
-        self.faces = {} if base is None else dict(base.faces)
-        self.faces.update(
-            (k, _index_table(v, "face table %r" % (k,))) for k, v in faces.items()
-        )
-        self.degeneracies = {} if base is None else dict(base.degeneracies)
-        self.degeneracies.update(
-            (k, _index_table(v, "degeneracy table %r" % (k,)))
-            for k, v in degeneracies.items()
+        self.faces = _frozen_tables({} if base is None else base.faces, faces, "face")
+        self.degeneracies = _frozen_tables(
+            {} if base is None else base.degeneracies, degeneracies, "degeneracy"
         )
         self.name = name
         self._check_tables(low)
-        # filler indexes and face groupings, built on demand; on a base, also
-        # the results that the sets built on it share
+        # results computed from the tables, kept by _cached
         self._derived = {}
 
     def _check_tables(self, low):
@@ -364,16 +363,43 @@ def _parse_tables(tables, what):
     return out
 
 
+def _cached(obj, key, build):
+    """build(), computed once per key and kept on obj, whose read-only
+    tables it reads."""
+    if key not in obj._derived:
+        obj._derived[key] = build()
+    return obj._derived[key]
+
+
+def _owner(X, n):
+    """The set that owns levels 0..n of X: the base that reaches level n,
+    or X itself."""
+    while X.base is not None and n <= X.base.truncation:
+        X = X.base
+    return X
+
+
+def _on_owner(X, n, key, build):
+    """build(owner) for owner = _owner(X, n), computed once per key and kept
+    on the owner; for results that read only levels 0..n of X."""
+    owner = _owner(X, n)
+    return _cached(owner, key, lambda: build(owner))
+
+
 def validate_simplicial(X):
     """Check every simplicial identity expressible within the truncation.
-    Returns (True, None) or (False, description_string).  On a set whose
-    base passed (a result cached on the base), only the identities that
-    touch a level above the base are checked; the first failure is the
-    same, as the base's identities hold."""
+    Returns (True, None) or (False, description_string), computed once and
+    kept on X.  On a set whose base passed, only the identities that touch
+    a level above the base are checked; the first failure is the same, as
+    the base's identities hold."""
     base = X.base
-    low = 0
-    if base is not None and _cached(base, ("valid",), lambda: validate_simplicial(base))[0]:
-        low = base.truncation + 1
+    low = base.truncation + 1 if base is not None and validate_simplicial(base)[0] else 0
+    return _cached(X, "simplicial", lambda: _failed_identity(X, low))
+
+
+def _failed_identity(X, low):
+    """(True, None), or (False, description) for the first failing
+    simplicial identity of X among those that touch a level >= low."""
     N = X.truncation
     F, S = X.faces, X.degeneracies
     for n in range(max(2, low), N + 1):
@@ -412,17 +438,18 @@ def validate_simplicial(X):
 
 
 class SimplicialMap:
-    """A level-wise map of truncated simplicial sets; components[n] is an
-    int64 table from cells of src level n to cells of dst level n."""
+    """A level-wise map of truncated simplicial sets; components is a tuple
+    whose entry n is a read-only int64 table from cells of src level n to
+    cells of dst level n."""
 
     def __init__(self, src, dst, components):
         if src.truncation != dst.truncation:
             raise TruncationMismatch("source and target truncations differ")
         self.src = src
         self.dst = dst
-        self.components = [
+        self.components = tuple([
             _index_table(c, "component %d" % n) for n, c in enumerate(components)
-        ]
+        ])
         if len(self.components) != src.truncation + 1:
             raise ShapeMismatch("need one component per level")
         for n, comp in enumerate(self.components):
@@ -431,13 +458,18 @@ class SimplicialMap:
             y = _first_outside(comp, dst.size(n))
             if y is not None:
                 raise IndexOutOfRange("component %d hits cell %d" % (n, y))
+        self._derived = {}
 
     def __call__(self, n, x):
         return int(self.components[n][x])
 
     def validate(self):
         """Check commutation with all faces and degeneracies.  Returns
-        (True, None) or (False, description)."""
+        (True, None) or (False, description), computed once and kept on the
+        map."""
+        return _cached(self, "validate", self._failed_commutation)
+
+    def _failed_commutation(self):
         comp = self.components
         for n in range(1, self.src.truncation + 1):
             for i in range(n + 1):
@@ -714,6 +746,7 @@ def wbar_b2a(A, truncation=3):
     return _w_sset(A, truncation, False, "wbar")
 
 
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def decalage_map(A, truncation=3):
     """dec: W(B^2 A) -> Wbar(B^2 A), dropping the leading factor, whose
     copies of A are the most significant digits of a W cell."""
@@ -899,7 +932,8 @@ def _ranks(keys):
 
 
 class _FillerIndex:
-    """The level-n cells of X keyed by their faces other than missing.
+    """The ascending keys of the level-n cells of X by their faces other
+    than missing.
 
     A cell's signature is its face tuple in slot order, and its key the
     mixed-radix code of the signature in radix size(n-1), so keys sort like
@@ -919,54 +953,53 @@ class _FillerIndex:
                 bound = len(self.steps[t])
             key = key * self.radix + X.faces[(n, j)]
             bound *= self.radix
-        self.keys = key
         self.sorted_keys = np.sort(key)
 
     def horn_keys(self, cols):
-        """The keys a filler of each horn would have, and whether one can
-        exist; the horns are given by one array of cells per slot."""
+        """The keys a filler of each horn would have, -1 where none can
+        exist; the horns are given by one array of level-(n-1) cells per
+        slot."""
         key = np.zeros(len(cols[0]), dtype=np.int64)
         found = np.ones(len(key), dtype=bool)
         for t, col in enumerate(cols):
-            found &= (col >= 0) & (col < self.radix)
             uniq = self.steps.get(t)
             if uniq is not None:
-                pos = np.searchsorted(uniq, key)
-                hit = pos < len(uniq)
-                hit[hit] = uniq[pos[hit]] == key[hit]
-                found &= hit
-                key = pos
+                found &= _among(uniq, key)
+                key = np.searchsorted(uniq, key)
             key = key * self.radix + col
-        return key, found
+        key[~found] = -1
+        return key
 
     def counts(self, cols):
         """The number of fillers of each horn."""
-        key, found = self.horn_keys(cols)
-        lo = np.searchsorted(self.sorted_keys, key, "left")
-        hi = np.searchsorted(self.sorted_keys, key, "right")
-        return np.where(found, hi - lo, 0)
+        key = self.horn_keys(cols)
+        return (np.searchsorted(self.sorted_keys, key, "right")
+                - np.searchsorted(self.sorted_keys, key, "left"))
 
 
-def _cached(X, key, build):
-    if key not in X._derived:
-        X._derived[key] = build()
-    return X._derived[key]
+def _among(ordered, key):
+    """Whether each entry of key occurs in the ascending array ordered."""
+    if not len(ordered):
+        return np.zeros(len(key), dtype=bool)
+    pos = np.searchsorted(ordered, key)
+    np.minimum(pos, len(ordered) - 1, out=pos)
+    return ordered[pos] == key
 
 
 def _filler_index(X, n, missing):
-    return _cached(X, ("fillers", n, missing), lambda: _FillerIndex(X, n, missing))
+    return _on_owner(X, n, ("fillers", n, missing), lambda O: _FillerIndex(O, n, missing))
 
 
 def _face_groups(X, n, i):
     """Level-n cells grouped by d_i: the cells with d_i = v are
     order[starts[v]:starts[v] + counts[v]], ascending."""
 
-    def build():
-        tab = X.faces[(n, i)]
-        counts = np.bincount(tab, minlength=X.size(n - 1))
+    def build(O):
+        tab = O.faces[(n, i)]
+        counts = np.bincount(tab, minlength=O.size(n - 1))
         return np.argsort(tab, kind="stable"), np.cumsum(counts) - counts, counts
 
-    return _cached(X, ("groups", n, i), build)
+    return _on_owner(X, n, ("groups", n, i), build)
 
 
 def _check_horn_type(X, n, missing):
@@ -981,9 +1014,10 @@ def _check_horn_type(X, n, missing):
 def fillers(X, horn):
     """All cells whose faces extend the horn, ascending."""
     _check_horn_type(X, horn.n, horn.missing)
-    index = _filler_index(X, horn.n, horn.missing)
-    key, found = index.horn_keys([np.array([c], dtype=np.int64) for c in horn.key()])
-    return np.flatnonzero(index.keys == key[0]).tolist() if found[0] else []
+    extends = np.ones(X.size(horn.n), dtype=bool)
+    for j, c in horn.faces.items():
+        extends &= X.faces[(horn.n, j)] == c
+    return np.flatnonzero(extends).tolist()
 
 
 def _block_spans(counts, limit):
@@ -1057,65 +1091,49 @@ def enumerate_horns(X, n, missing):
 
 def filler_counts(X, n, missing):
     """The number of fillers of every compatible (n, missing)-horn, in
-    enumerate_horns order, as an int64 array.  Counts at the levels of X's
-    base are computed once, on the base."""
+    enumerate_horns order, as an int64 array: a copy of the counts kept on
+    _owner(X, n)."""
     _check_horn_type(X, n, missing)
-    base = X.base
-    if base is not None and n <= base.truncation:
-        counts = _cached(base, ("counts", n, missing), lambda: filler_counts(base, n, missing))
-        return counts.copy()
-    index = _filler_index(X, n, missing)
-    blocks = [index.counts(cols) for cols in _horn_rows(X, n, missing)]
-    return np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.int64)
+
+    def build(O):
+        index = _filler_index(O, n, missing)
+        blocks = [index.counts(cols) for cols in _horn_rows(O, n, missing)]
+        return np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.int64)
+
+    return _on_owner(X, n, ("filler counts", n, missing), build).copy()
 
 
 def _first_unfilled(X, n, missing):
-    """The first compatible (n, missing)-horn without a filler, or None."""
-    index = _filler_index(X, n, missing)
-    cells = index.sorted_keys
-    for cols in _horn_rows(X, n, missing):
-        key, found = index.horn_keys(cols)
-        pos = np.minimum(np.searchsorted(cells, key), max(len(cells) - 1, 0))
-        if len(cells):
-            found &= cells[pos] == key
-        bad = np.flatnonzero(~found)
-        if bad.size:
-            return _horn(n, missing, cols, bad[0])
-    return None
+    """The first compatible (n, missing)-horn without a filler, or None,
+    kept on _owner(X, n).
 
+    When the horns' faces are cells of a base that level n is not on, every
+    set on the base has them, so they are kept on the base as their
+    ascending mixed-radix codes (radix size(n-1), first slot most
+    significant).  Unless the filler index ranked its keys, a horn's code
+    is the key of its fillers: the codes are looked up as they are, and
+    only the first miss is decoded."""
 
-def _horn_codes(base, missing):
-    """The ascending mixed-radix codes (radix the size of the base's top
-    level, first slot most significant) of the compatible (n, missing)-horns
-    one level above the base, n = base.truncation + 1.  Their faces are base
-    cells, so every set on the base has these horns."""
-
-    def build():
-        n = base.truncation + 1
-        radices = (base.size(n - 1),) * n
-        blocks = [encode(cols, radices) for cols in _horn_rows(base, n, missing)]
+    def encode_horns(B):
+        blocks = [encode(cols, (B.size(n - 1),) * n) for cols in _horn_rows(B, n, missing)]
         return np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.int64)
 
-    return _cached(base, ("horn codes", missing), build)
+    def build(O):
+        index = _filler_index(O, n, missing)
+        if _owner(O, n - 1) is not O and not index.steps:
+            codes = _on_owner(O, n - 1, ("horns", n, missing), encode_horns)
+            hit = _among(index.sorted_keys, codes)
+            if hit.all():
+                return None
+            x = hit.argmin()
+            return _horn(n, missing, np.unravel_index(codes[x:x + 1], (index.radix,) * n), 0)
+        for cols in _horn_rows(O, n, missing):
+            hit = _among(index.sorted_keys, index.horn_keys(cols))
+            if not hit.all():
+                return _horn(n, missing, cols, hit.argmin())
+        return None
 
-
-def _all_filled(X, n, missing):
-    """Whether the (n, missing)-horn codes cached on X's base all occur
-    among X's filler keys.  False when nothing is cached for level n, the
-    filler keys are ranked rather than plain codes, or a horn is unfilled:
-    the caller then sweeps."""
-    base = X.base
-    if base is None or n != base.truncation + 1:
-        return False
-    index = _filler_index(X, n, missing)
-    if index.steps:
-        return False
-    codes = _horn_codes(base, missing)
-    cells = index.sorted_keys
-    if not len(cells):
-        return not len(codes)
-    pos = np.minimum(np.searchsorted(cells, codes), len(cells) - 1)
-    return bool(np.array_equal(cells[pos], codes))
+    return _on_owner(X, n, ("unfilled", n, missing), build)
 
 
 def is_kan(X, up_to=None):
@@ -1123,25 +1141,13 @@ def is_kan(X, up_to=None):
     has at least one filler.  Returns (True, None) or (False, horn) with
     the first unfilled horn in enumerate_horns order, n and missing
     ascending.  up_to, when given, must be at least 1: a sweep over no level
-    would pass vacuously.  On a set with a base, the base's levels take
-    the base's cached result, and the level above reads the horn codes
-    cached on the base; only a horn type with a miss is swept."""
+    would pass vacuously."""
     if up_to is not None and up_to < 1:
         raise DimensionBound("is_kan checks levels 1..up_to, got up_to = %d" % up_to)
     N = up_to if up_to is not None else X.truncation
-    N = min(N, X.truncation)
-    low = 1
-    base = X.base
-    if base is not None:
-        ok, horn = _cached(base, ("kan",), lambda: is_kan(base))
-        if not ok and horn.n <= N:
-            return False, Horn(horn.n, horn.missing, horn.faces)
-        low = base.truncation + 1
-    for n in range(low, N + 1):
+    for n in range(1, min(N, X.truncation) + 1):
         for missing in range(n + 1):
-            if _all_filled(X, n, missing):
-                continue
             horn = _first_unfilled(X, n, missing)
             if horn is not None:
-                return False, horn
+                return False, Horn(n, missing, horn.faces)
     return True, None

@@ -540,6 +540,14 @@ def test_theorem_verify(capsys, tmp_path):
     code, obj, _ = run_json(capsys, "theorem", "verify", "--group", "cyclic:2",
                             "--coeffs", "2", "--cocycle", path)
     assert code == EXIT_PASS and len(obj["classes"]) == 1
+    assert obj["group"]["name"] == "cyclic:2" and obj["coeffs"] == [2]
+    # a report is never labelled with a group or coefficients the file is not over
+    for group, coeffs in (("dihedral:3", "5"), ("cyclic:2", "5"), ("cyclic:3", "2"),
+                          ("product:cyclic:2,cyclic:2", "2")):
+        code, out, err = run(capsys, "theorem", "verify", "--group", group,
+                             "--coeffs", coeffs, "--cocycle", path)
+        assert code == EXIT_USAGE and out == "", (group, coeffs)
+        assert "cyclic:2 with coefficients [2]" in err and "Traceback" not in err
 
 
 def test_json_determinism(capsys):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from twogrp.coeff import MAX_COEFF_ORDER, AbelianGroup
@@ -52,6 +53,11 @@ def test_invalid_factor_rejected():
         AbelianGroup([1])
     with pytest.raises(InvalidFactor):
         AbelianGroup([0, 2])
+    # no factor is truncated or parsed into an integer
+    for factor in (2.5, 2.0, "3", True):
+        with pytest.raises(InvalidFactor):
+            AbelianGroup([2, factor])
+    assert AbelianGroup(np.array([2, 3])).invariant_factors == (2, 3)
 
 
 def test_order_bound():

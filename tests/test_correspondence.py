@@ -19,13 +19,18 @@ from twogrp.correspondence import (
 )
 from twogrp.errors import DegreeMismatch, DimensionBound
 from twogrp.group import cyclic, dihedral, group_construct
+from twogrp import simplicial
 from twogrp.simplicial import (
     SimplicialMap,
     TruncatedSSet,
+    decalage_map,
     filler_counts,
     is_isomorphism,
     is_kan,
+    nerve_bg,
     validate_simplicial,
+    w_b2a,
+    wbar_b2a,
 )
 from twogrp.twogroup import TwoGroupSkeleton
 
@@ -123,10 +128,6 @@ def test_report_shape():
     names = [s["name"] for s in obj["stages"]]
     assert "iso:forward" in names and "kan:duskin" in names
     assert obj["coeffs"] == [2]
-    # kan stages are skipped when disabled
-    partial = verify_theorem(c2_nontrivial(), check_kan=False)
-    assert not any(s["name"].startswith("kan") for s in partial.stages)
-    assert partial.ok
 
 
 def test_verify_theorem_rejects_wrong_degree():
@@ -277,6 +278,46 @@ def test_classes_of_one_stratum_get_their_own_answers(bad_first):
     order = [("bad", bad), ("good", good)] if bad_first else [("good", good), ("bad", bad)]
     for name, X in order:
         assert answers(X) == want[name]
+
+
+def test_alpha_free_work_runs_once_per_stratum(monkeypatch):
+    # fresh frame, nerve, W, Wbar and decalage for C3/Z3
+    for cached in (_frame, nerve_bg, w_b2a, wbar_b2a, decalage_map):
+        cached.cache_clear()
+    calls = []
+
+    def spy(name, real):
+        def wrapper(obj, *args):
+            calls.append((name, obj))
+            return real(obj, *args)
+        return wrapper
+
+    monkeypatch.setattr(simplicial, "_horn_rows", spy("horns", simplicial._horn_rows))
+    monkeypatch.setattr(simplicial, "_FillerIndex", spy("fillers", simplicial._FillerIndex))
+    monkeypatch.setattr(simplicial, "_failed_identity",
+                        spy("identities", simplicial._failed_identity))
+    monkeypatch.setattr(SimplicialMap, "_failed_commutation",
+                        spy("commutation", SimplicialMap._failed_commutation))
+    G, A = cyclic(3), AbelianGroup([3])
+    first, second = lex_reps(G, A)[1:3]
+    frame = _frame(G, A)
+    static = {"frame": frame, "nerve": nerve_bg(G, 3), "w": w_b2a(A, 3),
+              "wbar": wbar_b2a(A, 3), "dec": decalage_map(A, 3)}
+
+    def work_on(obj):
+        return {name for name, X in calls if X is obj}
+
+    assert verify_theorem(first).ok
+    assert work_on(frame) == {"horns", "fillers", "identities"}
+    assert all(work_on(static[k]) == {"identities"} for k in ("nerve", "w", "wbar"))
+    assert work_on(static["dec"]) == {"commutation"}
+    calls.clear()
+    assert verify_theorem(second).ok
+    assert all(not work_on(obj) for obj in static.values())
+    # the second class checks its own level 3, reading the 3-horns as
+    # codes kept on the frame
+    names = {name for name, _ in calls}
+    assert names == {"fillers", "identities", "commutation"}
 
 
 # SHA-256 of the sorted-key JSON of the reports below, recorded before

@@ -55,6 +55,25 @@ def test_symmetric():
         symmetric(5)
 
 
+def test_non_integers_are_refused():
+    # no entry or family size is truncated or parsed into an integer
+    for entry in (1.5, 1.0, True, "1"):
+        with pytest.raises(NotAGroup) as exc:
+            FiniteGroup([[0, entry], [entry, 0]])
+        assert (exc.value.reason, exc.value.witness) == ("closure", (entry,))
+    # in row order: a float before a short row, a short row before a float
+    for table, witness in (([[0, 1.5], [1, 0, 1]], (1.5,)), ([[0, 1, 1], [1.5, 0]], (3, 2))):
+        with pytest.raises(NotAGroup) as exc:
+            FiniteGroup(table)
+        assert exc.value.witness == witness
+    assert FiniteGroup(np.array([[0, 1], [1, 0]], dtype=np.int32)).table == ((0, 1), (1, 0))
+    for family in (cyclic, dihedral, symmetric):
+        for n in (2.5, 3.0, "3", True):
+            with pytest.raises(UnsupportedSpec):
+                family(n)
+    assert cyclic(np.int64(3)).name == "cyclic:3"
+
+
 def test_product():
     G = product(cyclic(2), cyclic(2))
     assert G.order == 4

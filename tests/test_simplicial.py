@@ -312,6 +312,19 @@ def test_index_table_shares_only_frozen_owned_arrays():
     assert simplicial._index_table(view, "t")[0] == 9
 
 
+def test_tables_and_components_are_read_only():
+    # checks keep their results on the object, so nothing may swap a table
+    X = nerve_bg(C2, 3)
+    f = identity_map(X)
+    for tables in (X.faces, X.degeneracies):
+        with pytest.raises(TypeError):
+            tables[(1, 0)] = tables[(1, 0)]
+        with pytest.raises(TypeError):
+            del tables[(1, 0)]
+    with pytest.raises(TypeError):
+        f.components[0] = f.components[0]
+
+
 def test_set_on_a_base():
     N = nerve_bg(C2, 3)
     base = TruncatedSSet(2, N.levels[:3], {k: v for k, v in N.faces.items() if k[0] <= 2},
