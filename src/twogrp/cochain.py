@@ -341,6 +341,36 @@ def _boundary_basis(G, degree, m):
     return positions, divisors, rows
 
 
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _cocycle_kernel(G, degree, p, k):
+    """The normalized degree-n cocycles over Z_q, q = p^k, and the cyclic
+    summands of H^n, built once per (G, degree, p, k) from a Smith form of
+    the relations that the image of d^(n-1) imposes on the kernel generators
+    of d^n.  Returns ((orders, gens), (orders, vectors)): column j of gens
+    generates a cocycle subgroup of order orders[j] > 1, and column i of
+    vectors a class of order orders[i] in H^n; both arrays are read-only
+    residues mod q."""
+    q = p**k
+    gens, orders, Vinv = kernel_mod_prime_power(bar_matrix(G, degree), p, k)
+    orders = np.array(orders, dtype=np.int64)
+    # orders[j] = p^e_j, and generator j is V[:, j] * p^(k - e_j)
+    steps = q // orders
+    # express the image of d^(n-1) in kernel-generator coordinates
+    Y = (Vinv @ (_boundary_matrix(G, degree) % q)) % q
+    if (Y % steps[:, None]).any():
+        raise WitnessMismatch("image of d^%d not contained in the computed kernel of d^%d"
+                              % (degree - 1, degree))
+    rel = np.concatenate([np.diag(orders), Y // steps[:, None]], axis=1)
+    res = smith_mod_prime_power(rel, p, k, want_uinv=True)
+    # generator i of the quotient is column i of Uinv
+    quotient = [i for i, f in enumerate(res["vals"]) if f > 0]
+    cocycles = gens[:, orders > 1]
+    summands = gens @ res["Uinv"][:, quotient] % q
+    cocycles.flags.writeable = summands.flags.writeable = False
+    return ((tuple(int(o) for o in orders if o > 1), cocycles),
+            (tuple(p ** res["vals"][i] for i in quotient), summands))
+
+
 def _check_bounds(G, A, degree, max_group, max_coeffs):
     _check_degree(degree)
     if degree > 3:
@@ -389,21 +419,16 @@ def cocycle_solve(G, A, degree, max_group=DEFAULT_MAX_GROUP,
                   max_coeffs=DEFAULT_MAX_COEFFS):
     """Generators of the subgroup of normalized degree-n cocycles."""
     _check_bounds(G, A, degree, max_group, max_coeffs)
-    D = bar_matrix(G, degree)
-    ncols = D.shape[1]
     gens_out = []
     orders_out = []
     for t, m in enumerate(A.invariant_factors):
         for p, k in prime_power_decomposition(m):
-            q = p**k
-            gens, orders, _ = kernel_mod_prime_power(D, p, k)
-            mu = m // q
-            for j in range(ncols):
-                if orders[j] == 1:
-                    continue
-                vec = (gens[:, j] * mu) % m
-                gens_out.append(_cochain_from_factor_vectors(G, A, degree, {t: vec}))
-                orders_out.append(orders[j])
+            (orders, gens), _ = _cocycle_kernel(G, degree, p, k)
+            # lift into Z_{m_t} by the cofactor m_t / p^k
+            mu = m // p**k
+            gens_out.extend(_cochain_from_factor_vectors(G, A, degree, {t: vec * mu % m})
+                            for vec in gens.T)
+            orders_out.extend(orders)
     return CocycleBasis(G, A, degree, gens_out, orders_out)
 
 
@@ -481,7 +506,9 @@ class CohomologyResult:
         return Cochain(self.group, A, self.degree, acc % A.moduli)
 
     def all_class_coordinates(self):
-        """Every coordinate tuple, in lexicographic order."""
+        """Every coordinate tuple, in lexicographic order; refused, before
+        any is built, above the bound on cells per level."""
+        _check_cells(self.class_count, "the class list of H^%d" % self.degree)
         return list(itertools.product(*(range(o) for o in self._raw_orders)))
 
     def lex_minimal_representative(self, c):
@@ -498,34 +525,18 @@ class CohomologyResult:
 def cohomology(G, A, degree, max_group=DEFAULT_MAX_GROUP,
                max_coeffs=DEFAULT_MAX_COEFFS):
     """H^degree(G, A) on normalized cochains: per invariant factor and prime
-    power, the cyclic summands come from a Smith form of the relations that
-    the image of d^(n-1) imposes on the kernel generators of d^n."""
+    power, the cyclic summands of _cocycle_kernel lifted into that factor."""
     _check_bounds(G, A, degree, max_group, max_coeffs)
-    D = bar_matrix(G, degree)
-    Dprev = _boundary_matrix(G, degree)
     raw = []  # (invariant factor t, order p^f, vector mod m_t)
     for t, m in enumerate(A.invariant_factors):
         for p, k in prime_power_decomposition(m):
-            q = p**k
-            gens, orders, Vinv = kernel_mod_prime_power(D, p, k)
-            # orders[j] = p^e_j, and generator j is V[:, j] * p^(k - e_j)
-            steps = q // np.array(orders, dtype=np.int64)
-            # express the image of d^(n-1) in kernel-generator coordinates
-            Y = (Vinv @ (Dprev % q)) % q
-            if (Y % steps[:, None]).any():
-                raise AssertionError("image not contained in kernel")
-            C = Y // steps[:, None]
-            rel = np.concatenate([np.diag(np.array(orders, dtype=np.int64)), C], axis=1)
-            res = smith_mod_prime_power(rel, p, k, want_uinv=True)
-            # generator i of the quotient is column i of Uinv, lifted into
-            # Z_{m_t} by the cofactor m_t / p^k
-            for i, f in enumerate(res["vals"]):
-                if f > 0:
-                    avec = (gens @ res["Uinv"][:, i]) % q
-                    raw.append((t, p**f, (avec * (m // q)) % m))
+            _, (orders, vectors) = _cocycle_kernel(G, degree, p, k)
+            # lift into Z_{m_t} by the cofactor m_t / p^k
+            mu = m // p**k
+            raw.extend((t, order, vec * mu % m) for order, vec in zip(orders, vectors.T))
     raw_orders = [order for _t, order, _vec in raw]
     result = CohomologyResult(G, A, degree, canonical_invariant_factors(raw_orders),
-                              raw, Dprev)
+                              raw, _boundary_matrix(G, degree))
     # merge into the divisibility chain: slot i from the top sums, per
     # prime, the i-th largest summand (the earliest first among equals)
     slots = [[0] * len(raw) for _ in result.invariant_factors]
@@ -571,6 +582,7 @@ def cohomology_classes_mod_aut(G, A, degree=3, max_group=DEFAULT_MAX_GROUP,
     """Orbit representatives of H^degree(G, A) under the pullback action of
     Aut(G).  Returns (representatives, orbit_count, result)."""
     result = cohomology(G, A, degree, max_group=max_group, max_coeffs=max_coeffs)
+    starts = result.all_class_coordinates()
     auts = group_automorphisms(G)
     orders = np.array(result._raw_orders, dtype=np.int64)
     k = len(orders)
@@ -584,7 +596,7 @@ def cohomology_classes_mod_aut(G, A, degree=3, max_group=DEFAULT_MAX_GROUP,
     # auts is all of Aut(G), so the images of start are its whole orbit
     seen = set()
     reps = []
-    for start in result.all_class_coordinates():
+    for start in starts:
         if start in seen:
             continue
         orbit = set(map(tuple, (np.array(start, dtype=np.int64) @ actions % orders).tolist()))

@@ -40,7 +40,7 @@ class DegreeMismatch(TwogrpError):
 
 
 class WitnessMismatch(TwogrpError):
-    """A witness the library computed failed its own verification."""
+    """A witness or kernel the library computed failed its own verification."""
 
 
 class NotACocycle(TwogrpError):

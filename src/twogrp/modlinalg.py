@@ -33,6 +33,16 @@ def prime_power_decomposition(m):
     return out
 
 
+def _valuations(A, p, k):
+    """The p-adic valuation of each entry of A over Z_{p^k}, as int8, with
+    k for a zero entry."""
+    W = np.zeros(A.shape, dtype=np.int8)
+    for v in range(1, k):
+        W[A % p**v == 0] = v
+    W[A == 0] = k
+    return W
+
+
 def smith_mod_prime_power(mat, p, k, want_v=False, want_uinv=False,
                           want_vinv=False):
     """Diagonalize mat over Z_q, q = p^k: mat @ V = Uinv @ S with S diagonal
@@ -40,39 +50,39 @@ def smith_mod_prime_power(mat, p, k, want_v=False, want_uinv=False,
 
     Returns a dict with "vals" (diagonal valuations, one per pivot position)
     and "S", plus any of "V", "Uinv", "Vinv" requested; V and Uinv are
-    invertible over Z_q, and Vinv is tracked alongside V.
+    invertible over Z_q, and Vinv is tracked alongside V.  The pivot at
+    position t is the first entry of minimal valuation, in row-major order,
+    of the trailing block M[t:, t:].
     """
     q = p**k
     M = np.array(mat, dtype=np.int64) % q
     rows, cols = M.shape
-    Uinv = np.eye(rows, dtype=np.int64) if want_uinv else None
+    # Uinv is built transposed, so that its column operations are row ones
+    UinvT = np.eye(rows, dtype=np.int64) if want_uinv else None
     V = np.eye(cols, dtype=np.int64) if want_v else None
     Vinv = np.eye(cols, dtype=np.int64) if want_vinv else None
-
-    def val_matrix(A):
-        vals = np.zeros(A.shape, dtype=np.int64)
-        for v in range(1, k):
-            vals[A % p**v == 0] = v
-        vals[A == 0] = k
-        return vals
+    # W[i, j] is the valuation of M[i, j]: computed once, permuted with M,
+    # and recomputed only where a sweep changes M
+    W = _valuations(M, p, k)
 
     diag_vals = []
     t = 0
     npos = min(rows, cols)
     while t < npos:
-        sub = M[t:, t:]
-        vals = val_matrix(sub)
-        vmin = int(vals.min())
+        sub = W[t:, t:]
+        i, j = divmod(int(sub.argmin()), cols - t)
+        vmin = int(sub[i, j])
         if vmin >= k:
             break
-        i, j = np.unravel_index(int(vals.argmin()), vals.shape)
-        i, j = int(i) + t, int(j) + t
+        i, j = i + t, j + t
         if i != t:
             M[[t, i]] = M[[i, t]]
-            if Uinv is not None:
-                Uinv[:, [t, i]] = Uinv[:, [i, t]]
+            W[[t, i]] = W[[i, t]]
+            if UinvT is not None:
+                UinvT[[t, i]] = UinvT[[i, t]]
         if j != t:
             M[:, [t, j]] = M[:, [j, t]]
+            W[:, [t, j]] = W[:, [j, t]]
             if V is not None:
                 V[:, [t, j]] = V[:, [j, t]]
             if Vinv is not None:
@@ -80,18 +90,21 @@ def smith_mod_prime_power(mat, p, k, want_v=False, want_uinv=False,
         piv = p**vmin
         unit = int(M[t, t]) // piv
         uinv = pow(unit, -1, q)
+        # a unit multiple keeps the valuations of row t
         M[t, :] = (M[t, :] * uinv) % q
-        if Uinv is not None:
-            Uinv[:, t] = (Uinv[:, t] * unit) % q
+        if UinvT is not None:
+            UinvT[t] = (UinvT[t] * unit) % q
         # rows above t are already clear in column t, so the row sweep only
         # touches rows below t with a nonzero factor, in columns >= t
         factors = (M[:, t] // piv) % q
         factors[t] = 0
         nz = np.flatnonzero(factors)
         if nz.size:
-            M[nz, t:] = (M[nz, t:] - np.outer(factors[nz], M[t, t:])) % q
-            if Uinv is not None:
-                Uinv[:, t] = (Uinv[:, t] + Uinv[:, nz] @ factors[nz]) % q
+            swept = (M[nz, t:] - np.outer(factors[nz], M[t, t:])) % q
+            M[nz, t:] = swept
+            W[nz, t:] = _valuations(swept, p, k)
+            if UinvT is not None:
+                UinvT[t] = (UinvT[t] + factors[nz] @ UinvT[nz]) % q
         # column t is now clear below the pivot, so the column sweep only
         # clears the tail of row t
         cfac = (M[t, :] // piv) % q
@@ -103,6 +116,7 @@ def smith_mod_prime_power(mat, p, k, want_v=False, want_uinv=False,
                 V[:, nzc] = (V[:, nzc] - np.outer(V[:, t], cfac[nzc])) % q
             if Vinv is not None:
                 Vinv[t, :] = (Vinv[t, :] + cfac[nzc] @ Vinv[nzc]) % q
+        W[t, t + 1:] = k
         diag_vals.append(vmin)
         t += 1
     while len(diag_vals) < npos:
@@ -111,7 +125,7 @@ def smith_mod_prime_power(mat, p, k, want_v=False, want_uinv=False,
     if want_v:
         out["V"] = V
     if want_uinv:
-        out["Uinv"] = Uinv
+        out["Uinv"] = UinvT.T
     if want_vinv:
         out["Vinv"] = Vinv
     return out

@@ -185,6 +185,17 @@ def test_cocycle_solve_and_classes(capsys):
     assert obj["class_count"] == 3 and obj["orbit_count"] == 3
 
 
+def test_class_enumeration_bound(capsys):
+    # H^3(C2^3, Z2^3) has 2^30 classes, above the enumeration bound
+    spec = "product:cyclic:2,product:cyclic:2,cyclic:2"
+    for argv in (["cocycle", "classes-mod-aut", "--group", spec, "--coeffs", "2,2,2"],
+                 ["theorem", "verify", "--group", spec, "--coeffs", "2,2,2", "--all-classes"]):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_FAIL, argv
+        assert out == "" and err == ("error: the class list of H^3 would hold 1073741824 "
+                                     "cells, above the bound 1048576\n")
+
+
 def test_twogroup_verbs(capsys, tmp_path):
     path = write_cocycle(tmp_path, "alpha.json", nontrivial_values())
     code, obj, _ = run_json(capsys, "twogroup", "check", "--cocycle", path)

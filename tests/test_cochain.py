@@ -314,9 +314,69 @@ def test_are_cohomologous_reuses_the_boundary_basis(monkeypatch):
     second = are_cohomologous(alpha, shifted)
     assert calls == []
     assert second == first and coboundary(second) == shifted.sub(alpha)
-    # cohomology reads the same bases; only its own d^n and d^(n-1) remain
+    # cohomology reads the same bases and its cached kernels; only its own
+    # d^(n-1) remains
     assert cohomology(G, A, 3).representatives[-1] == alpha
-    assert calls == [(G, 3), (G, 2)]
+    assert calls == [(G, 2)]
+
+
+def test_cocycle_kernel_runs_once_per_key(monkeypatch):
+    G = dihedral(4)
+    calls = []
+    real = cochain.kernel_mod_prime_power
+    monkeypatch.setattr(cochain, "kernel_mod_prime_power",
+                        lambda *args: calls.append(args[1:]) or real(*args))
+    cochain._cocycle_kernel.cache_clear()
+    # both factors of Z2^2 read the one kernel over Z_2
+    assert cohomology(G, AbelianGroup([2, 2]), 3).invariant_factors == [2] * 8
+    assert calls == [(2, 1)]
+    assert cohomology(G, Z2, 3).invariant_factors == [2] * 4
+    assert cocycle_solve(G, Z2, 3).subgroup_order == 2**45
+    assert cohomology_classes_mod_aut(G, Z2)[1] == 10
+    assert calls == [(2, 1)]
+    # every caller shares the cached arrays, so none may write to them
+    (orders, gens), (summand_orders, summands) = cochain._cocycle_kernel(G, 3, 2, 1)
+    assert len(orders) == gens.shape[1] and len(summand_orders) == summands.shape[1] == 4
+    for arr in (gens, summands):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 1
+
+
+def test_kernel_self_check_is_an_error(monkeypatch, capsys):
+    # a kernel that does not contain the image of d^(n-1) is refused with a
+    # library error that survives python -O, and the CLI exits 1
+    from twogrp.cli import EXIT_FAIL, main
+
+    real = cochain.kernel_mod_prime_power
+
+    def forgetful_kernel(mat, p, k):
+        gens, orders, Vinv = real(mat, p, k)
+        return gens, orders, np.eye(Vinv.shape[0], dtype=np.int64)
+
+    cochain._cocycle_kernel.cache_clear()
+    monkeypatch.setattr(cochain, "kernel_mod_prime_power", forgetful_kernel)
+    with pytest.raises(WitnessMismatch, match="not contained in the computed kernel"):
+        cohomology(C3, Z3, 3)
+    assert main(["cohomology", "--group", "cyclic:3", "--coeffs", "3"]) == EXIT_FAIL
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: image of d^2 not contained")
+    # a failed build is not cached
+    monkeypatch.setattr(cochain, "kernel_mod_prime_power", real)
+    assert cohomology(C3, Z3, 3).invariant_factors == [3]
+
+
+def test_class_enumeration_is_bounded():
+    # H^3(C2^3, Z2^3) has 2^30 classes: enumerating them is refused before
+    # any coordinate tuple is built, while H^3 itself is cheap
+    G = group_construct("product:cyclic:2,product:cyclic:2,cyclic:2")
+    res = cohomology(G, AbelianGroup([2, 2, 2]), 3)
+    assert res.class_count == 2**30
+    with pytest.raises(SizeBound, match="class list of H\\^3 would hold 1073741824 cells"):
+        res.all_class_coordinates()
+    with pytest.raises(SizeBound, match="bound 1048576"):
+        cohomology_classes_mod_aut(G, AbelianGroup([2, 2, 2]))
+    # 2^20 classes are exactly at the bound, so their enumeration is allowed
+    assert cohomology(G, AbelianGroup([2, 2]), 3).class_count == 2**20
 
 
 def test_group_power_allocations_are_bounded():

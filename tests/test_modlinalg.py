@@ -1,9 +1,12 @@
+import hashlib
 import itertools
 import random
 
 import numpy as np
 import pytest
 
+from twogrp.cochain import bar_matrix
+from twogrp.group import group_construct
 from twogrp.modlinalg import (
     canonical_invariant_factors,
     howell_basis,
@@ -161,3 +164,49 @@ def test_canonical_invariant_factors():
     assert canonical_invariant_factors([4, 6, 2]) == [2, 2, 12]
     assert canonical_invariant_factors([1, 1]) == []
     assert canonical_invariant_factors([]) == []
+
+
+# SHA-256 of (shape, int64 bytes) of each output of the Smith form of a
+# degree-3 bar matrix, recorded before the valuations were kept across
+# pivots: the pivot order, and with it every output, must not move
+SMITH_DIGESTS = {
+    ("dihedral:4", 2, 1): {
+        "vals": "eaa04b46797221addce633c5d9517094bc613f5bba82f2c7edb02e6b3caf3f9c",
+        "S": "184b37b3f232e46287f02be47a01ce1646ee62fc83ed8f724ee6c4b49c8456fb",
+        "V": "596d30ba91cff5f0d5d1d0ee0420fbd10d6a2aab4a10ca27adaee0ab589c5e3e",
+        "Uinv": "90d260725646dc72b95b988622d8d04ca93b37e17c710ccf6a0d1f4f37200bd7",
+        "Vinv": "73a07e81e10732e492af2c6d70713385c681f8abd4556a7bebbecd207175e9ce",
+    },
+    ("dihedral:4", 2, 2): {
+        "vals": "dd5f6d945c7f19681769d014799843fd12198ddab472ca4b5c1d354238beb09c",
+        "S": "7ec300d5b751f3c0c373b9ceb3e6a92b43a1d5b6967420c3e62f948e609d7147",
+        "V": "21ff433efca3f11e5deffd15f64ca1e37cc1cdd1e39cff230f85040ee6258899",
+        "Uinv": "12df1cd635f0fc879267044b34fa21310a2c43ea18876c344dd430a831e28a64",
+        "Vinv": "c23d4d39a6268ee8dfefe29b8a4b44efa014bc87e7de9bc59384a957ae4a5588",
+    },
+    ("product:cyclic:2,cyclic:4", 2, 3): {
+        "vals": "f2e912278797e23e3051904496e59524b761ab149aae43074eeed03110d11690",
+        "S": "f96cb70f1d9d475ab7cefee2644637ee6966286f102babb3fef3220fad37be85",
+        "V": "2c16cd7aaa04ad936c4af37f03dcaf40c114fabcbab9227307cf4109875a109d",
+        "Uinv": "e6c276b8398d3c21c93df3a92d4ecc4dbb08f3afb36be1926fbff0266c7c2fcf",
+        "Vinv": "9a5a50c7ad2e45b999afb85394c06073e0d9fcfc9868fc6b22b0225e1bc73107",
+    },
+    ("symmetric:3", 3, 1): {
+        "vals": "402e36ae254feab85df5cc98d121644db495719d0007df58f04340a48d67c848",
+        "S": "62a2f7705b577c5f93841a1e2a1a551226b3d328c4f364a0ef17e6749c70e8dc",
+        "V": "dbe687107cc8324ee2a4e46e3f7198342b93220ba146463998ab469aba6e1ec8",
+        "Uinv": "4974205533c42241452404a9c2a36c4b93cb1d21218a510c0acdb7cf951c047a",
+        "Vinv": "fa8bdb92e8997af97136b14636ad045292eba4174155ec69acbbd0110956437e",
+    },
+}
+
+
+@pytest.mark.parametrize("spec,p,k", sorted(SMITH_DIGESTS))
+def test_smith_pivot_order_is_pinned(spec, p, k):
+    res = smith_mod_prime_power(bar_matrix(group_construct(spec), 3), p, k,
+                                want_v=True, want_uinv=True, want_vinv=True)
+    digests = {}
+    for key in SMITH_DIGESTS[spec, p, k]:
+        arr = np.ascontiguousarray(res[key], dtype=np.int64)
+        digests[key] = hashlib.sha256(repr(arr.shape).encode() + arr.tobytes()).hexdigest()
+    assert digests == SMITH_DIGESTS[spec, p, k]
