@@ -111,10 +111,6 @@ def _emit_text(report, elapsed_ms, indent=0):
         print("RESULT: %s" % ("PASS" if report.get("ok", True) else "FAIL"))
 
 
-def _ab_json(x):
-    return list(x)
-
-
 # ---------------------------------------------------------------------------
 # verb handlers; each returns (report dict, ok flag)
 
@@ -210,7 +206,7 @@ def run_twogroup(args):
             "ok": bool(pairs),
             "element": args.element,
             "dual": alpha.group.inv(args.element),
-            "pairs": [[_ab_json(ev), _ab_json(coev)] for ev, coev in pairs],
+            "pairs": [[list(ev), list(coev)] for ev, coev in pairs],
         }
         return report, bool(pairs)
     if args.subaction == "functor":
@@ -266,7 +262,7 @@ def run_theorem(args):
         res = cohomology(G, A, 3, max_group=args.max_group,
                          max_coeffs=args.max_coeffs)
         alphas = []
-        for coords in sorted(res.all_class_coordinates()):
+        for coords in res.all_class_coordinates():
             rep = res.lex_minimal_representative(
                 res.cochain_from_coordinates(coords)
             )

@@ -20,8 +20,9 @@ generator per summand.  Everything that reads a class uses a Howell basis
 over each factor Z_m: that of the image of d gives lex-minimal
 representatives and primitives of coboundaries, and that of the cocycles,
 generated by the summands and then the image of d, gives a cocycle's class
-coordinates as its coefficients on the summands.  Aut(G) acts on those
-coordinates by one matrix per automorphism.
+coordinates as its coefficients on the summands; both are cached per
+(G, n, m).  Aut(G) permutes the normalized coordinates, so it acts on class
+coordinates by one matrix per automorphism, read off one gather.
 """
 
 import functools
@@ -34,6 +35,7 @@ from .coeff import AbelianGroup
 from .errors import (
     DegreeMismatch,
     NotACocycle,
+    NotNormalized,
     ParseError,
     ShapeMismatch,
     SizeBound,
@@ -371,6 +373,31 @@ def _cocycle_kernel(G, degree, p, k):
             (tuple(p ** res["vals"][i] for i in quotient), summands))
 
 
+def _lifted(G, degree, m, part):
+    """(orders, vectors): part 0 (cocycle generators) or 1 (summands of H^n)
+    of _cocycle_kernel for each prime power p^k of m, lifted by m / p^k,
+    with row i of the read-only array vectors of order orders[i]."""
+    orders, rows = [], []
+    for p, k in prime_power_decomposition(m):
+        part_orders, cols = _cocycle_kernel(G, degree, p, k)[part]
+        orders.extend(part_orders)
+        rows.append(cols.T * (m // p**k) % m)
+    vectors = np.concatenate(rows)
+    vectors.flags.writeable = False
+    return tuple(orders), vectors
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _class_basis(G, degree, m):
+    """The Howell basis over Z_m of the normalized cocycles, generated by the
+    summands of H^n and then the image of d^(n-1), built once per (G, degree, m)."""
+    _orders, summands = _lifted(G, degree, m, 1)
+    positions, divisors, rows = howell_basis(
+        np.concatenate([summands.T, _boundary_matrix(G, degree)], axis=1), m)
+    rows.flags.writeable = False
+    return positions, divisors, rows
+
+
 def _check_bounds(G, A, degree, max_group, max_coeffs):
     _check_degree(degree)
     if degree > 3:
@@ -402,121 +429,100 @@ def _factor_vector(c, t):
 
 
 class CocycleBasis:
-    """Generators of the normalized cocycle subgroup Z^n."""
+    """Generators of the normalized cocycle subgroup Z^n and their orders."""
 
-    def __init__(self, group, coeffs, degree, generators, orders):
-        self.group = group
-        self.coeffs = coeffs
-        self.degree = degree
+    def __init__(self, generators, orders):
         self.generators = generators
         self.orders = orders
-        self.subgroup_order = 1
-        for o in orders:
-            self.subgroup_order *= o
+        self.subgroup_order = math.prod(orders)
 
 
 def cocycle_solve(G, A, degree, max_group=DEFAULT_MAX_GROUP,
                   max_coeffs=DEFAULT_MAX_COEFFS):
     """Generators of the subgroup of normalized degree-n cocycles."""
     _check_bounds(G, A, degree, max_group, max_coeffs)
-    gens_out = []
-    orders_out = []
+    generators, orders = [], []
     for t, m in enumerate(A.invariant_factors):
-        for p, k in prime_power_decomposition(m):
-            (orders, gens), _ = _cocycle_kernel(G, degree, p, k)
-            # lift into Z_{m_t} by the cofactor m_t / p^k
-            mu = m // p**k
-            gens_out.extend(_cochain_from_factor_vectors(G, A, degree, {t: vec * mu % m})
-                            for vec in gens.T)
-            orders_out.extend(orders)
-    return CocycleBasis(G, A, degree, gens_out, orders_out)
+        part_orders, vectors = _lifted(G, degree, m, 0)
+        generators.extend(_cochain_from_factor_vectors(G, A, degree, {t: vec})
+                          for vec in vectors)
+        orders.extend(part_orders)
+    return CocycleBasis(generators, orders)
 
 
 class CohomologyResult:
     """H^n(G, A): invariant factors with one representative cocycle per
     reported generator, plus class arithmetic for orbit computations.
 
-    raw lists the cyclic summands of H as (t, order, vector): a class of
-    that order whose cocycle lives in invariant factor t of A and reads
-    vector over normalized coordinates.  Per factor, the summands are a
-    direct-sum basis of that factor's part of H, and class coordinates are
-    coefficients on them.  cohomology() sets representatives."""
+    Per invariant factor t of A, the cyclic summands of H^n whose cocycles
+    live in factor t (the rows of one read-only matrix over normalized
+    coordinates, with their orders) are a direct-sum basis of that factor's
+    part of H^n.  Class coordinates are coefficients on the summands of
+    every factor in turn.  cohomology() sets representatives."""
 
-    def __init__(self, group, coeffs, degree, invariant_factors, raw,
-                 boundary_matrix):
+    def __init__(self, group, coeffs, degree):
         self.group = group
         self.coeffs = coeffs
         self.degree = degree
-        self.invariant_factors = invariant_factors
-        self._raw = raw
-        self._raw_orders = [order for _t, order, _vec in raw]
-        self._raw_reps = [_cochain_from_factor_vectors(group, coeffs, degree, {t: vec})
-                          for t, _order, vec in raw]
-        self.class_count = math.prod(self._raw_orders)
-        self._boundary = boundary_matrix
-        # the Howell basis of the image of d^(n-1), one per invariant factor
-        self._bases = [_boundary_basis(group, degree, m)
-                       for m in coeffs.invariant_factors]
-
-    @functools.cached_property
-    def _class_bases(self):
-        """Per invariant factor Z_m: its summands' orders, and the Howell
-        basis of its cocycles, generated by the summands and then the image
-        of d^(n-1).  Built on the first class_coordinates call."""
-        out = []
-        for t, m in enumerate(self.coeffs.invariant_factors):
-            mine = [(order, vec) for tt, order, vec in self._raw if tt == t]
-            cols = [vec[:, None] for _order, vec in mine] + [self._boundary]
-            out.append(([order for order, _vec in mine],
-                        howell_basis(np.concatenate(cols, axis=1), m)))
-        return out
+        self._summands = [_lifted(group, degree, m, 1) for m in coeffs.invariant_factors]
+        self._orders = [o for orders, _vectors in self._summands for o in orders]
+        self.invariant_factors = canonical_invariant_factors(self._orders)
+        self.class_count = math.prod(self._orders)
 
     def _factor_vectors(self, c):
         """c's residues over normalized coordinates, one vector per
-        invariant factor, once c is known to live on this complex."""
+        invariant factor, once c is known to be normalized and on this complex."""
         if (c.group, c.coeffs, c.degree) != (self.group, self.coeffs, self.degree):
             raise DegreeMismatch("cochain lives on another complex than this H^n")
+        witness = c.normalization_witness()
+        if witness is not None:
+            raise NotNormalized(witness)
         return [_factor_vector(c, t) for t in range(len(self.coeffs.moduli))]
 
+    def _coordinates(self, t, vecs):
+        """The coordinates on factor t's summands of each cocycle whose
+        factor-t residues lie along the last axis of vecs."""
+        m = self.coeffs.invariant_factors[t]
+        orders = self._summands[t][0]
+        # a cocycle reduces to zero against the cocycles, and then its
+        # coefficients on the summands are its coordinates
+        rest, x = lex_reduce_mod(_class_basis(self.group, self.degree, m), m, vecs)
+        if rest.any():
+            raise NotACocycle()
+        return x[..., :len(orders)] % orders
+
     def class_coordinates(self, c):
-        """Coordinates of the class of cocycle c w.r.t. the raw generator
-        list (one residue per generator)."""
+        """Coordinates of the class of the normalized cocycle c w.r.t. the
+        summands (one residue per summand)."""
         out = []
-        for vec, m, (orders, basis) in zip(self._factor_vectors(c),
-                                           self.coeffs.invariant_factors,
-                                           self._class_bases):
-            # c is a cocycle iff it reduces to zero against the cocycles,
-            # and then its coefficients on the summands are its coordinates
-            rest, x = lex_reduce_mod(basis, m, vec)
-            if rest.any():
-                raise NotACocycle()
-            out.extend((x[:len(orders)] % orders).tolist())
+        for t, vec in enumerate(self._factor_vectors(c)):
+            out.extend(self._coordinates(t, vec).tolist())
         return tuple(out)
 
     def cochain_from_coordinates(self, coords):
-        """A representative cocycle of the class with the given raw
-        coordinates."""
-        if len(coords) != len(self._raw_reps):
-            raise ShapeMismatch("expected %d coordinates" % len(self._raw_reps))
-        A = self.coeffs
-        acc = Cochain.zero(self.group, A, self.degree).residues
-        for ci, rep in zip(coords, self._raw_reps):
-            # |A| kills every residue; reducing by it keeps the sum in int64
-            acc = acc + int(ci) % A.order * rep.residues
-        return Cochain(self.group, A, self.degree, acc % A.moduli)
+        """A representative cocycle of the class with the given coordinates."""
+        if len(coords) != len(self._orders):
+            raise ShapeMismatch("expected %d coordinates" % len(self._orders))
+        coords = iter(coords)
+        vectors = {}
+        for t, (m, (orders, summands)) in enumerate(zip(self.coeffs.invariant_factors,
+                                                        self._summands)):
+            x = np.array([int(next(coords)) % m for _ in orders], dtype=np.int64)
+            vectors[t] = x @ summands % m
+        return _cochain_from_factor_vectors(self.group, self.coeffs, self.degree, vectors)
 
     def all_class_coordinates(self):
         """Every coordinate tuple, in lexicographic order; refused, before
         any is built, above the bound on cells per level."""
         _check_cells(self.class_count, "the class list of H^%d" % self.degree)
-        return list(itertools.product(*(range(o) for o in self._raw_orders)))
+        return list(itertools.product(*(range(o) for o in self._orders)))
 
     def lex_minimal_representative(self, c):
-        """The lexicographically smallest cocycle cohomologous to c."""
+        """The lexicographically smallest cocycle cohomologous to normalized c."""
         vectors = {
-            t: lex_reduce_mod(basis, m, vec)[0]
-            for t, (vec, basis, m) in enumerate(zip(self._factor_vectors(c), self._bases,
-                                                    self.coeffs.invariant_factors))
+            t: lex_reduce_mod(_boundary_basis(self.group, self.degree, m), m, vec)[0]
+            for t, (vec, m) in enumerate(zip(self._factor_vectors(c),
+                                             self.coeffs.invariant_factors))
         }
         return _cochain_from_factor_vectors(self.group, self.coeffs, self.degree,
                                             vectors)
@@ -524,25 +530,17 @@ class CohomologyResult:
 
 def cohomology(G, A, degree, max_group=DEFAULT_MAX_GROUP,
                max_coeffs=DEFAULT_MAX_COEFFS):
-    """H^degree(G, A) on normalized cochains: per invariant factor and prime
-    power, the cyclic summands of _cocycle_kernel lifted into that factor."""
+    """H^degree(G, A) on normalized cochains: per invariant factor, the
+    cyclic summands of _cocycle_kernel lifted into that factor."""
     _check_bounds(G, A, degree, max_group, max_coeffs)
-    raw = []  # (invariant factor t, order p^f, vector mod m_t)
-    for t, m in enumerate(A.invariant_factors):
-        for p, k in prime_power_decomposition(m):
-            _, (orders, vectors) = _cocycle_kernel(G, degree, p, k)
-            # lift into Z_{m_t} by the cofactor m_t / p^k
-            mu = m // p**k
-            raw.extend((t, order, vec * mu % m) for order, vec in zip(orders, vectors.T))
-    raw_orders = [order for _t, order, _vec in raw]
-    result = CohomologyResult(G, A, degree, canonical_invariant_factors(raw_orders),
-                              raw, _boundary_matrix(G, degree))
+    result = CohomologyResult(G, A, degree)
+    orders = result._orders
     # merge into the divisibility chain: slot i from the top sums, per
     # prime, the i-th largest summand (the earliest first among equals)
-    slots = [[0] * len(raw) for _ in result.invariant_factors]
+    slots = [[0] * len(orders) for _ in result.invariant_factors]
     ranks = {}
-    for idx in sorted(range(len(raw)), key=lambda i: -raw_orders[i]):
-        (p, _f), = prime_power_decomposition(raw_orders[idx])
+    for idx in sorted(range(len(orders)), key=lambda i: -orders[i]):
+        (p, _f), = prime_power_decomposition(orders[idx])
         rank = ranks.get(p, 0)
         slots[rank][idx] = 1
         ranks[p] = rank + 1
@@ -583,17 +581,21 @@ def cohomology_classes_mod_aut(G, A, degree=3, max_group=DEFAULT_MAX_GROUP,
     Aut(G).  Returns (representatives, orbit_count, result)."""
     result = cohomology(G, A, degree, max_group=max_group, max_coeffs=max_coeffs)
     starts = result.all_class_coordinates()
-    auts = group_automorphisms(G)
-    orders = np.array(result._raw_orders, dtype=np.int64)
+    # automorphism a sends normalized coordinate i to coordinate perms[a, i]
+    images = np.array([phi.image for phi in group_automorphisms(G)], dtype=np.int64)
+    cube = np.arange((G.order - 1) ** degree).reshape((G.order - 1,) * degree)
+    perms = np.array([cube[np.ix_(*(image,) * degree)].ravel() for image in images[:, 1:] - 1])
+    orders = np.array(result._orders, dtype=np.int64)
     k = len(orders)
-    # pullback is linear on classes: row i of the matrix of phi holds the
-    # coordinates of raw generator i pulled back along phi
-    actions = np.array([
-        [result.class_coordinates(pull_back_along_automorphism(phi, rep))
-         for rep in result._raw_reps]
-        for phi in auts
-    ], dtype=np.int64).reshape(len(auts), k, k)
-    # auts is all of Aut(G), so the images of start are its whole orbit
+    # pullback keeps each factor, so the matrix of a is block-diagonal: row i
+    # of block t holds the coordinates of factor t's summand i pulled back
+    actions = np.zeros((len(images), k, k), dtype=np.int64)
+    lo = 0
+    for t, (part_orders, summands) in enumerate(result._summands):
+        hi = lo + len(part_orders)
+        actions[:, lo:hi, lo:hi] = result._coordinates(t, summands[:, perms]).swapaxes(0, 1)
+        lo = hi
+    # the actions are all of Aut(G), so the images of start are its whole orbit
     seen = set()
     reps = []
     for start in starts:

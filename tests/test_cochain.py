@@ -21,6 +21,7 @@ from twogrp.cochain import (
 from twogrp.errors import (
     DegreeMismatch,
     NotACocycle,
+    NotNormalized,
     ShapeMismatch,
     SizeBound,
     WitnessMismatch,
@@ -254,6 +255,20 @@ def test_class_coordinates_rejects_non_cocycle():
         res.class_coordinates(bad)
 
 
+def test_class_arithmetic_refuses_unnormalized_cochains():
+    # c = d(beta) is a coboundary, but its normalized block alone reads as
+    # the nontrivial class: class_coordinates used to return (1,), and
+    # lex_minimal_representative a cocycle not cohomologous to c
+    beta = Cochain.from_function(C2, Z2, 2, lambda x, y: (1,) if (x, y) == (1, 0) else (0,))
+    c = coboundary(beta)
+    assert is_cocycle(c)[0] and c.normalization_witness() is not None
+    res = cohomology(C2, Z2, 3)
+    for read in (res.class_coordinates, res.lex_minimal_representative):
+        with pytest.raises(NotNormalized) as err:
+            read(c)
+        assert err.value.witness == c.normalization_witness()
+
+
 def test_are_cohomologous():
     zero = Cochain.zero(C2, Z2, 3)
     alpha = nontrivial_c2(3)
@@ -314,10 +329,10 @@ def test_are_cohomologous_reuses_the_boundary_basis(monkeypatch):
     second = are_cohomologous(alpha, shifted)
     assert calls == []
     assert second == first and coboundary(second) == shifted.sub(alpha)
-    # cohomology reads the same bases and its cached kernels; only its own
-    # d^(n-1) remains
+    # cohomology reads the same bases and its cached kernels, so it builds
+    # no bar matrix either
     assert cohomology(G, A, 3).representatives[-1] == alpha
-    assert calls == [(G, 2)]
+    assert calls == []
 
 
 def test_cocycle_kernel_runs_once_per_key(monkeypatch):
@@ -340,6 +355,22 @@ def test_cocycle_kernel_runs_once_per_key(monkeypatch):
     for arr in (gens, summands):
         with pytest.raises(ValueError, match="read-only"):
             arr[0, 0] = 1
+
+
+def test_class_basis_is_built_once_per_key(monkeypatch):
+    G, A = cyclic(4), AbelianGroup([2, 4])
+    calls = []
+    real = cochain.howell_basis
+    monkeypatch.setattr(cochain, "howell_basis",
+                        lambda *args: calls.append(args[1]) or real(*args))
+    reps, count, res = cohomology_classes_mod_aut(G, A)
+    coords = [res.class_coordinates(r) for r in reps]
+    calls.clear()
+    # a second result and a second classification read the bases the first
+    # built, one per (G, n, m)
+    assert [cohomology(G, A, 3).class_coordinates(r) for r in reps] == coords
+    assert cohomology_classes_mod_aut(G, A)[:2] == (reps, count)
+    assert calls == []
 
 
 def test_kernel_self_check_is_an_error(monkeypatch, capsys):
@@ -460,7 +491,11 @@ def test_classes_mod_aut():
     for G, A in [(C3, Z3), (cyclic(4), AbelianGroup([4])),
                  (cyclic(5), AbelianGroup([5])), (dihedral(3), AbelianGroup([6])),
                  # 16 classes in 6 orbits; Aut(V4) = S3 mixes the coordinates
-                 (group_construct("product:cyclic:2,cyclic:2"), Z2)]:
+                 (group_construct("product:cyclic:2,cyclic:2"), Z2),
+                 # two invariant factors, so the action has two diagonal blocks
+                 (cyclic(4), AbelianGroup([2, 4])),
+                 # 16 classes in 7 orbits under the 8 automorphisms of C2 x C4
+                 (group_construct("product:cyclic:2,cyclic:4"), Z2)]:
         reps, count, res = cohomology_classes_mod_aut(G, A)
         assert count == brute_orbit_count(G, A)
         assert len(reps) == count
