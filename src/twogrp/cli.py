@@ -229,11 +229,7 @@ def run_sset(args):
         ok, witness = is_kan(X, up_to=args.up_to)
         report = {"ok": ok}
         if witness is not None:
-            report["witness"] = {
-                "n": witness.n,
-                "missing": witness.missing,
-                "faces": {str(k): v for k, v in sorted(witness.faces.items())},
-            }
+            report["witness"] = witness.to_json()
         return report, ok
     if args.subaction == "nerve":
         G = load_group(args.group)
@@ -350,7 +346,7 @@ def build_parser():
     pk.add_argument("--up-to", type=_at_least("up-to", 1), default=3)
     pn = psub.add_parser("nerve")
     pn.add_argument("--group", required=True)
-    pn.add_argument("--trunc", type=int, default=3)
+    pn.add_argument("--trunc", type=_at_least("trunc", 0), default=3)
     pn.add_argument("-o", "--output")
 
     p = sub.add_parser("theorem", help="verify the nerve/pullback theorem")

@@ -50,14 +50,12 @@ from .modlinalg import (
     prime_power_decomposition,
     smith_mod_prime_power,
 )
-from .simplicial import CACHE_SIZE, MAX_CELLS_PER_LEVEL, encode, flat, grid, nerve_face
+from .simplicial import (
+    CACHE_SIZE, MAX_CELLS_PER_LEVEL, MAX_DEGREE, encode, flat, grid, nerve_face,
+)
 
 DEFAULT_MAX_GROUP = 8
 DEFAULT_MAX_COEFFS = 8
-
-# A degree-n cochain is read as an n-dimensional array and its coboundary
-# as an (n+1)-dimensional one; numpy 1.x allows at most 32 dimensions.
-MAX_DEGREE = 31
 
 
 def _check_degree(degree):

@@ -2,12 +2,12 @@
 the homotopy-fiber model of its associator.
 
 Both sides are built as truncated simplicial sets: the Duskin nerve from
-coherence data of G_alpha, the fiber model both explicitly (with the cell
-labels and face values of the pullback of the cocycle map along the
-decalage) and generically (as a level-wise fiber product).  The canonical
-isomorphism is produced in coordinates and machine-checked, along with
-simplicial validity, agreement of the two pullback constructions, and the
-Kan property of the nerve.
+coherence data of G_alpha, the fiber model both explicitly (with the cells
+and face values of the pullback of the cocycle map along the decalage) and
+generically (as a level-wise fiber product).  The canonical isomorphism is
+produced in coordinates and machine-checked, along with simplicial
+validity, agreement of the two pullback constructions, and the Kan
+property of the nerve.
 
 Alpha enters only level 3 of the two models (d_0 there), so levels 0-2
 are built once per (G, A) as a 2-truncated frame (_frame, an lru_cache),
@@ -21,8 +21,7 @@ Cells are mixed-radix codes of their coordinates in the order the
 docstrings list them (elements of G, then element indices of A), so every
 table and map component here is one gather over an open index grid of
 (f, g, h, t1, t2, t3) with G's multiplication table, A's addition,
-subtraction tables and alpha's value indices.  Labels are decoded lazily
-(simplicial.Cells) for label(), index(), JSON and witnesses.
+subtraction tables and alpha's value indices.
 """
 
 import functools
@@ -49,7 +48,6 @@ from .simplicial import (
     is_kan,
     mediating_map,
     nerve_bg,
-    radix_cells,
     validate_simplicial,
     w_b2a,
     wbar_b2a,
@@ -73,19 +71,10 @@ def _frame(G, A):
     """Levels 0-2 of both models, which alpha does not enter: one point,
     the elements of G, and 2-cells (f, g, a) with faces g, fg, f."""
     ng, na = G.order, A.order
-    els = A.elements()
     shape2 = (ng, ng, na)
     f, g, _a = grid(shape2)
     f1 = np.arange(ng, dtype=np.int64)
-    levels = [
-        radix_cells(()),
-        radix_cells((ng,), lambda d: d[0], lambda f: (f,)),
-        radix_cells(
-            shape2,
-            lambda d: (d[0], d[1], els[d[2]]),
-            lambda lab: (lab[0], lab[1], A.index(lab[2])),
-        ),
-    ]
+    levels = [range(1), range(ng), range(ng * ng * na)]
     faces = {
         (1, 0): np.zeros(ng, dtype=np.int64),
         (1, 1): np.zeros(ng, dtype=np.int64),
@@ -101,11 +90,12 @@ def _frame(G, A):
     return TruncatedSSet(2, levels, faces, degeneracies, name="frame")
 
 
-def _model(G, A, level3, faces3, degeneracies3, name):
+def _model(G, A, faces3, degeneracies3, name):
     """A 3-truncated model shaped like the nerve of G with coordinates in A
-    carried along: the shared frame of (G, A) below level 3, and the given
-    3-cells (labels and tables), whose coordinates are (f, g, h) in G^3 and
-    three in A."""
+    carried along: the shared frame of (G, A) below level 3, and the
+    tables of the 3-cells, whose coordinates are (f, g, h) in G^3 and three
+    in A."""
+    level3 = range(G.order**3 * A.order**3)
     return TruncatedSSet(3, [level3], faces3, degeneracies3, name=name, base=_frame(G, A))
 
 
@@ -127,17 +117,6 @@ def duskin_nerve(skeleton):
     _guard_level(ng**3 * na**3)
     T, Add, Sub = G.table_array, A.add_array, A.sub_array
     V = alpha.index_array().reshape((ng,) * 3)
-    els = A.elements()
-
-    def label3(d):
-        f, g, h, t1, t2, t3 = d
-        t0 = Sub[Add[V[f, g, h], Add[t1, t3]], t2]
-        return (f, g, h, els[t0], els[t1], els[t2], els[t3])
-
-    def digits3(lab):
-        f, g, h, _t0, t1, t2, t3 = lab
-        return (f, g, h, A.index(t1), A.index(t2), A.index(t3))
-
     shape3 = (ng, ng, ng, na, na, na)
     f, g, h, t1, t2, t3 = grid(shape3)
     t0 = Sub[Add[V[f, g, h], Add[t1, t3]], t2]
@@ -156,8 +135,7 @@ def duskin_nerve(skeleton):
         (2, 1): flat(_code3(G, A, f, 0, g, t, t, 0), shape2),
         (2, 2): flat(_code3(G, A, f, g, 0, 0, t, t), shape2),
     }
-    level3 = radix_cells(shape3, label3, digits3)
-    return _model(G, A, level3, faces3, degeneracies3, "duskin")
+    return _model(G, A, faces3, degeneracies3, "duskin")
 
 
 def pullback_model(skeleton):
@@ -169,7 +147,6 @@ def pullback_model(skeleton):
     _guard_level(ng**3 * na**3)
     T, Add = G.table_array, A.add_array
     V = alpha.index_array().reshape((ng,) * 3)
-    els = A.elements()
     shape3 = (ng, ng, ng, na, na, na)
     f, g, h, a, b, c = grid(shape3)
     faces3 = {
@@ -185,12 +162,7 @@ def pullback_model(skeleton):
         (2, 1): flat(_code3(G, A, f, 0, g, 0, a, 0), shape2),
         (2, 2): flat(_code3(G, A, f, g, 0, 0, 0, a), shape2),
     }
-    level3 = radix_cells(
-        shape3,
-        lambda d: d[:3] + tuple(els[x] for x in d[3:]),
-        lambda lab: tuple(lab[:3]) + tuple(A.index(x) for x in lab[3:]),
-    )
-    return _model(G, A, level3, faces3, degeneracies3, "pullback")
+    return _model(G, A, faces3, degeneracies3, "pullback")
 
 
 def canonical_iso(duskin, pullback, coeffs):
@@ -248,11 +220,7 @@ def _plainify(obj):
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, Horn):
-        return {
-            "n": obj.n,
-            "missing": obj.missing,
-            "faces": {str(k): v for k, v in sorted(obj.faces.items())},
-        }
+        return obj.to_json()
     if isinstance(obj, (tuple, list)):
         return [_plainify(x) for x in obj]
     return repr(obj)

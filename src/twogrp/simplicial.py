@@ -1,20 +1,22 @@
 """Truncated simplicial sets held as integer arrays.
 
-Cell x of level n is the integer x.  Every face and degeneracy table and
-every component of a simplicial map is a read-only int64 numpy array indexed
-by cells, so the simplicial identities, map checks, compositions and
-inverses are fancy-index compositions, and a failing check reports the
-first mismatching cell.
+Cell x of level n is the integer x, and level n is range(size(n)); a cell
+carries no other label.  Every face and degeneracy table and every
+component of a simplicial map is a read-only int64 numpy array indexed by
+cells, so the simplicial identities, map checks, compositions and inverses
+are fancy-index compositions, and a failing check reports the first
+mismatching cell.  Maps compose, and fiber products and mediating maps
+form, only over one set: the same object, or sets with equal truncation,
+level sizes and face and degeneracy tables.
 
 The constructors here (the nerve of a finite group, the Dold-Kan nerve
 Gamma(A[2]), its total space W and classifying space Wbar) and in
 correspondence.py have product-structured levels: a cell's index is the
 mixed-radix code of its coordinates (first coordinate most significant, the
 lexicographic enumeration order), and tables are gathers over open index
-grids with the group table and A's addition table.  Cell labels are lazy
-per-level sequences (Cells), decoded only for label(), index(), JSON and
-witnesses.  Also provided: fiber products by a sorted join, horns, and the
-Kan condition, swept by one vectorised join over level-(n-1) face tables.
+grids with the group table and A's addition table.  Also provided: fiber
+products by a sorted join, horns, and the Kan condition, swept by one
+vectorised join over level-(n-1) face tables.
 
 A truncated set may be built on a base, a set of lower truncation whose
 levels, faces and degeneracies it shares as the same array objects; it
@@ -30,7 +32,6 @@ results, including the codes of the compatible horns one level above it.
 
 import functools
 import itertools
-import operator
 import types
 
 import numpy as np
@@ -43,10 +44,14 @@ from .errors import (
     ParseError,
     ShapeMismatch,
     TruncationMismatch,
-    TwogrpError,
 )
 
 MAX_CELLS_PER_LEVEL = 1 << 20
+
+# Nerve level n and a degree-n cochain are read as n-dimensional arrays and
+# a coboundary as an (n+1)-dimensional one; numpy 1.x allows at most 32
+# dimensions.
+MAX_DEGREE = 31
 
 # Objects kept per cached constructor; the theorem grid has 32 (G, A) strata.
 CACHE_SIZE = 128
@@ -56,95 +61,6 @@ HORN_BLOCK = 1 << 16
 
 # Filler signature codes stay below this, so int64 arithmetic cannot wrap.
 CODE_BOUND = 1 << 62
-
-
-class Cells:
-    """The labels of one level, decoded on demand.
-
-    decode(x) is the label of cell x; encode(label) is the index of the cell
-    carrying it, or None.
-    """
-
-    def __init__(self, size, decode, encode):
-        self._size = size
-        self._decode = decode
-        self._encode = encode
-
-    def __len__(self):
-        return self._size
-
-    def __getitem__(self, x):
-        x = operator.index(x)
-        if x < 0:
-            x += self._size
-        if not 0 <= x < self._size:
-            raise IndexError("cell %d out of range" % x)
-        return self._decode(x)
-
-    def __iter__(self):
-        return (self._decode(x) for x in range(self._size))
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        try:
-            if len(self) != len(other):
-                return False
-        except TypeError:
-            return NotImplemented
-        return all(a == b for a, b in zip(self, other))
-
-    __hash__ = None
-
-    def index(self, label):
-        try:
-            x = self._encode(label)
-        except (LookupError, TypeError, ValueError, TwogrpError):
-            x = None
-        if x is None or not 0 <= x < self._size or self._decode(x) != label:
-            raise KeyError(label)
-        return x
-
-
-def _as_cells(labels):
-    if isinstance(labels, Cells):
-        return labels
-    if isinstance(labels, range):
-        return Cells(len(labels), labels.__getitem__,
-                     lambda lab: labels.index(lab) if lab in labels else None)
-    labels = list(labels)
-    where = {label: i for i, label in enumerate(labels)}
-    return Cells(len(labels), labels.__getitem__, where.get)
-
-
-def radix_cells(radices, to_label=tuple, from_label=tuple):
-    """Cells indexed by the mixed-radix code of a digit tuple over radices,
-    first digit most significant.  to_label turns digits into a label and
-    from_label turns a label back into digits."""
-    radices = tuple(radices)
-    size = 1
-    for r in radices:
-        size *= r
-
-    def decode(x):
-        digits = []
-        for r in reversed(radices):
-            x, d = divmod(x, r)
-            digits.append(d)
-        return to_label(tuple(reversed(digits)))
-
-    def encode(label):
-        digits = tuple(from_label(label))
-        if len(digits) != len(radices):
-            return None
-        code = 0
-        for d, r in zip(digits, radices):
-            if not 0 <= d < r:
-                return None
-            code = code * r + d
-        return code
-
-    return Cells(size, decode, encode)
 
 
 def grid(radices):
@@ -220,17 +136,33 @@ def _first_mismatch(lhs, rhs):
     return int(differ.argmax()) if differ.any() else None
 
 
+def _check_same_set(X, Y, what):
+    """Refuse with ShapeMismatch(what) unless X and Y are one set: the same
+    object, or sets with equal truncation, level sizes and face and
+    degeneracy tables."""
+    if X is Y:
+        return
+    same = (
+        X.truncation == Y.truncation and X._sizes == Y._sizes
+        and all(np.array_equal(X.faces[k], Y.faces[k]) for k in X.faces)
+        and all(np.array_equal(X.degeneracies[k], Y.degeneracies[k]) for k in X.degeneracies)
+    )
+    if not same:
+        raise ShapeMismatch(what)
+
+
 class TruncatedSSet:
     """A simplicial set truncated at a fixed level.
 
-    levels[n] is the sequence of cell labels of level n (a Cells); faces[(n,
-    i)] and degeneracies[(n, i)] are read-only int64 index tables in
-    read-only mappings.
+    Level n is given by any sized sequence and kept as range(size(n)), its
+    cells; faces[(n, i)] and degeneracies[(n, i)] are read-only int64 index
+    tables in read-only mappings.
 
     With a base (a TruncatedSSet of lower truncation), levels lists only
     the levels above the base's truncation, faces only their faces and
     degeneracies only the degeneracies into them; every other table is the
-    base's own array, already checked.
+    base's own array, already checked.  A table that no level of its own
+    has a place for is refused.
     """
 
     def __init__(self, truncation, levels, faces, degeneracies, name=None, base=None):
@@ -246,10 +178,11 @@ class TruncatedSSet:
             raise TruncationMismatch(
                 "expected %d levels, got %d" % (self.truncation + 1 - low, len(levels))
             )
-        if any(k[0] < low for k in faces) or any(k[0] < low - 1 for k in degeneracies):
-            raise ShapeMismatch("a table below level %d belongs to the base" % low)
+        stray = _stray_table(self.truncation, low, faces, degeneracies)
+        if stray is not None:
+            raise ShapeMismatch(stray)
         self.base = base
-        self.levels = ([] if base is None else base.levels) + [_as_cells(lv) for lv in levels]
+        self.levels = ([] if base is None else base.levels) + [range(len(lv)) for lv in levels]
         self._sizes = [len(lv) for lv in self.levels]
         self.faces = _frozen_tables({} if base is None else base.faces, faces, "face")
         self.degeneracies = _frozen_tables(
@@ -294,12 +227,6 @@ class TruncatedSSet:
     def degeneracy(self, n, i, x):
         return int(self.degeneracies[(n, i)][x])
 
-    def label(self, n, x):
-        return self.levels[n][x]
-
-    def index(self, n, label):
-        return self.levels[n].index(label)
-
     def to_json(self):
         obj = {
             "truncation": self.truncation,
@@ -334,8 +261,24 @@ class TruncatedSSet:
                 )
         faces = _parse_tables(obj.get("faces"), "faces")
         degeneracies = _parse_tables(obj.get("degeneracies"), "degeneracies")
-        levels = [range(sz) for sz in sizes]
-        return cls(trunc, levels, faces, degeneracies)
+        stray = _stray_table(trunc, 0, faces, degeneracies)
+        if stray is not None:
+            raise ParseError(stray)
+        return cls(trunc, [range(sz) for sz in sizes], faces, degeneracies)
+
+
+def _stray_table(truncation, low, faces, degeneracies):
+    """A message naming the first table that levels low..truncation have no
+    place for, or None: faces (n, i) need max(1, low) <= n <= truncation and
+    degeneracies (n, i) need max(0, low - 1) <= n < truncation, both with
+    0 <= i <= n."""
+    for what, tables, lo, hi in (("face", faces, max(1, low), truncation),
+                                 ("degeneracy", degeneracies, max(0, low - 1), truncation - 1)):
+        for n, i in tables:
+            if not (lo <= n <= hi and 0 <= i <= n):
+                return "no place for a %s table (%d,%d) in levels %d..%d" % (
+                    what, n, i, low, truncation)
+    return None
 
 
 def _is_int(x):
@@ -492,8 +435,7 @@ class SimplicialMap:
 
     def compose(self, other):
         """self after other."""
-        if other.dst is not self.src and other.dst.levels != self.src.levels:
-            raise ShapeMismatch("maps not composable")
+        _check_same_set(other.dst, self.src, "maps not composable")
         comps = [
             self.components[n][other.components[n]]
             for n in range(other.src.truncation + 1)
@@ -542,10 +484,12 @@ def nerve_bg(G, truncation=3):
     """The nerve of a finite group: level n is G^n, faces multiply adjacent
     entries or drop ends, degeneracies insert the identity."""
     N = truncation
+    if N > MAX_DEGREE:
+        raise DimensionBound("nerve truncation %d exceeds bound %d" % (N, MAX_DEGREE))
     _guard_level(G.order**N)
     ng = G.order
     T = G.table_array
-    levels = [radix_cells((ng,) * n) for n in range(N + 1)]
+    levels = [range(ng**n) for n in range(N + 1)]
     faces = {}
     degeneracies = {}
     for n in range(1, N + 1):
@@ -660,45 +604,20 @@ def _sum_table(A, targets, width_out):
     return flat(encode(parts, (na,) * width_out), shape)
 
 
-def _element_cells(A, widths, nested):
-    """Cells of A^sum(widths): a tuple of one tuple of elements per width
-    (a bare tuple of elements when not nested)."""
-    els = A.elements()
-
-    def to_label(digits):
-        vals = [els[d] for d in digits]
-        if not nested:
-            return tuple(vals)
-        out, k = [], 0
-        for w in widths:
-            out.append(tuple(vals[k:k + w]))
-            k += w
-        return tuple(out)
-
-    def from_label(label):
-        parts = label if nested else [label]
-        if len(parts) != len(widths) or any(len(p) != w for p, w in zip(parts, widths)):
-            return ()
-        return [A.index(e) for p in parts for e in p]
-
-    return radix_cells((A.order,) * sum(widths), to_label, from_label)
-
-
-def _abelian_sset(A, truncation, widths, targets, nested, name):
-    """A level-wise power of A: level n has sum(widths(n)) copies of A,
-    grouped as widths(n) says, and targets(kind, n, i) says where d_i or s_i
-    sends each copy."""
-    shapes = [widths(n) for n in range(truncation + 1)]
-    for w in shapes:
-        _guard_level(A.order ** sum(w))
-    levels = [_element_cells(A, w, nested) for w in shapes]
+def _abelian_sset(A, truncation, widths, targets, name):
+    """A level-wise power of A: level n has widths(n) copies of A, and
+    targets(kind, n, i) says where d_i or s_i sends each copy."""
+    copies = [widths(n) for n in range(truncation + 1)]
+    for w in copies:
+        _guard_level(A.order**w)
+    levels = [range(A.order**w) for w in copies]
     faces = {
-        (n, i): _sum_table(A, targets("face", n, i), sum(shapes[n - 1]))
+        (n, i): _sum_table(A, targets("face", n, i), copies[n - 1])
         for n in range(1, truncation + 1)
         for i in range(n + 1)
     }
     degeneracies = {
-        (n, i): _sum_table(A, targets("degeneracy", n, i), sum(shapes[n + 1]))
+        (n, i): _sum_table(A, targets("degeneracy", n, i), copies[n + 1])
         for n in range(truncation)
         for i in range(n + 1)
     }
@@ -711,9 +630,7 @@ def gamma_a2(A, truncation=4):
     if truncation > 4:
         raise DimensionBound("gamma_a2 supports truncation at most 4")
     gamma = GammaA2(A, truncation)
-    return _abelian_sset(
-        A, truncation, lambda n: [gamma.width(n)], gamma.targets, False, "gamma"
-    )
+    return _abelian_sset(A, truncation, gamma.width, gamma.targets, "gamma")
 
 
 def _w_sset(A, truncation, lead, name):
@@ -721,9 +638,9 @@ def _w_sset(A, truncation, lead, name):
     skip = 0 if lead else 1
     return _abelian_sset(
         A, truncation,
-        lambda n: [gamma.width(n - t) for t in range(skip, n + 1)],
+        lambda n: sum(gamma.width(n - t) for t in range(skip, n + 1)),
         lambda kind, n, i: _w_targets(gamma, kind, n, i, lead),
-        True, name,
+        name,
     )
 
 
@@ -828,24 +745,12 @@ class _PairLevel:
             raise IndexOutOfRange("%s leaves the fiber product" % what)
         return self.first[x] + self.rank[y]
 
-    def cells(self):
-        def encode_pair(label):
-            x, y = label
-            if 0 <= x < len(self.fx) and 0 <= y < len(self.gy) and self.fx[x] == self.gy[y]:
-                return int(self.first[x] + self.rank[y])
-            return None
-
-        return Cells(len(self.xs), lambda z: (int(self.xs[z]), int(self.ys[z])), encode_pair)
-
 
 def fiber_product(f, g):
     """The level-wise pullback of f: X -> Z and g: Y -> Z, with its two
     projections.  Cells of level n are the pairs (x, y) with f(x) = g(y),
     x-major and y ascending."""
-    if f.dst is not g.dst and (
-        f.dst.truncation != g.dst.truncation or f.dst.levels != g.dst.levels
-    ):
-        raise ShapeMismatch("maps have different codomains")
+    _check_same_set(f.dst, g.dst, "maps have different codomains")
     X, Y = f.src, g.src
     N = X.truncation
     pairs = [
@@ -867,8 +772,7 @@ def fiber_product(f, g):
         for n in range(N)
         for i in range(n + 1)
     }
-    levels = [pl.cells() for pl in pairs]
-    P = TruncatedSSet(N, levels, faces, degeneracies, name="fiber_product")
+    P = TruncatedSSet(N, [pl.xs for pl in pairs], faces, degeneracies, name="fiber_product")
     proj_x = SimplicialMap(P, X, [pl.xs for pl in pairs])
     proj_y = SimplicialMap(P, Y, [pl.ys for pl in pairs])
     return P, proj_x, proj_y
@@ -878,8 +782,7 @@ def mediating_map(P, proj_x, proj_y, p, q):
     """The unique map into the fiber product P induced by p: T -> X and
     q: T -> Y with matching composites: t goes to the cell of P that the
     projections send to (p(t), q(t))."""
-    if p.src is not q.src and p.src.levels != q.src.levels:
-        raise ShapeMismatch("p and q have different domains")
+    _check_same_set(p.src, q.src, "p and q have different domains")
     comps = []
     for n in range(p.src.truncation + 1):
         ysize = proj_y.dst.size(n)
@@ -913,6 +816,13 @@ class Horn:
 
     def key(self):
         return tuple(self.faces[j] for j in sorted(self.faces))
+
+    def to_json(self):
+        return {
+            "n": self.n,
+            "missing": self.missing,
+            "faces": {str(k): v for k, v in sorted(self.faces.items())},
+        }
 
 
 def _slots(n, missing):

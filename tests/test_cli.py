@@ -235,6 +235,14 @@ def test_sset_verbs(capsys, tmp_path):
     assert code == EXIT_PASS and obj["ok"]
     code, obj, _ = run_json(capsys, "sset", "kan", out_path)
     assert code == EXIT_PASS and obj["ok"]
+    # a truncation past numpy's dimension limit is refused, a negative one is
+    # a usage error
+    code, out, err = run(capsys, "sset", "nerve", "--group", "cyclic:1", "--trunc", "100")
+    assert code == EXIT_FAIL and out == ""
+    assert err == "error: nerve truncation 100 exceeds bound 31\n"
+    code, out, err = run(capsys, "sset", "nerve", "--group", "cyclic:2", "--trunc", "-1")
+    assert code == EXIT_USAGE and out == ""
+    assert "trunc must be >= 0" in err and "Traceback" not in err
 
 
 def write_sset(tmp_path, obj):
@@ -257,6 +265,10 @@ def test_sset_malformed_files_are_usage_errors(capsys, tmp_path):
         dict(nerve, faces={"1,0": [0, 0.5], "1,1": [0, 0]}),
         dict(nerve, faces={"1,x": [0, 0], "1,1": [0, 0]}),
         dict(nerve, degeneracies=[[0]]),
+        # tables the truncation has no place for
+        dict(nerve, faces=dict(nerve["faces"], **{"7,3": [5, 5, 5]})),
+        dict(nerve, faces=dict(nerve["faces"], **{"1,5": [0]})),
+        dict(nerve, faces=dict(nerve["faces"], **{"-1,0": [0]})),
         [nerve],
     ]
     for verb in ("validate", "kan"):

@@ -17,7 +17,7 @@ from twogrp.correspondence import (
     pullback_model,
     verify_theorem,
 )
-from twogrp.errors import DegreeMismatch, DimensionBound
+from twogrp.errors import DegreeMismatch, DimensionBound, ShapeMismatch
 from twogrp.group import cyclic, dihedral, group_construct
 from twogrp import simplicial
 from twogrp.simplicial import (
@@ -25,6 +25,7 @@ from twogrp.simplicial import (
     TruncatedSSet,
     decalage_map,
     filler_counts,
+    identity_map,
     is_isomorphism,
     is_kan,
     nerve_bg,
@@ -46,6 +47,27 @@ def c2_nontrivial():
     )
 
 
+def radices(sk, n):
+    """The radices of the level-n cells (n = 2, 3) of either model, in the
+    order the docstrings list the coordinates: (f, g, a) and
+    (f, g, h, a, b, c), the A-coordinates as element indices."""
+    return (sk.group.order,) * n + (sk.coeffs.order,) * {2: 1, 3: 3}[n]
+
+
+def decode(sk, n, x):
+    """The coordinates of cell x of level n, A-coordinates as elements."""
+    digits = [int(d) for d in np.unravel_index(x, radices(sk, n))]
+    els = sk.coeffs.elements()
+    return tuple(digits[:n]) + tuple(els[d] for d in digits[n:])
+
+
+def encode(sk, n, coords):
+    """The cell of level n with the given coordinates, A-coordinates as
+    elements."""
+    digits = tuple(coords[:n]) + tuple(sk.coeffs.index(e) for e in coords[n:])
+    return int(np.ravel_multi_index(digits, radices(sk, n)))
+
+
 def test_duskin_nerve_sizes_and_validity():
     sk = TwoGroupSkeleton(c2_nontrivial())
     X = duskin_nerve(sk)
@@ -59,15 +81,17 @@ def test_duskin_compositor_constraint():
     X = duskin_nerve(sk)
     A, alpha = sk.coeffs, sk.alpha
     for x in range(X.size(3)):
-        f, g, h, t0, t1, t2, t3 = X.label(3, x)
+        # a 3-cell is coded by (f, g, h, t1, t2, t3); t0 is read off d0
+        f, g, h, t1, t2, t3 = decode(sk, 3, x)
+        g0, h0, t0 = decode(sk, 2, X.face(3, 0, x))
         lhs = A.add(t0, t2)
         rhs = A.add(alpha.value((f, g, h)), A.add(t1, t3))
         assert lhs == rhs
         # each face extracts the 2-morphism attached to it
-        assert X.label(2, X.face(3, 0, x)) == (g, h, t0)
-        assert X.label(2, X.face(3, 1, x)) == (C2.mul(f, g), h, t1)
-        assert X.label(2, X.face(3, 2, x)) == (f, C2.mul(g, h), t2)
-        assert X.label(2, X.face(3, 3, x)) == (f, g, t3)
+        assert (g0, h0) == (g, h)
+        assert decode(sk, 2, X.face(3, 1, x)) == (C2.mul(f, g), h, t1)
+        assert decode(sk, 2, X.face(3, 2, x)) == (f, C2.mul(g, h), t2)
+        assert decode(sk, 2, X.face(3, 3, x)) == (f, g, t3)
 
 
 def test_pullback_model_faces():
@@ -76,12 +100,12 @@ def test_pullback_model_faces():
     A, alpha = sk.coeffs, sk.alpha
     assert [X.size(n) for n in range(4)] == [1, 2, 8, 64]
     for x in range(X.size(3)):
-        f, g, h, a, b, c = X.label(3, x)
+        f, g, h, a, b, c = decode(sk, 3, x)
         d = alpha.value((f, g, h))
-        assert X.label(2, X.face(3, 0, x)) == (g, h, A.add(a, d))
-        assert X.label(2, X.face(3, 1, x)) == (C2.mul(f, g), h, A.add(a, b))
-        assert X.label(2, X.face(3, 2, x)) == (f, C2.mul(g, h), A.add(b, c))
-        assert X.label(2, X.face(3, 3, x)) == (f, g, c)
+        assert decode(sk, 2, X.face(3, 0, x)) == (g, h, A.add(a, d))
+        assert decode(sk, 2, X.face(3, 1, x)) == (C2.mul(f, g), h, A.add(a, b))
+        assert decode(sk, 2, X.face(3, 2, x)) == (f, C2.mul(g, h), A.add(b, c))
+        assert decode(sk, 2, X.face(3, 3, x)) == (f, g, c)
 
 
 def test_canonical_iso_round_trip_labels():
@@ -94,13 +118,28 @@ def test_canonical_iso_round_trip_labels():
     assert is_isomorphism(iso)
     A = sk.coeffs
     for x in range(D.size(3)):
-        f, g, h, t0, t1, t2, t3 = D.label(3, x)
-        fp, gp, hp, a, b, c = P.label(3, iso(3, x))
+        f, g, h, t1, t2, t3 = decode(sk, 3, x)
+        fp, gp, hp, a, b, c = decode(sk, 3, iso(3, x))
         assert (fp, gp, hp) == (f, g, h)
         # invert the coordinate change
         assert c == t3
         assert A.add(b, c) == t2
         assert A.add(a, b) == t1
+
+
+def test_compose_refuses_models_of_other_classes():
+    # P0 and P1 share their frame and level sizes but not d0 on level 3, so
+    # no map into P1 composes with a map out of P0
+    sk0 = TwoGroupSkeleton(Cochain.zero(C2, Z2, 3))
+    sk1 = TwoGroupSkeleton(c2_nontrivial())
+    P0, P1 = pullback_model(sk0), pullback_model(sk1)
+    iso1 = canonical_iso(duskin_nerve(sk1), P1, Z2)
+    with pytest.raises(ShapeMismatch):
+        identity_map(P0).compose(iso1)
+    # a copy of P1 with equal tables is the same set
+    copy = TruncatedSSet.from_json(P1.to_json())
+    composed = identity_map(copy).compose(iso1)
+    assert composed.validate() == (True, None)
 
 
 @pytest.mark.parametrize(
@@ -148,15 +187,15 @@ def pullback_twist(sk_src, sk_dst, beta):
 
     level2 = []
     for x in range(src.size(2)):
-        f, g, a = src.label(2, x)
-        level2.append(dst.index(2, (f, g, A.add(a, b(f, g)))))
+        f, g, a = decode(sk_src, 2, x)
+        level2.append(encode(sk_dst, 2, (f, g, A.add(a, b(f, g)))))
     level3 = []
     for x in range(src.size(3)):
-        f, g, h, a, bb, c = src.label(3, x)
+        f, g, h, a, bb, c = decode(sk_src, 3, x)
         cp = A.add(c, b(f, g))
         bp = A.add(bb, A.sub(b(f, mul[g][h]), b(f, g)))
         ap = A.add(a, A.add(A.sub(b(mul[f][g], h), b(f, mul[g][h])), b(f, g)))
-        level3.append(dst.index(3, (f, g, h, ap, bp, cp)))
+        level3.append(encode(sk_dst, 3, (f, g, h, ap, bp, cp)))
     comps = [[0], list(range(src.size(1))), level2, level3]
     return SimplicialMap(src, dst, comps)
 
@@ -338,8 +377,7 @@ def test_corrupted_d0_fails_the_same_stages(monkeypatch):
         x = rng.randrange(len(d0))
         d0[x] = (d0[x] + rng.randrange(1, X.size(2))) % X.size(2)
         faces[(3, 0)] = d0
-        return correspondence._model(
-            skeleton.group, skeleton.coeffs, X.levels[3], faces, degs, X.name)
+        return correspondence._model(skeleton.group, skeleton.coeffs, faces, degs, X.name)
 
     monkeypatch.setattr(correspondence, "duskin_nerve", corrupted)
     reports = []

@@ -50,6 +50,16 @@ def same_components(f, g):
     )
 
 
+def cell(coords, radices):
+    """The cell with the given mixed-radix coordinates."""
+    return int(np.ravel_multi_index(coords, radices))
+
+
+def coords(x, radices):
+    """The mixed-radix coordinates of cell x."""
+    return tuple(int(d) for d in np.unravel_index(x, radices))
+
+
 def c2_nontrivial():
     return Cochain.from_function(
         C2, Z2, 3, lambda a, b, c: (1,) if a == b == c == 1 else (0,)
@@ -97,31 +107,37 @@ def test_nerve_faces():
     G = dihedral(3)
     X = nerve_bg(G, 3)
     g, h, k = 1, 3, 4
-    x = X.index(3, (g, h, k))
-    assert X.label(2, X.face(3, 0, x)) == (h, k)
-    assert X.label(2, X.face(3, 1, x)) == (G.mul(g, h), k)
-    assert X.label(2, X.face(3, 2, x)) == (g, G.mul(h, k))
-    assert X.label(2, X.face(3, 3, x)) == (g, h)
-    assert X.label(3, X.degeneracy(2, 1, X.index(2, (g, h)))) == (g, 0, h)
+    # level n is G^n, coded over radices (|G|,) * n
+    r2, r3 = (G.order,) * 2, (G.order,) * 3
+    x = cell((g, h, k), r3)
+    assert coords(X.face(3, 0, x), r2) == (h, k)
+    assert coords(X.face(3, 1, x), r2) == (G.mul(g, h), k)
+    assert coords(X.face(3, 2, x), r2) == (g, G.mul(h, k))
+    assert coords(X.face(3, 3, x), r2) == (g, h)
+    assert coords(X.degeneracy(2, 1, cell((g, h), r2)), r3) == (g, 0, h)
 
 
 def test_w_face_values():
     A = AbelianGroup([4])
+    els = A.elements()
     W = w_b2a(A, 3)
     for a, b, c, d in itertools.product(range(4), repeat=4):
-        cell = (((a,), (b,), (c,)), ((d,),), (), ())
-        x = W.index(3, cell)
-        got = [W.label(2, W.face(3, i, x))[0][0] for i in range(4)]
+        # the W_3 cell ((a, b, c), (d,), (), ()) is coded by its copies of
+        # A, first most significant; a W_2 cell is one copy of A
+        x = cell((a, b, c, d), (A.order,) * 4)
+        got = [els[W.face(3, i, x)] for i in range(4)]
         assert got == [((a + d) % 4,), ((a + b) % 4,), ((b + c) % 4,), (c,)]
 
 
 def test_wbar_level4_face_values():
     A = AbelianGroup([4])
+    els = A.elements()
     Wb = wbar_b2a(A, 4)
     for a, b, c, d in itertools.product(range(4), repeat=4):
-        cell = (((a,), (b,), (c,)), ((d,),), (), ())
-        x = Wb.index(4, cell)
-        got = [Wb.label(3, Wb.face(4, i, x))[0][0][0] for i in range(5)]
+        # the Wbar_4 cell ((a, b, c), (d,), (), ()) is coded like a W_3
+        # cell; a Wbar_3 cell is one copy of A
+        x = cell((a, b, c, d), (A.order,) * 4)
+        got = [els[Wb.face(4, i, x)][0] for i in range(5)]
         assert got == [d, (a + d) % 4, (a + b) % 4, (b + c) % 4, c]
 
 
@@ -141,9 +157,9 @@ def test_cocycle_as_map():
         assert ok, why
     # the 3-cell component reads off alpha
     f = cocycle_as_map(alpha, 3)
-    Wb = wbar_b2a(Z2, 3)
-    x = f.src.index(3, (1, 1, 1))
-    assert Wb.label(3, f(3, x))[0][0] == (1,)
+    # a Wbar_3 cell is one copy of A
+    x = cell((1, 1, 1), (2, 2, 2))
+    assert Z2.elements()[f(3, x)] == (1,)
 
 
 def test_level4_extension_iff_cocycle():
@@ -193,7 +209,7 @@ def test_simplicial_map_helpers():
         SimplicialMap(X, X, [[0], [0, 1]])
     # a non-commuting map is caught by validate
     comps = [list(range(X.size(n))) for n in range(4)]
-    comps[3][X.index(3, (1, 1, 1))] = X.index(3, (0, 0, 0))
+    comps[3][cell((1, 1, 1), (2, 2, 2))] = cell((0, 0, 0), (2, 2, 2))
     bad = SimplicialMap(X, X, comps)
     ok, why = bad.validate()
     assert not ok and "face" in why
@@ -202,8 +218,9 @@ def test_simplicial_map_helpers():
 def test_validate_catches_broken_identity():
     X = nerve_bg(C2, 2)
     faces = {k: list(v) for k, v in X.faces.items()}
-    # corrupt d1 on the degenerate cell s0(g): d1 s0 = id must now fail
-    faces[(2, 1)][X.degeneracy(1, 0, X.index(1, (1,)))] = X.index(1, (0,))
+    # corrupt d1 on the degenerate cell s0(g): d1 s0 = id must now fail;
+    # level 1 is G, coded by the element indices
+    faces[(2, 1)][X.degeneracy(1, 0, cell((1,), (2,)))] = cell((0,), (2,))
     Y = TruncatedSSet(2, X.levels, faces, X.degeneracies)
     ok, why = validate_simplicial(Y)
     assert not ok and "identity" in why
@@ -362,6 +379,14 @@ def test_set_on_a_base():
                       base=base)
     with pytest.raises(ShapeMismatch):
         TruncatedSSet(3, N.levels[3:], faces3, {(2, 0): degs3[(2, 0)]}, base=base)
+    # a table above the truncation or past face index n is refused by key
+    for key in ((4, 0), (3, 4), (3, -1)):
+        with pytest.raises(ShapeMismatch, match=r"face table \(%d,%d\)" % key):
+            TruncatedSSet(3, N.levels[3:], {**faces3, key: faces3[(3, 0)]}, degs3,
+                          base=base)
+    with pytest.raises(ShapeMismatch, match=r"degeneracy table \(3,0\)"):
+        TruncatedSSet(3, N.levels[3:], faces3, {**degs3, (3, 0): degs3[(2, 0)]},
+                      base=base)
 
 
 def test_json_round_trip():
