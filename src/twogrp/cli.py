@@ -120,7 +120,7 @@ def run_group(args):
     report = {"ok": True, "group": g.to_json()}
     if args.automorphisms:
         auts = group_automorphisms(g)
-        report["automorphisms"] = sorted(list(a.image) for a in auts)
+        report["automorphisms"] = auts.tolist()
         report["automorphism_count"] = len(auts)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:

@@ -290,9 +290,9 @@ def is_cocycle(c):
 
 
 def pull_back_along_automorphism(phi, c):
-    """(phi . c)(g1..gn) = c(phi(g1)..phi(gn))."""
-    image = np.array([phi(g) for g in range(c.group.order)], dtype=np.int64)
-    pulled = c.cube()[np.ix_(*(image,) * c.degree)]
+    """(phi . c)(g1..gn) = c(phi[g1]..phi[gn]) for an automorphism phi given
+    by its image row, as group_automorphisms lists them."""
+    pulled = c.cube()[np.ix_(*(np.asarray(phi, dtype=np.int64),) * c.degree)]
     return c._like(pulled.reshape(c.residues.shape))
 
 
@@ -580,7 +580,7 @@ def cohomology_classes_mod_aut(G, A, degree=3, max_group=DEFAULT_MAX_GROUP,
     result = cohomology(G, A, degree, max_group=max_group, max_coeffs=max_coeffs)
     starts = result.all_class_coordinates()
     # automorphism a sends normalized coordinate i to coordinate perms[a, i]
-    images = np.array([phi.image for phi in group_automorphisms(G)], dtype=np.int64)
+    images = group_automorphisms(G)
     cube = np.arange((G.order - 1) ** degree).reshape((G.order - 1,) * degree)
     perms = np.array([cube[np.ix_(*(image,) * degree)].ravel() for image in images[:, 1:] - 1])
     orders = np.array(result._orders, dtype=np.int64)

@@ -87,16 +87,16 @@ def _frame(G, A):
         (1, 0): _code2(G, A, 0, f1, 0),
         (1, 1): _code2(G, A, f1, 0, 0),
     }
-    return TruncatedSSet(2, levels, faces, degeneracies, name="frame")
+    return TruncatedSSet(2, levels, faces, degeneracies)
 
 
-def _model(G, A, faces3, degeneracies3, name):
+def _model(G, A, faces3, degeneracies3):
     """A 3-truncated model shaped like the nerve of G with coordinates in A
     carried along: the shared frame of (G, A) below level 3, and the
     tables of the 3-cells, whose coordinates are (f, g, h) in G^3 and three
     in A."""
     level3 = range(G.order**3 * A.order**3)
-    return TruncatedSSet(3, [level3], faces3, degeneracies3, name=name, base=_frame(G, A))
+    return TruncatedSSet(3, [level3], faces3, degeneracies3, base=_frame(G, A))
 
 
 def duskin_nerve(skeleton):
@@ -135,7 +135,7 @@ def duskin_nerve(skeleton):
         (2, 1): flat(_code3(G, A, f, 0, g, t, t, 0), shape2),
         (2, 2): flat(_code3(G, A, f, g, 0, 0, t, t), shape2),
     }
-    return _model(G, A, faces3, degeneracies3, "duskin")
+    return _model(G, A, faces3, degeneracies3)
 
 
 def pullback_model(skeleton):
@@ -162,7 +162,7 @@ def pullback_model(skeleton):
         (2, 1): flat(_code3(G, A, f, 0, g, 0, a, 0), shape2),
         (2, 2): flat(_code3(G, A, f, g, 0, 0, 0, a), shape2),
     }
-    return _model(G, A, faces3, degeneracies3, "pullback")
+    return _model(G, A, faces3, degeneracies3)
 
 
 def canonical_iso(duskin, pullback, coeffs):

@@ -247,36 +247,6 @@ def _parse_spec(s, pos):
     raise UnsupportedSpec("unknown group family %r" % head)
 
 
-class GroupAutomorphism:
-    """A permutation of element indices preserving the table."""
-
-    def __init__(self, group, image):
-        self.group = group
-        self.image = tuple(image)
-
-    def __call__(self, x):
-        return self.image[x]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroupAutomorphism)
-            and self.group == other.group
-            and self.image == other.image
-        )
-
-    def __hash__(self):
-        return hash(self.image)
-
-    def __repr__(self):
-        return "GroupAutomorphism(%r)" % (self.image,)
-
-    def compose(self, other):
-        return GroupAutomorphism(self.group, (self.image[y] for y in other.image))
-
-    def inverse(self):
-        return GroupAutomorphism(self.group, np.argsort(self.image).tolist())
-
-
 def _words(T, gens):
     """The span of gens, breadth first from the identity by right
     multiplication: (reach, parent, step) with reach[k] =
@@ -298,7 +268,9 @@ def _words(T, gens):
 
 
 def group_automorphisms(g):
-    """All automorphisms, sorted by image (so the identity comes first).
+    """All automorphisms as a read-only (|Aut|, |G|) int64 array: row a is
+    the image of each element under automorphism a, and the rows are in
+    lexicographic order (so the identity comes first).
 
     Greedy generators (repeatedly the smallest element outside the span so
     far) determine an automorphism; every assignment of images of equal
@@ -312,8 +284,10 @@ def group_automorphisms(g):
     T, n = g.table_array, g.order
     gens = []
     reach, parent, step = _words(T, gens)
+    spanned = np.zeros(n, dtype=bool)
     while reach.size < n:
-        gens.append(int(np.setdiff1d(np.arange(n), reach)[0]))
+        spanned[reach] = True
+        gens.append(int(spanned.argmin()))
         reach, parent, step = _words(T, gens)
     orders = g._element_orders
     candidates = [np.flatnonzero(orders == orders[x]) for x in gens]
@@ -323,4 +297,8 @@ def group_automorphisms(g):
         image[:, x] = T[image[:, p], assignments[:, s]]
     keep = (np.sort(image, axis=1) == np.arange(n)).all(axis=1)
     keep &= (image[:, T] == T[image[:, :, None], image[:, None, :]]).all(axis=(1, 2))
-    return [GroupAutomorphism(g, im) for im in sorted(map(tuple, image[keep].tolist()))]
+    image = image[keep]
+    # np.lexsort's last key is the primary one
+    image = image[np.lexsort(image.T[::-1])]
+    image.flags.writeable = False
+    return image

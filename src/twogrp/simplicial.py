@@ -7,7 +7,8 @@ cells, so the simplicial identities, map checks, compositions and inverses
 are fancy-index compositions, and a failing check reports the first
 mismatching cell.  Maps compose, and fiber products and mediating maps
 form, only over one set: the same object, or sets with equal truncation,
-level sizes and face and degeneracy tables.
+level sizes and face and degeneracy tables.  _table_keys is the one place
+that lists a truncation's tables; checks and builders walk it.
 
 The constructors here (the nerve of a finite group, the Dold-Kan nerve
 Gamma(A[2]), its total space W and classifying space Wbar) and in
@@ -50,7 +51,7 @@ MAX_CELLS_PER_LEVEL = 1 << 20
 
 # Nerve level n and a degree-n cochain are read as n-dimensional arrays and
 # a coboundary as an (n+1)-dimensional one; numpy 1.x allows at most 32
-# dimensions.
+# dimensions.  Every truncated set keeps it too: its identity check costs ~N^3.
 MAX_DEGREE = 31
 
 # Objects kept per cached constructor; the theorem grid has 32 (G, A) strata.
@@ -136,16 +137,29 @@ def _first_mismatch(lhs, rhs):
     return int(differ.argmax()) if differ.any() else None
 
 
+@functools.lru_cache(maxsize=None)
+def _table_keys(truncation, low=0):
+    """(kind, n, i, m) for every table of levels low..truncation, m the
+    level it maps into: the faces (n, i) with max(1, low) <= n <= truncation,
+    then the degeneracies (n, i) with max(0, low - 1) <= n < truncation,
+    each with n and i ascending and 0 <= i <= n.  The only place that lists
+    them."""
+    faces = [("face", n, i, n - 1)
+             for n in range(max(1, low), truncation + 1) for i in range(n + 1)]
+    degeneracies = [("degeneracy", n, i, n + 1)
+                    for n in range(max(0, low - 1), truncation) for i in range(n + 1)]
+    return tuple(faces + degeneracies)
+
+
 def _check_same_set(X, Y, what):
     """Refuse with ShapeMismatch(what) unless X and Y are one set: the same
     object, or sets with equal truncation, level sizes and face and
     degeneracy tables."""
     if X is Y:
         return
-    same = (
-        X.truncation == Y.truncation and X._sizes == Y._sizes
-        and all(np.array_equal(X.faces[k], Y.faces[k]) for k in X.faces)
-        and all(np.array_equal(X.degeneracies[k], Y.degeneracies[k]) for k in X.degeneracies)
+    same = X.truncation == Y.truncation and X._sizes == Y._sizes and all(
+        np.array_equal(X.tables[kind][(n, i)], Y.tables[kind][(n, i)])
+        for kind, n, i, _ in _table_keys(X.truncation)
     )
     if not same:
         raise ShapeMismatch(what)
@@ -156,7 +170,9 @@ class TruncatedSSet:
 
     Level n is given by any sized sequence and kept as range(size(n)), its
     cells; faces[(n, i)] and degeneracies[(n, i)] are read-only int64 index
-    tables in read-only mappings.
+    tables in read-only mappings, and tables maps each kind of
+    _table_keys ("face", "degeneracy") to its mapping.  The truncation is
+    at most MAX_DEGREE.
 
     With a base (a TruncatedSSet of lower truncation), levels lists only
     the levels above the base's truncation, faces only their faces and
@@ -165,10 +181,12 @@ class TruncatedSSet:
     has a place for is refused.
     """
 
-    def __init__(self, truncation, levels, faces, degeneracies, name=None, base=None):
+    def __init__(self, truncation, levels, faces, degeneracies, base=None):
         self.truncation = int(truncation)
         if self.truncation < 0:
             raise TruncationMismatch("truncation must be >= 0, got %d" % self.truncation)
+        if self.truncation > MAX_DEGREE:
+            raise DimensionBound("truncation %d exceeds bound %d" % (self.truncation, MAX_DEGREE))
         low = 0 if base is None else base.truncation + 1
         if low > self.truncation:
             raise TruncationMismatch(
@@ -188,7 +206,7 @@ class TruncatedSSet:
         self.degeneracies = _frozen_tables(
             {} if base is None else base.degeneracies, degeneracies, "degeneracy"
         )
-        self.name = name
+        self.tables = types.MappingProxyType({"face": self.faces, "degeneracy": self.degeneracies})
         self._check_tables(low)
         # results computed from the tables, kept by _cached
         self._derived = {}
@@ -197,26 +215,13 @@ class TruncatedSSet:
         """Check the tables of levels low and up (faces of those levels,
         degeneracies into them)."""
         size = self._sizes
-        for n in range(max(1, low), self.truncation + 1):
-            for i in range(n + 1):
-                tab = self.faces.get((n, i))
-                if tab is None or len(tab) != size[n]:
-                    raise ShapeMismatch("missing or misshapen face table (%d,%d)" % (n, i))
-                x = _first_outside(tab, size[n - 1])
-                if x is not None:
-                    raise IndexOutOfRange("face (%d,%d) hits cell %d" % (n, i, x))
-        for n in range(max(0, low - 1), self.truncation):
-            for i in range(n + 1):
-                tab = self.degeneracies.get((n, i))
-                if tab is None or len(tab) != size[n]:
-                    raise ShapeMismatch(
-                        "missing or misshapen degeneracy table (%d,%d)" % (n, i)
-                    )
-                x = _first_outside(tab, size[n + 1])
-                if x is not None:
-                    raise IndexOutOfRange(
-                        "degeneracy (%d,%d) hits cell %d" % (n, i, x)
-                    )
+        for kind, n, i, m in _table_keys(self.truncation, low):
+            tab = self.tables[kind].get((n, i))
+            if tab is None or len(tab) != size[n]:
+                raise ShapeMismatch("missing or misshapen %s table (%d,%d)" % (kind, n, i))
+            x = _first_outside(tab, size[m])
+            if x is not None:
+                raise IndexOutOfRange("%s (%d,%d) hits cell %d" % (kind, n, i, x))
 
     def size(self, n):
         return self._sizes[n]
@@ -250,6 +255,8 @@ class TruncatedSSet:
         trunc = obj.get("truncation")
         if not _is_int(trunc) or trunc < 0:
             raise ParseError("truncation must be an integer >= 0, got %r" % (trunc,))
+        if trunc > MAX_DEGREE:
+            raise ParseError("truncation %d exceeds bound %d" % (trunc, MAX_DEGREE))
         sizes = obj.get("levels")
         if not isinstance(sizes, list) or len(sizes) != trunc + 1:
             raise ParseError("levels must be a list of %d sizes" % (trunc + 1))
@@ -268,16 +275,14 @@ class TruncatedSSet:
 
 
 def _stray_table(truncation, low, faces, degeneracies):
-    """A message naming the first table that levels low..truncation have no
-    place for, or None: faces (n, i) need max(1, low) <= n <= truncation and
-    degeneracies (n, i) need max(0, low - 1) <= n < truncation, both with
-    0 <= i <= n."""
-    for what, tables, lo, hi in (("face", faces, max(1, low), truncation),
-                                 ("degeneracy", degeneracies, max(0, low - 1), truncation - 1)):
+    """A message naming the first table, faces first, that levels
+    low..truncation have no place for (see _table_keys), or None."""
+    keys = {(kind, n, i) for kind, n, i, _ in _table_keys(truncation, low)}
+    for kind, tables in (("face", faces), ("degeneracy", degeneracies)):
         for n, i in tables:
-            if not (lo <= n <= hi and 0 <= i <= n):
+            if (kind, n, i) not in keys:
                 return "no place for a %s table (%d,%d) in levels %d..%d" % (
-                    what, n, i, low, truncation)
+                    kind, n, i, low, truncation)
     return None
 
 
@@ -414,23 +419,11 @@ class SimplicialMap:
 
     def _failed_commutation(self):
         comp = self.components
-        for n in range(1, self.src.truncation + 1):
-            for i in range(n + 1):
-                x = _first_mismatch(
-                    self.dst.faces[(n, i)][comp[n]], comp[n - 1][self.src.faces[(n, i)]]
-                )
-                if x is not None:
-                    return False, "face (%d,%d) not preserved at cell %d" % (n, i, x)
-        for n in range(self.src.truncation):
-            for i in range(n + 1):
-                x = _first_mismatch(
-                    self.dst.degeneracies[(n, i)][comp[n]],
-                    comp[n + 1][self.src.degeneracies[(n, i)]],
-                )
-                if x is not None:
-                    return False, "degeneracy (%d,%d) not preserved at cell %d" % (
-                        n, i, x,
-                    )
+        for kind, n, i, m in _table_keys(self.src.truncation):
+            x = _first_mismatch(self.dst.tables[kind][(n, i)][comp[n]],
+                                comp[m][self.src.tables[kind][(n, i)]])
+            if x is not None:
+                return False, "%s (%d,%d) not preserved at cell %d" % (kind, n, i, x)
         return True, None
 
     def compose(self, other):
@@ -490,18 +483,12 @@ def nerve_bg(G, truncation=3):
     ng = G.order
     T = G.table_array
     levels = [range(ng**n) for n in range(N + 1)]
-    faces = {}
-    degeneracies = {}
-    for n in range(1, N + 1):
+    tables = {"face": {}, "degeneracy": {}}
+    for kind, n, i, m in _table_keys(N):
         g = grid((ng,) * n)
-        for i in range(n + 1):
-            faces[(n, i)] = flat(encode(nerve_face(T, g, i), (ng,) * (n - 1)), (ng,) * n)
-    for n in range(N):
-        g = grid((ng,) * n)
-        for i in range(n + 1):
-            parts = g[:i] + [0] + g[i:]
-            degeneracies[(n, i)] = flat(encode(parts, (ng,) * (n + 1)), (ng,) * n)
-    return TruncatedSSet(N, levels, faces, degeneracies, name="nerve")
+        parts = nerve_face(T, g, i) if kind == "face" else g[:i] + [0] + g[i:]
+        tables[kind][(n, i)] = flat(encode(parts, (ng,) * m), (ng,) * n)
+    return TruncatedSSet(N, levels, tables["face"], tables["degeneracy"])
 
 
 def surjections_to_2(n):
@@ -604,24 +591,17 @@ def _sum_table(A, targets, width_out):
     return flat(encode(parts, (na,) * width_out), shape)
 
 
-def _abelian_sset(A, truncation, widths, targets, name):
+def _abelian_sset(A, truncation, widths, targets):
     """A level-wise power of A: level n has widths(n) copies of A, and
     targets(kind, n, i) says where d_i or s_i sends each copy."""
     copies = [widths(n) for n in range(truncation + 1)]
     for w in copies:
         _guard_level(A.order**w)
     levels = [range(A.order**w) for w in copies]
-    faces = {
-        (n, i): _sum_table(A, targets("face", n, i), copies[n - 1])
-        for n in range(1, truncation + 1)
-        for i in range(n + 1)
-    }
-    degeneracies = {
-        (n, i): _sum_table(A, targets("degeneracy", n, i), copies[n + 1])
-        for n in range(truncation)
-        for i in range(n + 1)
-    }
-    return TruncatedSSet(truncation, levels, faces, degeneracies, name=name)
+    tables = {"face": {}, "degeneracy": {}}
+    for kind, n, i, m in _table_keys(truncation):
+        tables[kind][(n, i)] = _sum_table(A, targets(kind, n, i), copies[m])
+    return TruncatedSSet(truncation, levels, tables["face"], tables["degeneracy"])
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
@@ -630,17 +610,16 @@ def gamma_a2(A, truncation=4):
     if truncation > 4:
         raise DimensionBound("gamma_a2 supports truncation at most 4")
     gamma = GammaA2(A, truncation)
-    return _abelian_sset(A, truncation, gamma.width, gamma.targets, "gamma")
+    return _abelian_sset(A, truncation, gamma.width, gamma.targets)
 
 
-def _w_sset(A, truncation, lead, name):
+def _w_sset(A, truncation, lead):
     gamma = GammaA2(A, truncation)
     skip = 0 if lead else 1
     return _abelian_sset(
         A, truncation,
         lambda n: sum(gamma.width(n - t) for t in range(skip, n + 1)),
         lambda kind, n, i: _w_targets(gamma, kind, n, i, lead),
-        name,
     )
 
 
@@ -650,7 +629,7 @@ def w_b2a(A, truncation=3):
     classifying space of B^2 A: level n is Gamma_n x ... x Gamma_0."""
     if truncation > 4:
         raise DimensionBound("w_b2a supports truncation at most 4")
-    return _w_sset(A, truncation, True, "w")
+    return _w_sset(A, truncation, True)
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
@@ -660,7 +639,7 @@ def wbar_b2a(A, truncation=3):
     lifting along the unit section and dropping the leading factor."""
     if truncation > 4:
         raise DimensionBound("wbar_b2a supports truncation at most 4")
-    return _w_sset(A, truncation, False, "wbar")
+    return _w_sset(A, truncation, False)
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
@@ -756,23 +735,13 @@ def fiber_product(f, g):
     pairs = [
         _PairLevel(f.components[n], g.components[n], f.dst.size(n)) for n in range(N + 1)
     ]
-    faces = {
-        (n, i): pairs[n - 1].locate(
-            X.faces[(n, i)][pairs[n].xs], Y.faces[(n, i)][pairs[n].ys],
-            "face (%d,%d)" % (n, i),
+    tables = {"face": {}, "degeneracy": {}}
+    for kind, n, i, m in _table_keys(N):
+        tables[kind][(n, i)] = pairs[m].locate(
+            X.tables[kind][(n, i)][pairs[n].xs], Y.tables[kind][(n, i)][pairs[n].ys],
+            "%s (%d,%d)" % (kind, n, i),
         )
-        for n in range(1, N + 1)
-        for i in range(n + 1)
-    }
-    degeneracies = {
-        (n, i): pairs[n + 1].locate(
-            X.degeneracies[(n, i)][pairs[n].xs], Y.degeneracies[(n, i)][pairs[n].ys],
-            "degeneracy (%d,%d)" % (n, i),
-        )
-        for n in range(N)
-        for i in range(n + 1)
-    }
-    P = TruncatedSSet(N, [pl.xs for pl in pairs], faces, degeneracies, name="fiber_product")
+    P = TruncatedSSet(N, [pl.xs for pl in pairs], tables["face"], tables["degeneracy"])
     proj_x = SimplicialMap(P, X, [pl.xs for pl in pairs])
     proj_y = SimplicialMap(P, Y, [pl.ys for pl in pairs])
     return P, proj_x, proj_y

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import twogrp
 from twogrp.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main
 from twogrp.coeff import MAX_COEFF_ORDER, AbelianGroup
 from twogrp.cochain import Cochain
@@ -49,6 +54,24 @@ def test_group_verb(capsys):
     assert code == EXIT_PASS
     assert obj["group"]["order"] == 3
     assert obj["automorphism_count"] == 2
+
+
+def test_automorphism_verbs_do_not_import_numpy_ma():
+    # numpy.ma costs a first call over 10 ms to import and no verb needs it
+    script = (
+        "import sys\n"
+        "from twogrp.cli import main\n"
+        "codes = [main(['group', 'cyclic:4', '--automorphisms']),\n"
+        "         main(['cocycle', 'classes-mod-aut', '--group', 'cyclic:4', '--coeffs', '2'])]\n"
+        "print(codes, 'numpy.ma' in sys.modules, file=sys.stderr)\n"
+    )
+    src = str(pathlib.Path(twogrp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.splitlines()[-1] == "[0, 0] False"
+    assert "[[0, 1, 2, 3], [0, 3, 2, 1]]" in done.stdout
 
 
 def test_group_text_output(capsys):
@@ -270,6 +293,10 @@ def test_sset_malformed_files_are_usage_errors(capsys, tmp_path):
         dict(nerve, faces=dict(nerve["faces"], **{"1,5": [0]})),
         dict(nerve, faces=dict(nerve["faces"], **{"-1,0": [0]})),
         [nerve],
+        # one cell per level, well formed but above the truncation bound
+        {"truncation": 32, "levels": [1] * 33,
+         "faces": {"%d,%d" % (n, i): [0] for n in range(1, 33) for i in range(n + 1)},
+         "degeneracies": {"%d,%d" % (n, i): [0] for n in range(32) for i in range(n + 1)}},
     ]
     for verb in ("validate", "kan"):
         for obj in bad:

@@ -446,13 +446,13 @@ def test_lex_minimal_representative():
 
 def test_pull_back():
     G = C3
-    inv = [phi for phi in group_automorphisms(G) if phi(1) == 2][0]
+    inv = [phi for phi in group_automorphisms(G) if phi[1] == 2][0]
     alpha = c3_commutator_cocycle()
     pulled = pull_back_along_automorphism(inv, alpha)
     ok, _ = is_cocycle(pulled)
     assert ok
     for a, b, c in itertools.product(range(3), repeat=3):
-        assert pulled.value((a, b, c)) == alpha.value((inv(a), inv(b), inv(c)))
+        assert pulled.value((a, b, c)) == alpha.value((inv[a], inv[b], inv[c]))
 
 
 def brute_orbit_count(G, A):

@@ -233,7 +233,7 @@ def moved(X, rng, kind, key):
     tab = tables[key] = tables[key].copy()
     x = rng.randrange(len(tab))
     tab[x] = (tab[x] + rng.randrange(1, bound)) % bound
-    return TruncatedSSet(3, [X.levels[3]], faces, degs, name=X.name, base=X.base)
+    return TruncatedSSet(3, [X.levels[3]], faces, degs, base=X.base)
 
 
 FRAME_STRATA = [(C2, Z2), (cyclic(3), AbelianGroup([3])), (dihedral(3), Z2)]
@@ -377,7 +377,7 @@ def test_corrupted_d0_fails_the_same_stages(monkeypatch):
         x = rng.randrange(len(d0))
         d0[x] = (d0[x] + rng.randrange(1, X.size(2))) % X.size(2)
         faces[(3, 0)] = d0
-        return correspondence._model(skeleton.group, skeleton.coeffs, faces, degs, X.name)
+        return correspondence._model(skeleton.group, skeleton.coeffs, faces, degs)
 
     monkeypatch.setattr(correspondence, "duskin_nerve", corrupted)
     reports = []

@@ -123,4 +123,4 @@ def test_arithmetic_matches_residues(setting, degree, n):
     cells = list(itertools.product(range(G.order), repeat=degree))
     lookup = dict(zip(cells, a_vals))
     pulled = pull_back_along_automorphism(phi, a)
-    assert pulled.values == tuple(lookup[tuple(phi.image[g] for g in args)] for args in cells)
+    assert pulled.values == tuple(lookup[tuple(phi[g] for g in args)] for args in cells)

@@ -226,6 +226,73 @@ def test_validate_catches_broken_identity():
     assert not ok and "identity" in why
 
 
+def nerve_c2_with(part, key, edit):
+    """The 2-truncated nerve of C2 rebuilt with one table edited, or
+    dropped when edit is None."""
+    X = nerve_bg(C2, 2)
+    tables = {"faces": dict(X.faces), "degeneracies": dict(X.degeneracies)}
+    if edit is None:
+        del tables[part][key]
+    else:
+        tables[part][key] = edit(tables[part][key].copy())
+    return TruncatedSSet(2, X.levels, tables["faces"], tables["degeneracies"])
+
+
+def set_entry(x, value):
+    def edit(tab):
+        tab[x] = value
+        return tab
+    return edit
+
+
+def nerve_c2_map_with(truncation, n, x, y):
+    """The identity of the nerve of C2 with cell x of level n sent to y."""
+    X = nerve_bg(C2, truncation)
+    comps = [np.arange(X.size(k)) for k in range(truncation + 1)]
+    comps[n][x] = y
+    return SimplicialMap(X, X, comps)
+
+
+def point_and_edge(faces, degeneracies):
+    return TruncatedSSet(1, [range(1), range(2)], {(1, 0): [0, 0], (1, 1): [0, 0], **faces},
+                         {(0, 0): [0], **degeneracies})
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: nerve_c2_with("faces", (2, 1), None),
+     ShapeMismatch, "missing or misshapen face table (2,1)"),
+    (lambda: nerve_c2_with("degeneracies", (1, 1), lambda tab: tab[:1]),
+     ShapeMismatch, "missing or misshapen degeneracy table (1,1)"),
+    (lambda: nerve_c2_with("faces", (2, 0), set_entry(3, 7)),
+     IndexOutOfRange, "face (2,0) hits cell 7"),
+    (lambda: nerve_c2_with("degeneracies", (1, 0), set_entry(1, 9)),
+     IndexOutOfRange, "degeneracy (1,0) hits cell 9"),
+    (lambda: point_and_edge({(7, 3): [5]}, {}),
+     ShapeMismatch, "no place for a face table (7,3) in levels 0..1"),
+    (lambda: point_and_edge({}, {(1, 0): [0, 0]}),
+     ShapeMismatch, "no place for a degeneracy table (1,0) in levels 0..1"),
+    (lambda: nerve_c2_map_with(3, 3, 7, 0).validate(),
+     None, "face (3,0) not preserved at cell 7"),
+    (lambda: nerve_c2_map_with(1, 1, 0, 1).validate(),
+     None, "degeneracy (0,0) not preserved at cell 0"),
+    (lambda: fiber_product(identity_map(nerve_bg(C2, 2)), nerve_c2_map_with(2, 1, 1, 0)),
+     IndexOutOfRange, "face (2,0) leaves the fiber product"),
+    (lambda: fiber_product(identity_map(nerve_bg(C2, 1)), nerve_c2_map_with(1, 1, 0, 1)),
+     IndexOutOfRange, "degeneracy (0,0) leaves the fiber product"),
+], ids=["missing-face", "misshapen-degeneracy", "face-out-of-range",
+        "degeneracy-out-of-range", "stray-face", "stray-degeneracy", "map-face",
+        "map-degeneracy", "fiber-product-face", "fiber-product-degeneracy"])
+def test_table_messages(build, error, message):
+    # the exact text of the first failing table, which the walk over the
+    # table keys must keep
+    if error is None:
+        assert build() == (False, message)
+    else:
+        with pytest.raises(error) as info:
+            build()
+        assert str(info.value) == message
+
+
 def test_horns_and_fillers_nerve():
     X = nerve_bg(dihedral(3), 3)
     obj = X.to_json()
@@ -281,7 +348,7 @@ def test_non_kan_example():
         (1, 0): [index[2][(0, x)] for (x,) in levels[1]],
         (1, 1): [index[2][(x, 0)] for (x,) in levels[1]],
     }
-    X = TruncatedSSet(2, levels, faces, degeneracies, name="monoid-nerve")
+    X = TruncatedSSet(2, levels, faces, degeneracies)
     ok, why = validate_simplicial(X)
     assert ok, why
     ok, bad = is_kan(X)
@@ -338,6 +405,9 @@ def test_tables_and_components_are_read_only():
             tables[(1, 0)] = tables[(1, 0)]
         with pytest.raises(TypeError):
             del tables[(1, 0)]
+    assert X.tables["face"] is X.faces and X.tables["degeneracy"] is X.degeneracies
+    with pytest.raises(TypeError):
+        X.tables["face"] = X.degeneracies
     with pytest.raises(TypeError):
         f.components[0] = f.components[0]
 
@@ -408,6 +478,17 @@ def test_dimension_bounds():
         cocycle_as_map(c2_nontrivial(), 5)
     with pytest.raises(DimensionBound):
         nerve_bg(dihedral(4), 7)
+
+    # every set's truncation keeps the nerve's bound
+    def point(truncation):
+        """The set with one cell per level."""
+        faces = {(n, i): [0] for n in range(1, truncation + 1) for i in range(n + 1)}
+        degs = {(n, i): [0] for n in range(truncation) for i in range(n + 1)}
+        return TruncatedSSet(truncation, [range(1)] * (truncation + 1), faces, degs)
+
+    assert point(31).size(31) == 1
+    with pytest.raises(DimensionBound, match="truncation 32 exceeds bound 31"):
+        point(32)
 
 
 def corrupted_nerves():
