@@ -257,12 +257,9 @@ def run_theorem(args):
     elif args.all_classes:
         res = cohomology(G, A, 3, max_group=args.max_group,
                          max_coeffs=args.max_coeffs)
-        alphas = []
-        for coords in res.all_class_coordinates():
-            rep = res.lex_minimal_representative(
-                res.cochain_from_coordinates(coords)
-            )
-            alphas.append(("class:%s" % ",".join(map(str, coords)), rep))
+        coords = res.all_class_coordinates()
+        alphas = [("class:%s" % ",".join(map(str, c)), rep)
+                  for c, rep in zip(coords, res.representatives_of(coords))]
     else:
         alphas = [("zero", Cochain.zero(G, A, 3))]
     entries = []

@@ -23,6 +23,13 @@ generated by the summands and then the image of d, gives a cocycle's class
 coordinates as its coefficients on the summands; both are cached per
 (G, n, m).  Aut(G) permutes the normalized coordinates, so it acts on class
 coordinates by one matrix per automorphism, read off one gather.
+
+CohomologyResult is the one place that turns class coordinates into
+cochains: it merges the summands into the invariant factors of H^n once,
+and every list of representatives comes from representatives_of, one
+lex_reduce_mod per invariant factor for each block of coordinate rows;
+cochain_from_coordinates, lex_minimal_representative and are_cohomologous
+share its steps.
 """
 
 import functools
@@ -35,6 +42,7 @@ from .coeff import AbelianGroup
 from .errors import (
     DegreeMismatch,
     NotACocycle,
+    NotAnAutomorphism,
     NotNormalized,
     ParseError,
     ShapeMismatch,
@@ -43,7 +51,6 @@ from .errors import (
 )
 from .group import FiniteGroup, group_automorphisms
 from .modlinalg import (
-    canonical_invariant_factors,
     howell_basis,
     kernel_mod_prime_power,
     lex_reduce_mod,
@@ -291,8 +298,15 @@ def is_cocycle(c):
 
 def pull_back_along_automorphism(phi, c):
     """(phi . c)(g1..gn) = c(phi[g1]..phi[gn]) for an automorphism phi given
-    by its image row, as group_automorphisms lists them."""
-    pulled = c.cube()[np.ix_(*(np.asarray(phi, dtype=np.int64),) * c.degree)]
+    by its image row, as group_automorphisms lists them; any other row is
+    refused."""
+    T = c.group.table_array
+    phi = np.asarray(phi)
+    if (phi.shape != (c.group.order,) or phi.dtype.kind not in "iu"
+            or not np.array_equal(np.sort(phi), np.arange(c.group.order))
+            or not np.array_equal(phi[T], T[np.ix_(phi, phi)])):
+        raise NotAnAutomorphism("%r is not an automorphism of %s" % (phi.tolist(), c.group.name))
+    pulled = c.cube()[np.ix_(*(phi,) * c.degree)]
     return c._like(pulled.reshape(c.residues.shape))
 
 
@@ -410,20 +424,22 @@ def _check_bounds(G, A, degree, max_group, max_coeffs):
         )
 
 
-def _cochain_from_factor_vectors(G, A, degree, vectors):
-    """The normalized cochain whose residues of invariant factor t over the
-    normalized coordinates are vectors[t]; factors missing from the mapping
-    are zero."""
-    shape = (G.order,) * degree
-    cube = np.zeros(shape + (len(A.moduli),), dtype=np.int64)
-    for t, vec in vectors.items():
-        cube[(slice(1, None),) * degree + (t,)] = np.reshape(vec, (G.order - 1,) * degree)
-    return Cochain(G, A, degree, cube.reshape(G.order**degree, len(A.moduli)))
+def _cochains(G, A, degree, count, vectors):
+    """count normalized cochains: row r of vectors[t], an array over the
+    normalized coordinates, holds the residues of invariant factor t of
+    cochain r; factors missing from the mapping are zero."""
+    k = len(A.moduli)
+    cube = np.zeros((count,) + (G.order,) * degree + (k,), dtype=np.int64)
+    for t, vecs in vectors.items():
+        cube[(slice(None),) + (slice(1, None),) * degree + (t,)] = np.reshape(
+            vecs, (count,) + (G.order - 1,) * degree)
+    return [Cochain(G, A, degree, block) for block in cube.reshape(count, G.order**degree, k)]
 
 
-def _factor_vector(c, t):
-    """Residues of invariant factor t over normalized coordinates."""
-    return c.cube()[(slice(1, None),) * c.degree + (t,)].flatten()
+def _normalized_residues(c):
+    """c's residues over normalized coordinates, one row per invariant factor."""
+    shape = ((c.group.order - 1) ** c.degree, len(c.coeffs.moduli))
+    return c.cube()[(slice(1, None),) * c.degree].reshape(shape).T
 
 
 class CocycleBasis:
@@ -442,8 +458,7 @@ def cocycle_solve(G, A, degree, max_group=DEFAULT_MAX_GROUP,
     generators, orders = [], []
     for t, m in enumerate(A.invariant_factors):
         part_orders, vectors = _lifted(G, degree, m, 0)
-        generators.extend(_cochain_from_factor_vectors(G, A, degree, {t: vec})
-                          for vec in vectors)
+        generators.extend(_cochains(G, A, degree, len(vectors), {t: vectors}))
         orders.extend(part_orders)
     return CocycleBasis(generators, orders)
 
@@ -456,26 +471,44 @@ class CohomologyResult:
     live in factor t (the rows of one read-only matrix over normalized
     coordinates, with their orders) are a direct-sum basis of that factor's
     part of H^n.  Class coordinates are coefficients on the summands of
-    every factor in turn.  cohomology() sets representatives."""
+    every factor in turn.  representatives holds, per invariant factor of
+    H^n, smallest first, the lex-minimal cocycle of the sum of its summands."""
 
     def __init__(self, group, coeffs, degree):
         self.group = group
         self.coeffs = coeffs
         self.degree = degree
         self._summands = [_lifted(group, degree, m, 1) for m in coeffs.invariant_factors]
-        self._orders = [o for orders, _vectors in self._summands for o in orders]
-        self.invariant_factors = canonical_invariant_factors(self._orders)
-        self.class_count = math.prod(self._orders)
+        self._orders = orders = [o for part, _vectors in self._summands for o in part]
+        # factor t's summands have the coordinates in self._spans[t]
+        ends = list(itertools.accumulate(len(part) for part, _vectors in self._summands))
+        self._spans = [slice(end - len(part), end)
+                       for end, (part, _vectors) in zip(ends, self._summands)]
+        self.class_count = math.prod(orders)
+        # merge into the divisibility chain: slot i from the top takes, per
+        # prime, the i-th largest summand (the earliest first among equals);
+        # a slot is the coordinate row of the sum of its summands
+        slots, ranks = [], {}
+        for idx in sorted(range(len(orders)), key=lambda i: -orders[i]):
+            (p, _k), = prime_power_decomposition(orders[idx])
+            ranks[p] = rank = ranks.get(p, -1) + 1
+            if rank == len(slots):
+                slots.append([0] * len(orders))
+            slots[rank][idx] = 1
+        slots.reverse()
+        self.invariant_factors = [math.prod(o for o, s in zip(orders, slot) if s)
+                                  for slot in slots]
+        self.representatives = self.representatives_of(slots)
 
     def _factor_vectors(self, c):
-        """c's residues over normalized coordinates, one vector per
-        invariant factor, once c is known to be normalized and on this complex."""
+        """c's residues over normalized coordinates, one row per invariant
+        factor, once c is known to be normalized and on this complex."""
         if (c.group, c.coeffs, c.degree) != (self.group, self.coeffs, self.degree):
             raise DegreeMismatch("cochain lives on another complex than this H^n")
         witness = c.normalization_witness()
         if witness is not None:
             raise NotNormalized(witness)
-        return [_factor_vector(c, t) for t in range(len(self.coeffs.moduli))]
+        return _normalized_residues(c)
 
     def _coordinates(self, t, vecs):
         """The coordinates on factor t's summands of each cocycle whose
@@ -497,17 +530,28 @@ class CohomologyResult:
             out.extend(self._coordinates(t, vec).tolist())
         return tuple(out)
 
+    def _vectors(self, rows):
+        """Per invariant factor t, the residues over normalized coordinates
+        of the combination of t's summands in each row of the array rows."""
+        return {t: rows[:, span] % m @ summands % m for t, (m, span, (_o, summands))
+                in enumerate(zip(self.coeffs.invariant_factors, self._spans, self._summands))}
+
+    def _lex_minimal(self, count, vectors):
+        """count cochains: factor t of cochain r is row r of vectors[t]
+        reduced to the lexicographically smallest element of its coset of
+        the image of d."""
+        factors = self.coeffs.invariant_factors
+        return _cochains(self.group, self.coeffs, self.degree, count, {
+            t: lex_reduce_mod(_boundary_basis(self.group, self.degree, factors[t]),
+                              factors[t], vecs)[0]
+            for t, vecs in vectors.items()})
+
     def cochain_from_coordinates(self, coords):
         """A representative cocycle of the class with the given coordinates."""
         if len(coords) != len(self._orders):
             raise ShapeMismatch("expected %d coordinates" % len(self._orders))
-        coords = iter(coords)
-        vectors = {}
-        for t, (m, (orders, summands)) in enumerate(zip(self.coeffs.invariant_factors,
-                                                        self._summands)):
-            x = np.array([int(next(coords)) % m for _ in orders], dtype=np.int64)
-            vectors[t] = x @ summands % m
-        return _cochain_from_factor_vectors(self.group, self.coeffs, self.degree, vectors)
+        row = np.array([[int(x) % o for x, o in zip(coords, self._orders)]], dtype=np.int64)
+        return _cochains(self.group, self.coeffs, self.degree, 1, self._vectors(row))[0]
 
     def all_class_coordinates(self):
         """Every coordinate tuple, in lexicographic order; refused, before
@@ -517,13 +561,22 @@ class CohomologyResult:
 
     def lex_minimal_representative(self, c):
         """The lexicographically smallest cocycle cohomologous to normalized c."""
-        vectors = {
-            t: lex_reduce_mod(_boundary_basis(self.group, self.degree, m), m, vec)[0]
-            for t, (vec, m) in enumerate(zip(self._factor_vectors(c),
-                                             self.coeffs.invariant_factors))
-        }
-        return _cochain_from_factor_vectors(self.group, self.coeffs, self.degree,
-                                            vectors)
+        return self._lex_minimal(1, {t: vec[None] for t, vec in
+                                     enumerate(self._factor_vectors(c))})[0]
+
+    def representatives_of(self, rows):
+        """The lex-minimal representative of the class of each coordinate
+        row: one reduction per invariant factor for a block of rows, each
+        block at most MAX_CELLS_PER_LEVEL residues."""
+        if any(len(row) != len(self._orders) for row in rows):
+            raise ShapeMismatch("expected %d coordinates per row" % len(self._orders))
+        rows = np.array(rows, dtype=np.int64).reshape(len(rows), len(self._orders))
+        block = MAX_CELLS_PER_LEVEL // max(1, (self.group.order - 1) ** self.degree)
+        reps = []
+        for lo in range(0, len(rows), block):
+            part = rows[lo:lo + block]
+            reps.extend(self._lex_minimal(len(part), self._vectors(part)))
+        return reps
 
 
 def cohomology(G, A, degree, max_group=DEFAULT_MAX_GROUP,
@@ -531,22 +584,7 @@ def cohomology(G, A, degree, max_group=DEFAULT_MAX_GROUP,
     """H^degree(G, A) on normalized cochains: per invariant factor, the
     cyclic summands of _cocycle_kernel lifted into that factor."""
     _check_bounds(G, A, degree, max_group, max_coeffs)
-    result = CohomologyResult(G, A, degree)
-    orders = result._orders
-    # merge into the divisibility chain: slot i from the top sums, per
-    # prime, the i-th largest summand (the earliest first among equals)
-    slots = [[0] * len(orders) for _ in result.invariant_factors]
-    ranks = {}
-    for idx in sorted(range(len(orders)), key=lambda i: -orders[i]):
-        (p, _f), = prime_power_decomposition(orders[idx])
-        rank = ranks.get(p, 0)
-        slots[rank][idx] = 1
-        ranks[p] = rank + 1
-    result.representatives = [
-        result.lex_minimal_representative(result.cochain_from_coordinates(slot))
-        for slot in reversed(slots)
-    ]
-    return result
+    return CohomologyResult(G, A, degree)
 
 
 def are_cohomologous(c1, c2):
@@ -559,15 +597,13 @@ def are_cohomologous(c1, c2):
         return None
     if n == 0:
         return None if not delta.is_zero() else Cochain.zero(G, A, 0)
-    vectors = {}
-    for t, m in enumerate(A.invariant_factors):
-        # delta is a coboundary iff the minimum of its coset is zero, and
-        # then the reduction's coefficients are a primitive
-        rest, vectors[t] = lex_reduce_mod(_boundary_basis(G, n, m), m,
-                                          _factor_vector(delta, t))
-        if rest.any():
-            return None
-    beta = _cochain_from_factor_vectors(G, A, n - 1, vectors)
+    # delta is a coboundary iff the minimum of its coset is zero, and then
+    # the reduction's coefficients are a primitive
+    reduced = [lex_reduce_mod(_boundary_basis(G, n, m), m, vec)
+               for m, vec in zip(A.invariant_factors, _normalized_residues(delta))]
+    if any(rest.any() for rest, _x in reduced):
+        return None
+    beta = _cochains(G, A, n - 1, 1, {t: x[None] for t, (_rest, x) in enumerate(reduced)})[0]
     if coboundary(beta) != delta:
         raise WitnessMismatch("computed witness beta has d(beta) != c2 - c1")
     return beta
@@ -588,22 +624,16 @@ def cohomology_classes_mod_aut(G, A, degree=3, max_group=DEFAULT_MAX_GROUP,
     # pullback keeps each factor, so the matrix of a is block-diagonal: row i
     # of block t holds the coordinates of factor t's summand i pulled back
     actions = np.zeros((len(images), k, k), dtype=np.int64)
-    lo = 0
-    for t, (part_orders, summands) in enumerate(result._summands):
-        hi = lo + len(part_orders)
-        actions[:, lo:hi, lo:hi] = result._coordinates(t, summands[:, perms]).swapaxes(0, 1)
-        lo = hi
+    for t, (span, (_orders, summands)) in enumerate(zip(result._spans, result._summands)):
+        actions[:, span, span] = result._coordinates(t, summands[:, perms]).swapaxes(0, 1)
     # the actions are all of Aut(G), so the images of start are its whole orbit
     seen = set()
-    reps = []
+    mins = []
     for start in starts:
         if start in seen:
             continue
         orbit = set(map(tuple, (np.array(start, dtype=np.int64) @ actions % orders).tolist()))
         seen |= orbit
-        reps.append(
-            result.lex_minimal_representative(
-                result.cochain_from_coordinates(min(orbit))
-            )
-        )
+        mins.append(min(orbit))
+    reps = result.representatives_of(mins)
     return reps, len(reps), result

@@ -28,7 +28,7 @@ import functools
 
 import numpy as np
 
-from .errors import DegreeMismatch
+from .errors import DegreeMismatch, IndexOutOfRange
 from .simplicial import (
     CACHE_SIZE,
     Horn,
@@ -279,13 +279,24 @@ def verify_theorem(alpha):
         ),
     )
 
-    # the explicit model agrees with the generic fiber product
-    P, proj_ng, proj_w = fiber_product(amap, dec)
-    report.counts["fiber_product_levels"] = [P.size(n) for n in range(4)]
-    ok, witness = validate_simplicial(P)
-    report.record("simplicial:fiber_product", ok, witness)
+    # the explicit model agrees with the generic fiber product; when a map
+    # leaves it, the stages that need it fail with the error as witness
     to_ng = _model_to_nerve(model, NG, skeleton)
     to_w = _model_to_w(model, W, skeleton)
+    fiber = med = None
+    try:
+        P, proj_ng, proj_w = fiber_product(amap, dec)
+    except IndexOutOfRange as exc:
+        error = str(exc)
+    else:
+        report.counts["fiber_product_levels"] = [P.size(n) for n in range(4)]
+        fiber = validate_simplicial(P)
+        try:
+            med = mediating_map(P, proj_ng, proj_w, to_ng, to_w)
+        except IndexOutOfRange as exc:
+            error = str(exc)
+    ok, witness = fiber or (False, error)
+    report.record("simplicial:fiber_product", ok, witness)
     for f, tag in ((to_ng, "model_to_nerve"), (to_w, "model_to_w")):
         ok, witness = f.validate()
         report.record("map:%s" % tag, ok, witness)
@@ -297,10 +308,13 @@ def verify_theorem(alpha):
         for n in range(4)
     )
     report.record("agreement:composites_match", same_composite)
-    med = mediating_map(P, proj_ng, proj_w, to_ng, to_w)
-    ok, witness = med.validate()
-    report.record("agreement:mediating_map", ok, witness)
-    report.record("agreement:bijective", is_isomorphism(med))
+    if med is None:
+        report.record("agreement:mediating_map", False, error)
+        report.record("agreement:bijective", False, error)
+    else:
+        ok, witness = med.validate()
+        report.record("agreement:mediating_map", ok, witness)
+        report.record("agreement:bijective", is_isomorphism(med))
 
     # the Kan property of the nerve, with filler counts in degree 2
     ok, witness = is_kan(duskin)

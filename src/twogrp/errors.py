@@ -43,6 +43,10 @@ class WitnessMismatch(TwogrpError):
     """A witness or kernel the library computed failed its own verification."""
 
 
+class NotAnAutomorphism(TwogrpError):
+    pass
+
+
 class NotACocycle(TwogrpError):
     def __init__(self, witness=None):
         self.witness = witness

@@ -11,8 +11,6 @@ express each difference in the generators.  Membership, solving and
 coordinates against a direct-sum basis are all read off that reduction.
 """
 
-from collections import defaultdict
-
 import numpy as np
 
 
@@ -216,27 +214,3 @@ def lex_reduce_mod(basis, m, vecs):
         X = (X + f * row[n:]) % m
     return V, X
 
-
-def canonical_invariant_factors(orders):
-    """Merge a multiset of cyclic orders into divisibility-chain form,
-    smallest factor first."""
-    per_prime = defaultdict(list)
-    for n in orders:
-        if n <= 1:
-            continue
-        for p, k in prime_power_decomposition(n):
-            per_prime[p].append(k)
-    if not per_prime:
-        return []
-    for p in per_prime:
-        per_prime[p].sort(reverse=True)
-    width = max(len(v) for v in per_prime.values())
-    chain = []
-    for i in range(width):
-        f = 1
-        for p, ks in per_prime.items():
-            if i < len(ks):
-                f *= p ** ks[i]
-        chain.append(f)
-    chain.sort()
-    return chain

@@ -21,6 +21,7 @@ from twogrp.cochain import (
 from twogrp.errors import (
     DegreeMismatch,
     NotACocycle,
+    NotAnAutomorphism,
     NotNormalized,
     ShapeMismatch,
     SizeBound,
@@ -203,6 +204,76 @@ def test_known_h3_values():
     assert cohomology(cyclic(6), AbelianGroup([4]), 3).invariant_factors == [2]
     v4 = group_construct("product:cyclic:2,cyclic:2")
     assert cohomology(v4, Z2, 3).invariant_factors == [2, 2, 2, 2]
+
+
+# factors and representative coordinates recorded before the summand merge
+# moved into CohomologyResult; representative i is the lex-minimal cocycle
+# of the class with coordinates coords[i]
+@pytest.mark.parametrize("G, factors, degree, bounds, chain, coords", [
+    # one coefficient factor with summands of two primes: Z2 + Z3 = Z6
+    (cyclic(6), [6], 3, {}, [6], [(1, 1)]),
+    (dihedral(3), [6], 3, {}, [6], [(1, 1)]),
+    # summands Z2 + Z4 + Z3: the 4 and the 3 share the top factor
+    (cyclic(12), [2, 12], 2, {"max_group": 12, "max_coeffs": 24}, [2, 12],
+     [(1, 0, 0), (0, 1, 1)]),
+    # summands Z2 + Z2 + Z4 + Z3: the earlier Z2 takes the middle factor
+    (cyclic(12), [2, 2, 12], 1, {"max_group": 12, "max_coeffs": 48}, [2, 2, 12],
+     [(0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 1)]),
+    (group_construct("product:cyclic:2,cyclic:4"), [4], 2, {}, [2, 2, 4],
+     [(0, 1, 0), (1, 0, 0), (0, 0, 1)]),
+    (C3, [2], 3, {}, [], []),
+], ids=["C6-Z6", "D3-Z6", "C12-Z2xZ12", "C12-Z2xZ2xZ12", "C2xC4-Z4", "C3-Z2"])
+def test_summands_merge_into_invariant_factors(G, factors, degree, bounds, chain, coords):
+    res = cohomology(G, AbelianGroup(factors), degree, **bounds)
+    assert res.invariant_factors == chain
+    assert [res.class_coordinates(rep) for rep in res.representatives] == coords
+    assert res.representatives == [res.lex_minimal_representative(res.cochain_from_coordinates(c))
+                                   for c in coords]
+
+
+def test_representatives_reduce_in_one_batch_per_factor(monkeypatch):
+    G = dihedral(4)
+    basis = cochain._boundary_basis(G, 3, 2)
+    batches = []
+    real = cochain.lex_reduce_mod
+
+    def spy(b, m, vecs):
+        if b is basis:
+            batches.append(np.shape(vecs))
+        return real(b, m, vecs)
+
+    monkeypatch.setattr(cochain, "lex_reduce_mod", spy)
+    res = cohomology(G, Z2, 3)
+    assert batches == [(len(res.invariant_factors), 7**3)]
+    batches.clear()
+    reps, count, _res = cohomology_classes_mod_aut(G, Z2, 3)
+    assert batches == [(len(res.invariant_factors), 7**3), (count, 7**3)]
+    assert len(res.invariant_factors) > 1 and count > 1
+
+
+def test_representatives_of_blocks_keep_the_answer(monkeypatch):
+    res = cohomology(dihedral(3), AbelianGroup([6]), 3)
+    rows = res.all_class_coordinates()
+    whole = res.representatives_of(rows)
+    assert whole == [res.lex_minimal_representative(res.cochain_from_coordinates(c))
+                     for c in rows]
+    # two rows of 5^3 residues per block
+    monkeypatch.setattr(cochain, "MAX_CELLS_PER_LEVEL", 2 * 5**3 + 1)
+    assert res.representatives_of(rows) == whole
+    assert res.representatives_of([]) == []
+    with pytest.raises(ShapeMismatch):
+        res.representatives_of([(0, 0), (0,)])
+
+
+@pytest.mark.parametrize("G, factors", [(cyclic(1), []), (dihedral(3), []), (cyclic(1), [2])])
+def test_trivial_group_or_coefficients(G, factors):
+    # no normalized coordinates, or no invariant factors: one class, zero
+    A = AbelianGroup(factors)
+    reps, count, res = cohomology_classes_mod_aut(G, A, 3)
+    zero = Cochain.zero(G, A, 3)
+    assert (res.invariant_factors, count, reps) == ([], 1, [zero])
+    assert res.lex_minimal_representative(zero) == zero
+    assert are_cohomologous(zero, zero) == Cochain.zero(G, A, 2)
 
 
 def test_class_coordinates_round_trip():
@@ -453,6 +524,17 @@ def test_pull_back():
     assert ok
     for a, b, c in itertools.product(range(3), repeat=3):
         assert pulled.value((a, b, c)) == alpha.value((inv[a], inv[b], inv[c]))
+
+
+@pytest.mark.parametrize("phi", [
+    [0, 1],            # too short
+    [0, 1, 2, 7],      # leaves the group
+    [0, 0, 0, 0],      # not a bijection
+    [0, 2, 1, 3],      # a bijection that is not a homomorphism
+])
+def test_pull_back_refuses_a_non_automorphism(phi):
+    with pytest.raises(NotAnAutomorphism):
+        pull_back_along_automorphism(phi, Cochain.zero(cyclic(4), Z2, 3))
 
 
 def brute_orbit_count(G, A):

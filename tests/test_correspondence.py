@@ -160,12 +160,21 @@ def test_verify_theorem_all_classes(G, factors):
         assert report.counts["duskin_degree2_filler_counts"] == [A.order]
 
 
+STAGE_NAMES = [
+    "construction", "simplicial:duskin", "simplicial:pullback", "simplicial:nerve",
+    "simplicial:w", "simplicial:wbar", "map:decalage", "map:cocycle_map",
+    "map:cocycle_map_level4", "iso:forward", "iso:bijective", "iso:backward",
+    "iso:round_trip", "simplicial:fiber_product", "map:model_to_nerve", "map:model_to_w",
+    "agreement:composites_match", "agreement:mediating_map", "agreement:bijective",
+    "kan:duskin", "kan:degree2_filler_count",
+]
+
+
 def test_report_shape():
     report = verify_theorem(c2_nontrivial())
     obj = report.to_json()
     assert obj["ok"] is True
-    names = [s["name"] for s in obj["stages"]]
-    assert "iso:forward" in names and "kan:duskin" in names
+    assert [s["name"] for s in obj["stages"]] == STAGE_NAMES
     assert obj["coeffs"] == [2]
 
 
@@ -390,6 +399,76 @@ def test_corrupted_d0_fails_the_same_stages(monkeypatch):
             reports.append(report)
     text = json.dumps(reports, sort_keys=True)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CORRUPT_D0_DIGEST
+
+
+def shift_level3_cell(f, x):
+    """f with level-3 cell x sent to the next cell of the target."""
+    comps = [c.copy() for c in f.components]
+    comps[3][x] = (comps[3][x] + 1) % f.dst.size(3)
+    return SimplicialMap(f.src, f.dst, comps)
+
+
+def failed_stages(report):
+    return [(st["name"], st["witness"]) for st in report.stages if not st["ok"]]
+
+
+def test_map_off_the_fiber_product_keeps_the_report(monkeypatch):
+    # model_to_w no longer lands where the cocycle map does, so no mediating
+    # map into the fiber product exists
+    real = correspondence._model_to_w
+    monkeypatch.setattr(correspondence, "_model_to_w",
+                        lambda *args: shift_level3_cell(real(*args), 0))
+    report = verify_theorem(Cochain.zero(C2, Z2, 3))
+    leaves = "(p, q) leaves the fiber product at level 3"
+    assert not report.ok
+    assert [st["name"] for st in report.stages] == STAGE_NAMES
+    assert failed_stages(report) == [
+        ("map:model_to_w", "face (3,0) not preserved at cell 0"),
+        ("agreement:composites_match", None),
+        ("agreement:mediating_map", leaves),
+        ("agreement:bijective", leaves),
+    ]
+
+
+def test_cocycle_map_off_the_fiber_product_keeps_the_report(monkeypatch):
+    # the degenerate 3-cell (0, 0, 0) of the nerve no longer goes to a
+    # degenerate cell, so the fiber product has no degeneracy s_0 there
+    real = correspondence.cocycle_as_map
+
+    def shifted(alpha, truncation=3):
+        f = real(alpha, truncation)
+        return shift_level3_cell(f, 0) if truncation == 3 else f
+
+    monkeypatch.setattr(correspondence, "cocycle_as_map", shifted)
+    report = verify_theorem(Cochain.zero(C2, Z2, 3))
+    leaves = "degeneracy (2,0) leaves the fiber product"
+    assert not report.ok
+    assert [st["name"] for st in report.stages] == STAGE_NAMES
+    assert "fiber_product_levels" not in report.counts
+    assert failed_stages(report) == [
+        ("map:cocycle_map", "degeneracy (2,0) not preserved at cell 0"),
+        ("simplicial:fiber_product", leaves),
+        ("agreement:composites_match", None),
+        ("agreement:mediating_map", leaves),
+        ("agreement:bijective", leaves),
+    ]
+
+
+def test_one_wrong_filler_count_fails_its_stage_alone(monkeypatch):
+    # over Z3 every 2-horn has three fillers; a count of 2 is wrong although
+    # it is at least 1
+    real = correspondence.filler_counts
+
+    def corrupted(X, n, missing):
+        counts = real(X, n, missing).copy()
+        if missing == 0:
+            counts[0] = 2
+        return counts
+
+    monkeypatch.setattr(correspondence, "filler_counts", corrupted)
+    report = verify_theorem(Cochain.zero(cyclic(3), AbelianGroup([3]), 3))
+    assert failed_stages(report) == [("kan:degree2_filler_count", None)]
+    assert report.counts["duskin_degree2_filler_counts"] == [2, 3]
 
 
 def test_level_bound_comes_before_the_skeleton(monkeypatch):

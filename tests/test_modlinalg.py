@@ -8,7 +8,6 @@ import pytest
 from twogrp.cochain import bar_matrix
 from twogrp.group import group_construct
 from twogrp.modlinalg import (
-    canonical_invariant_factors,
     howell_basis,
     kernel_mod_prime_power,
     lex_reduce_mod,
@@ -156,14 +155,6 @@ def test_lex_reduce_matches_brute_force():
             reps, xs = lex_reduce_mod(basis, m, vecs)
             assert [r.tolist() for r in reps] == [brute_lex_min(G, m, v) for v in vecs]
             assert np.array_equal((vecs - reps) % m, (xs @ G.T) % m)
-
-
-def test_canonical_invariant_factors():
-    assert canonical_invariant_factors([2, 2, 4]) == [2, 2, 4]
-    assert canonical_invariant_factors([2, 3]) == [6]
-    assert canonical_invariant_factors([4, 6, 2]) == [2, 2, 12]
-    assert canonical_invariant_factors([1, 1]) == []
-    assert canonical_invariant_factors([]) == []
 
 
 # SHA-256 of (shape, int64 bytes) of each output of the Smith form of a

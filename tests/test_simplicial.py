@@ -215,6 +215,16 @@ def test_simplicial_map_helpers():
     assert not ok and "face" in why
 
 
+def test_is_isomorphism_refuses_valid_non_bijections():
+    # the trivial homomorphisms C2 -> C2 and C3 -> C1 induce valid maps of
+    # nerves: one is not injective, the other joins levels of other sizes
+    for src, dst in ((C2, C2), (cyclic(3), cyclic(1))):
+        X, Y = nerve_bg(src, 3), nerve_bg(dst, 3)
+        f = SimplicialMap(X, Y, [np.zeros(X.size(n), dtype=np.int64) for n in range(4)])
+        assert f.validate() == (True, None)
+        assert not is_isomorphism(f)
+
+
 def test_validate_catches_broken_identity():
     X = nerve_bg(C2, 2)
     faces = {k: list(v) for k, v in X.faces.items()}
