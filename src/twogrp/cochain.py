@@ -22,7 +22,8 @@ representatives and primitives of coboundaries, and that of the cocycles,
 generated by the summands and then the image of d, gives a cocycle's class
 coordinates as its coefficients on the summands; both are cached per
 (G, n, m).  Aut(G) permutes the normalized coordinates, so it acts on class
-coordinates by one matrix per automorphism, read off one gather.
+coordinates by one matrix per automorphism, read off one gather; the orbit
+walk marks mixed-radix class codes in one boolean array.
 
 CohomologyResult is the one place that turns class coordinates into
 cochains: it merges the summands into the invariant factors of H^n once,
@@ -38,7 +39,7 @@ import math
 
 import numpy as np
 
-from .coeff import AbelianGroup
+from .coeff import AbelianGroup, is_integer
 from .errors import (
     DegreeMismatch,
     NotACocycle,
@@ -66,6 +67,8 @@ DEFAULT_MAX_COEFFS = 8
 
 
 def _check_degree(degree):
+    if not is_integer(degree):
+        raise DegreeMismatch("cochain degree must be an integer, got %r" % (degree,))
     degree = int(degree)
     if degree < 0:
         raise DegreeMismatch("cochain degree must be >= 0, got %d" % degree)
@@ -411,7 +414,12 @@ def _class_basis(G, degree, m):
 
 
 def _check_bounds(G, A, degree, max_group, max_coeffs):
-    _check_degree(degree)
+    """The degree as an int, once it and the order bounds are integers and
+    G, A and the degree are inside them."""
+    degree = _check_degree(degree)
+    for name, bound in (("max_group", max_group), ("max_coeffs", max_coeffs)):
+        if not is_integer(bound):
+            raise SizeBound("%s must be an integer, got %r" % (name, bound))
     if degree > 3:
         raise SizeBound("cohomology solving is bounded at degree 3")
     if G.order > max_group:
@@ -422,6 +430,7 @@ def _check_bounds(G, A, degree, max_group, max_coeffs):
         raise SizeBound(
             "coefficient order %d exceeds bound %d" % (A.order, max_coeffs)
         )
+    return degree
 
 
 def _cochains(G, A, degree, count, vectors):
@@ -454,7 +463,7 @@ class CocycleBasis:
 def cocycle_solve(G, A, degree, max_group=DEFAULT_MAX_GROUP,
                   max_coeffs=DEFAULT_MAX_COEFFS):
     """Generators of the subgroup of normalized degree-n cocycles."""
-    _check_bounds(G, A, degree, max_group, max_coeffs)
+    degree = _check_bounds(G, A, degree, max_group, max_coeffs)
     generators, orders = [], []
     for t, m in enumerate(A.invariant_factors):
         part_orders, vectors = _lifted(G, degree, m, 0)
@@ -550,6 +559,8 @@ class CohomologyResult:
         """A representative cocycle of the class with the given coordinates."""
         if len(coords) != len(self._orders):
             raise ShapeMismatch("expected %d coordinates" % len(self._orders))
+        if not all(map(is_integer, coords)):
+            raise ShapeMismatch("coordinates must be integers, got %r" % (tuple(coords),))
         row = np.array([[int(x) % o for x, o in zip(coords, self._orders)]], dtype=np.int64)
         return _cochains(self.group, self.coeffs, self.degree, 1, self._vectors(row))[0]
 
@@ -570,7 +581,10 @@ class CohomologyResult:
         block at most MAX_CELLS_PER_LEVEL residues."""
         if any(len(row) != len(self._orders) for row in rows):
             raise ShapeMismatch("expected %d coordinates per row" % len(self._orders))
-        rows = np.array(rows, dtype=np.int64).reshape(len(rows), len(self._orders))
+        rows = np.asarray(rows)
+        if rows.size and rows.dtype.kind not in "iu":
+            raise ShapeMismatch("coordinates must be integers, got dtype %s" % rows.dtype)
+        rows = rows.astype(np.int64).reshape(len(rows), len(self._orders))
         block = MAX_CELLS_PER_LEVEL // max(1, (self.group.order - 1) ** self.degree)
         reps = []
         for lo in range(0, len(rows), block):
@@ -583,7 +597,7 @@ def cohomology(G, A, degree, max_group=DEFAULT_MAX_GROUP,
                max_coeffs=DEFAULT_MAX_COEFFS):
     """H^degree(G, A) on normalized cochains: per invariant factor, the
     cyclic summands of _cocycle_kernel lifted into that factor."""
-    _check_bounds(G, A, degree, max_group, max_coeffs)
+    degree = _check_bounds(G, A, degree, max_group, max_coeffs)
     return CohomologyResult(G, A, degree)
 
 
@@ -614,7 +628,7 @@ def cohomology_classes_mod_aut(G, A, degree=3, max_group=DEFAULT_MAX_GROUP,
     """Orbit representatives of H^degree(G, A) under the pullback action of
     Aut(G).  Returns (representatives, orbit_count, result)."""
     result = cohomology(G, A, degree, max_group=max_group, max_coeffs=max_coeffs)
-    starts = result.all_class_coordinates()
+    _check_cells(result.class_count, "the class list of H^%d" % degree)
     # automorphism a sends normalized coordinate i to coordinate perms[a, i]
     images = group_automorphisms(G)
     cube = np.arange((G.order - 1) ** degree).reshape((G.order - 1,) * degree)
@@ -626,14 +640,19 @@ def cohomology_classes_mod_aut(G, A, degree=3, max_group=DEFAULT_MAX_GROUP,
     actions = np.zeros((len(images), k, k), dtype=np.int64)
     for t, (span, (_orders, summands)) in enumerate(zip(result._spans, result._summands)):
         actions[:, span, span] = result._coordinates(t, summands[:, perms]).swapaxes(0, 1)
-    # the actions are all of Aut(G), so the images of start are its whole orbit
-    seen = set()
+    # a class's code is its mixed-radix coordinate number, first coordinate
+    # most significant, so codes sort like coordinate tuples
+    weights = np.array([math.prod(result._orders[i + 1:]) for i in range(k)], dtype=np.int64)
+    seen = np.zeros(result.class_count, dtype=bool)
+    # the actions are all of Aut(G), so the images of a start are its whole
+    # orbit, and the first unseen code is the minimum of its orbit
     mins = []
-    for start in starts:
-        if start in seen:
-            continue
-        orbit = set(map(tuple, (np.array(start, dtype=np.int64) @ actions % orders).tolist()))
-        seen |= orbit
-        mins.append(min(orbit))
-    reps = result.representatives_of(mins)
+    code = 0
+    while True:
+        mins.append(code)
+        seen[(code // weights % orders) @ actions % orders @ weights] = True
+        code += int(seen[code:].argmin())
+        if seen[code]:
+            break
+    reps = result.representatives_of(np.array(mins, dtype=np.int64)[:, None] // weights % orders)
     return reps, len(reps), result

@@ -3,12 +3,17 @@
 Invariant factors, kernels and cyclic generators come from a diagonal
 (Smith-style) form over a single prime power Z_{p^k}, where an entry of
 minimal p-valuation is a unit multiple of a power of p and can serve as a
-pivot without coefficient growth.  Everything that reads a vector against a
-lattice works over Z_m directly: the Howell form of the lattice is computed
-once, then any number of vectors are reduced against it to their
-lexicographically minimal representatives, with the coefficients that
-express each difference in the generators.  Membership, solving and
-coordinates against a direct-sum basis are all read off that reduction.
+pivot without coefficient growth.  The valuations are kept beside the
+matrix, read through a table of the p^k residues, and each pivot touches
+only the entries it changes: the row sweep is restricted to the pivot
+row's support, and the column sweep to the support of V's pivot column.
+
+Everything that reads a vector against a lattice works over Z_m directly:
+the Howell form of the lattice is computed once, then any number of
+vectors are reduced against it to their lexicographically minimal
+representatives, with the coefficients that express each difference in the
+generators.  Membership, solving and coordinates against a direct-sum basis
+are all read off that reduction.
 """
 
 import numpy as np
@@ -31,14 +36,15 @@ def prime_power_decomposition(m):
     return out
 
 
-def _valuations(A, p, k):
-    """The p-adic valuation of each entry of A over Z_{p^k}, as int8, with
-    k for a zero entry."""
-    W = np.zeros(A.shape, dtype=np.int8)
+def _valuations(p, k):
+    """The p-adic valuation of each residue of Z_{p^k} as an int8 table
+    indexed by the residue, with k for 0: a matrix of residues gathers its
+    valuations from it."""
+    table = np.zeros(p**k, dtype=np.int8)
     for v in range(1, k):
-        W[A % p**v == 0] = v
-    W[A == 0] = k
-    return W
+        table[::p**v] = v
+    table[0] = k
+    return table
 
 
 def smith_mod_prime_power(mat, p, k, want_v=False, want_uinv=False,
@@ -51,6 +57,11 @@ def smith_mod_prime_power(mat, p, k, want_v=False, want_uinv=False,
     invertible over Z_q, and Vinv is tracked alongside V.  The pivot at
     position t is the first entry of minimal valuation, in row-major order,
     of the trailing block M[t:, t:].
+
+    Each pivot touches only the entries it changes: rows above t are zero
+    from column t on, the row sweep covers the rows with a nonzero factor
+    and the columns where the pivot row is nonzero, and the column sweep
+    updates V only in the rows where its pivot column is nonzero.
     """
     q = p**k
     M = np.array(mat, dtype=np.int64) % q
@@ -59,9 +70,10 @@ def smith_mod_prime_power(mat, p, k, want_v=False, want_uinv=False,
     UinvT = np.eye(rows, dtype=np.int64) if want_uinv else None
     V = np.eye(cols, dtype=np.int64) if want_v else None
     Vinv = np.eye(cols, dtype=np.int64) if want_vinv else None
-    # W[i, j] is the valuation of M[i, j]: computed once, permuted with M,
-    # and recomputed only where a sweep changes M
-    W = _valuations(M, p, k)
+    # W[i, j] is the valuation of M[i, j] in the trailing block: computed
+    # once, permuted with M, and recomputed only where the row sweep changes M
+    valuations = _valuations(p, k)
+    W = valuations[M]
 
     diag_vals = []
     t = 0
@@ -73,14 +85,15 @@ def smith_mod_prime_power(mat, p, k, want_v=False, want_uinv=False,
         if vmin >= k:
             break
         i, j = i + t, j + t
+        # rows above t are zero from column t on, so swaps skip them
         if i != t:
-            M[[t, i]] = M[[i, t]]
-            W[[t, i]] = W[[i, t]]
+            M[[t, i], t:] = M[[i, t], t:]
+            W[[t, i], t:] = W[[i, t], t:]
             if UinvT is not None:
                 UinvT[[t, i]] = UinvT[[i, t]]
         if j != t:
-            M[:, [t, j]] = M[:, [j, t]]
-            W[:, [t, j]] = W[:, [j, t]]
+            M[t:, [t, j]] = M[t:, [j, t]]
+            W[t:, [t, j]] = W[t:, [j, t]]
             if V is not None:
                 V[:, [t, j]] = V[:, [j, t]]
             if Vinv is not None:
@@ -88,33 +101,37 @@ def smith_mod_prime_power(mat, p, k, want_v=False, want_uinv=False,
         piv = p**vmin
         unit = int(M[t, t]) // piv
         uinv = pow(unit, -1, q)
-        # a unit multiple keeps the valuations of row t
-        M[t, :] = (M[t, :] * uinv) % q
+        # the pivot row's support, which starts at t; a unit multiple keeps
+        # it and its valuations
+        support = t + np.flatnonzero(M[t, t:])
+        M[t, support] = (M[t, support] * uinv) % q
         if UinvT is not None:
             UinvT[t] = (UinvT[t] * unit) % q
-        # rows above t are already clear in column t, so the row sweep only
-        # touches rows below t with a nonzero factor, in columns >= t
-        factors = (M[:, t] // piv) % q
-        factors[t] = 0
-        nz = np.flatnonzero(factors)
+        # the row sweep subtracts a multiple of row t from each row below t
+        # with a nonzero factor, which changes only the support's columns
+        factors = M[t + 1:, t] // piv
+        nz = t + 1 + np.flatnonzero(factors)
         if nz.size:
-            swept = (M[nz, t:] - np.outer(factors[nz], M[t, t:])) % q
-            M[nz, t:] = swept
-            W[nz, t:] = _valuations(swept, p, k)
+            factors = factors[nz - t - 1]
+            block = np.ix_(nz, support)
+            swept = (M[block] - np.outer(factors, M[t, support])) % q
+            M[block] = swept
+            W[block] = valuations[swept]
             if UinvT is not None:
-                UinvT[t] = (UinvT[t] + factors[nz] @ UinvT[nz]) % q
+                UinvT[t] = (UinvT[t] + factors @ UinvT[nz]) % q
         # column t is now clear below the pivot, so the column sweep only
-        # clears the tail of row t
-        cfac = (M[t, :] // piv) % q
-        cfac[t] = 0
-        nzc = np.flatnonzero(cfac)
-        if nzc.size:
-            M[t, t + 1:] = 0
+        # clears the rest of row t's support, and V only changes in the rows
+        # where V[:, t] is nonzero
+        tail = support[1:]
+        if tail.size:
+            cfac = M[t, tail] // piv
+            M[t, tail] = 0
             if V is not None:
-                V[:, nzc] = (V[:, nzc] - np.outer(V[:, t], cfac[nzc])) % q
+                vrows = np.flatnonzero(V[:, t])
+                block = np.ix_(vrows, tail)
+                V[block] = (V[block] - np.outer(V[vrows, t], cfac)) % q
             if Vinv is not None:
-                Vinv[t, :] = (Vinv[t, :] + cfac[nzc] @ Vinv[nzc]) % q
-        W[t, t + 1:] = k
+                Vinv[t, :] = (Vinv[t, :] + cfac @ Vinv[tail]) % q
         diag_vals.append(vmin)
         t += 1
     while len(diag_vals) < npos:

@@ -613,6 +613,37 @@ def test_size_bounds():
         Cochain(C2, Z2, -1, [])
 
 
+V4 = group_construct("product:cyclic:2,cyclic:2")
+
+
+@pytest.mark.parametrize("call,error,match", [
+    # each used to raise a TypeError, or to answer H^1 for True
+    (lambda: cohomology(V4, Z2, 2.0), DegreeMismatch, "integer, got 2.0"),
+    (lambda: cohomology(V4, Z2, True), DegreeMismatch, "integer, got True"),
+    (lambda: cohomology_classes_mod_aut(V4, Z2, "3"), DegreeMismatch, "integer, got '3'"),
+    (lambda: cocycle_solve(V4, Z2, 2.5), DegreeMismatch, "integer, got 2.5"),
+    (lambda: cohomology(V4, Z2, 3, max_group="x"), SizeBound, "max_group must be an integer"),
+    (lambda: cohomology(V4, Z2, 3, max_coeffs=None), SizeBound, "max_coeffs must be an integer"),
+    # used to raise a ValueError
+    (lambda: cohomology(C2, Z2, 2).cochain_from_coordinates(("a",)), ShapeMismatch,
+     "coordinates must be integers"),
+    (lambda: cohomology(C2, Z2, 2).cochain_from_coordinates((1.0,)), ShapeMismatch,
+     "coordinates must be integers"),
+    (lambda: cohomology(C2, Z2, 2).representatives_of([("a",)]), ShapeMismatch,
+     "coordinates must be integers"),
+], ids=["float-degree", "bool-degree", "str-degree", "solve-float-degree", "str-max-group",
+        "none-max-coeffs", "str-coordinate", "float-coordinate", "str-row"])
+def test_malformed_arguments_are_refused(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+def test_numpy_integer_arguments_are_accepted():
+    res = cohomology(C2, Z2, np.int64(2), max_group=np.int64(2), max_coeffs=np.int8(2))
+    assert res.degree == 2 and type(res.degree) is int
+    assert res.cochain_from_coordinates((np.int64(1),)) == res.representatives[0]
+
+
 def test_json_round_trip():
     alpha = c3_commutator_cocycle()
     obj = alpha.to_json()

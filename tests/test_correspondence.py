@@ -471,6 +471,29 @@ def test_one_wrong_filler_count_fails_its_stage_alone(monkeypatch):
     assert report.counts["duskin_degree2_filler_counts"] == [2, 3]
 
 
+def test_wrong_inverse_fails_only_the_round_trip(monkeypatch):
+    # over C2/Z3 with alpha = 0, negating every A-coordinate of the Duskin
+    # nerve is a simplicial automorphism, so the inverse followed by it is a
+    # valid map from the model to the nerve that is not the inverse
+    G, A = C2, AbelianGroup([3])
+    sk = TwoGroupSkeleton(Cochain.zero(G, A, 3))
+    neg = [np.arange(duskin_nerve(sk).size(n)) for n in range(4)]
+    for n in (2, 3):
+        neg[n] = np.array([encode(sk, n, decode(sk, n, x)[:n] + tuple(
+            A.neg(a) for a in decode(sk, n, x)[n:])) for x in neg[n]])
+    real = correspondence.inverse_map
+
+    def negated(f):
+        inv = real(f)
+        return SimplicialMap(inv.src, inv.dst,
+                             [flip[c] for flip, c in zip(neg, inv.components)])
+
+    monkeypatch.setattr(correspondence, "inverse_map", negated)
+    report = verify_theorem(Cochain.zero(G, A, 3))
+    assert [st["name"] for st in report.stages] == STAGE_NAMES
+    assert failed_stages(report) == [("iso:round_trip", None)]
+
+
 def test_level_bound_comes_before_the_skeleton(monkeypatch):
     # 32^3 * 4^3 = 2^21 level-3 cells: refused before the skeleton checks
     # alpha over all of C32^4

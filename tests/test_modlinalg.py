@@ -8,6 +8,7 @@ import pytest
 from twogrp.cochain import bar_matrix
 from twogrp.group import group_construct
 from twogrp.modlinalg import (
+    _valuations,
     howell_basis,
     kernel_mod_prime_power,
     lex_reduce_mod,
@@ -60,6 +61,48 @@ def test_smith_diagonalizes():
                 assert np.array_equal(
                     (res["V"] @ res["Vinv"]) % q, np.eye(cols, dtype=np.int64)
                 )
+
+
+def test_smith_diagonalizes_sparse_matrices():
+    # at 10% density the pivot rows and V's columns have small supports, the
+    # case the sweeps are restricted to; multiples of p in half the columns
+    # give pivots of positive valuation
+    rng = np.random.default_rng(20261019)
+    for p, k in CASES:
+        q = p**k
+        for rows, cols in [(40, 30), (30, 40)]:
+            for _ in range(3):
+                M = rng.integers(0, q, (rows, cols)) * (rng.random((rows, cols)) < 0.1)
+                M[:, ::2] = M[:, ::2] * p % q
+                res = smith_mod_prime_power(M, p, k, want_v=True, want_uinv=True,
+                                            want_vinv=True)
+                S = res["S"]
+                assert not S[~np.eye(rows, cols, dtype=bool)].any()
+                assert res["vals"] == sorted(res["vals"])
+                assert np.diag(S).tolist() == [p**e % q for e in res["vals"]]
+                assert np.array_equal((M @ res["V"]) % q, (res["Uinv"] @ S) % q)
+                positions, divisors, _ = howell_basis(res["Uinv"], q)
+                assert (positions, divisors) == (list(range(rows)), [1] * rows)
+                assert np.array_equal((res["V"] @ res["Vinv"]) % q,
+                                      np.eye(cols, dtype=np.int64))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 27])
+def test_valuations_match_brute_force(q):
+    (p, k), = prime_power_decomposition(q)
+
+    def valuation(x):
+        if x == 0:
+            return k
+        v = 0
+        while x % p == 0:
+            x //= p
+            v += 1
+        return v
+
+    table = _valuations(p, k)
+    assert table.dtype == np.int8
+    assert table.tolist() == [valuation(x) for x in range(q)]
 
 
 def brute_kernel(M, q):
@@ -188,6 +231,22 @@ SMITH_DIGESTS = {
         "V": "dbe687107cc8324ee2a4e46e3f7198342b93220ba146463998ab469aba6e1ec8",
         "Uinv": "4974205533c42241452404a9c2a36c4b93cb1d21218a510c0acdb7cf951c047a",
         "Vinv": "fa8bdb92e8997af97136b14636ad045292eba4174155ec69acbbd0110956437e",
+    },
+    # recorded before the sweeps were restricted to the entries they
+    # change: odd p, and a cyclic group whose late pivot rows stay dense
+    ("cyclic:7", 7, 1): {
+        "vals": "43add3ff705926b6ebf392019c1872443b31e58a31327cb668aadcf0e4152552",
+        "S": "04c42614da1778dfb01a6d50ca382bda3c002961f65c0a5e631e32d956a93e32",
+        "V": "7fab3ec1773d5faa3d2e9a217a73e52e3ba529ef87e5c3d6678b2fc14f06c7db",
+        "Uinv": "42672bc5b7de8377d98826ed32bf44040dc0b64e56203d573f5f30dac8ac86ed",
+        "Vinv": "9d899bdc2f81d99fbb0c91b97116d61e2491afe17f526e78911e88d782d492ba",
+    },
+    ("cyclic:8", 2, 3): {
+        "vals": "adab4778b245800f89ba9f9c95d59ecd751f4c70feaa4d7df1c64cfab9a280ed",
+        "S": "be04e1aee4bbdade1b48790d586523e3092a56fc966145c0bfb86c8050d045e1",
+        "V": "6f5cc0298caaec9866f7610be672f3d4b9e263528b9aef4f754f8064cfa78bb4",
+        "Uinv": "1dcab5a78b9da62f7fa76ed1da959cde7be0e6d727cb7171217e9a6c1d64526c",
+        "Vinv": "f41d71890a726606919259444eb1ed5d3d4aa455f0676c0917266281db4039d3",
     },
 }
 
