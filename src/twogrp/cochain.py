@@ -39,9 +39,10 @@ import math
 
 import numpy as np
 
-from .coeff import AbelianGroup, is_integer
+from .coeff import AbelianGroup, check_instance, is_integer, rows_as_tuples
 from .errors import (
     DegreeMismatch,
+    IndexOutOfRange,
     NotACocycle,
     NotAnAutomorphism,
     NotNormalized,
@@ -144,8 +145,9 @@ class Cochain:
 
     @property
     def values(self):
-        """The values as a tuple of residue tuples, decoded on each access."""
-        return tuple(map(tuple, self.residues.tolist()))
+        """The values as a tuple of residue tuples, decoded from residues by
+        rows_as_tuples on each access."""
+        return rows_as_tuples(self.residues)
 
     def cube(self):
         """The residues as a G x ... x G x k array."""
@@ -153,9 +155,24 @@ class Cochain:
                                      + self.residues.shape[1:])
 
     def flat_index(self, args):
+        """The row of residues that holds the value at args: degree element
+        indices, each an integer in [0, |G|).  Anything else is refused, so
+        no other row is read in its place."""
+        try:
+            count = len(args)
+        except TypeError:
+            raise ShapeMismatch("arguments must be a sequence, got %s"
+                                % type(args).__name__) from None
+        if count != self.degree:
+            raise ShapeMismatch("a degree-%d cochain takes %d arguments, got %d"
+                                % (self.degree, self.degree, count))
         idx = 0
         for g in args:
-            idx = idx * self.group.order + g
+            if not is_integer(g):
+                raise ShapeMismatch("argument %r is not an integer" % (g,))
+            if not 0 <= g < self.group.order:
+                raise IndexOutOfRange("element index out of range: %r" % (g,))
+            idx = idx * self.group.order + int(g)
         return idx
 
     def value(self, args):
@@ -199,6 +216,7 @@ class Cochain:
         return self._like(self.residues * [n % m for m in A.invariant_factors] % A.moduli)
 
     def _compat(self, other):
+        check_instance(other, Cochain, "the other cochain")
         if (
             self.group != other.group
             or self.coeffs != other.coeffs
@@ -269,6 +287,7 @@ def _unravel(code, shape):
 def _coboundary_residues(c):
     """The residues of dc, one row per tuple of G^(n+1): the alternating
     sum of c over the nerve faces d_0..d_(n+1), modulo A.moduli."""
+    check_instance(c, Cochain, "the cochain")
     G, n = c.group, c.degree
     _check_cells(G.order ** (n + 1), "the coboundary of a degree-%d cochain" % n)
     shape = (G.order,) * (n + 1)
@@ -286,7 +305,8 @@ def _coboundary_residues(c):
 def coboundary(c):
     """The inhomogeneous bar coboundary with trivial action:
     (dc)(g1..g_{n+1}) = c(g2..) - c(g1g2, g3..) + ... +/- c(g1..gn)."""
-    return Cochain(c.group, c.coeffs, c.degree + 1, _coboundary_residues(c))
+    residues = _coboundary_residues(c)
+    return Cochain(c.group, c.coeffs, c.degree + 1, residues)
 
 
 def is_cocycle(c):
@@ -603,6 +623,7 @@ def cohomology(G, A, degree, max_group=DEFAULT_MAX_GROUP,
 
 def are_cohomologous(c1, c2):
     """A normalized witness beta with d(beta) = c2 - c1, or None."""
+    check_instance(c1, Cochain, "the first cochain")
     c1._compat(c2)
     G, A = c1.group, c1.coeffs
     n = c1.degree

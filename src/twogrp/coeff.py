@@ -86,9 +86,10 @@ class AbelianGroup:
         return np.indices(self.invariant_factors).reshape(k, self.order).T
 
     def elements(self):
-        """All elements in lexicographic order, zero first."""
+        """All elements in lexicographic order, zero first, as a list of
+        residue tuples decoded once by rows_as_tuples."""
         if self._elements is None:
-            self._elements = list(map(tuple, self._residue_grid().tolist()))
+            self._elements = list(rows_as_tuples(self._residue_grid()))
         return self._elements
 
     def index(self, x):
@@ -138,6 +139,22 @@ class AbelianGroup:
 def is_integer(x):
     """Whether x is a Python or numpy integer; bools are not."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def check_instance(x, cls, what):
+    """Refuse with ShapeMismatch, naming what, unless x is an instance of cls."""
+    if not isinstance(x, cls):
+        raise ShapeMismatch("%s must be a %s, got %s"
+                            % (what, cls.__name__, type(x).__name__))
+
+
+def rows_as_tuples(arr):
+    """The rows of a 2-d integer array as a tuple of int tuples.  The array
+    is decoded one column at a time, so no Python list is built per row; an
+    array with no columns gives one () per row."""
+    if not arr.shape[1]:
+        return ((),) * len(arr)
+    return tuple(zip(*arr.T.tolist()))
 
 
 def _frozen(table):

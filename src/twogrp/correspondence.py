@@ -28,6 +28,8 @@ import functools
 
 import numpy as np
 
+from .cochain import Cochain
+from .coeff import check_instance
 from .errors import DegreeMismatch, IndexOutOfRange
 from .simplicial import (
     CACHE_SIZE,
@@ -229,6 +231,7 @@ def _plainify(obj):
 def verify_theorem(alpha):
     """Machine-check that the Duskin nerve of G_alpha is isomorphic to the
     pullback of the cocycle map along the decalage, stage by stage."""
+    check_instance(alpha, Cochain, "the associator")
     if alpha.degree != 3:
         raise DegreeMismatch("expected a degree-3 cochain")
     G, A = alpha.group, alpha.coeffs

@@ -13,7 +13,7 @@ import itertools
 
 import numpy as np
 
-from .coeff import is_integer
+from .coeff import is_integer, rows_as_tuples
 from .errors import IndexOutOfRange, NotAGroup, ParseError, SizeBound, UnsupportedSpec
 
 AUTOMORPHISM_ORDER_BOUND = 12
@@ -106,8 +106,8 @@ class FiniteGroup:
     @functools.cached_property
     def table(self):
         """The multiplication table as a tuple of int tuples, decoded from
-        table_array on first use."""
-        return tuple(map(tuple, self.table_array.tolist()))
+        table_array by rows_as_tuples on first use."""
+        return rows_as_tuples(self.table_array)
 
     @functools.cached_property
     def _inverses(self):

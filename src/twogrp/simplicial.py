@@ -37,6 +37,7 @@ import types
 
 import numpy as np
 
+from .coeff import is_integer
 from .errors import (
     DegreeMismatch,
     DimensionBound,
@@ -472,11 +473,15 @@ def _guard_level(size):
         raise DimensionBound("level would hold %d cells" % size)
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
+# typed, so that True is not served the nerve cached for truncation 1
+@functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
 def nerve_bg(G, truncation=3):
     """The nerve of a finite group: level n is G^n, faces multiply adjacent
     entries or drop ends, degeneracies insert the identity."""
-    N = truncation
+    if not is_integer(truncation):
+        raise TruncationMismatch("nerve truncation must be an integer, got %r"
+                                 % (truncation,))
+    N = int(truncation)
     if N > MAX_DEGREE:
         raise DimensionBound("nerve truncation %d exceeds bound %d" % (N, MAX_DEGREE))
     _guard_level(G.order**N)

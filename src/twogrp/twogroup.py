@@ -11,7 +11,8 @@ is_cocycle, so the two certificates stay independent.
 
 import numpy as np
 
-from .cochain import _check_cells, is_cocycle
+from .cochain import Cochain, _check_cells, is_cocycle
+from .coeff import check_instance, rows_as_tuples
 from .errors import DegreeMismatch, NotACocycle, NotNormalized, SizeBound
 
 # duality_data lists up to |A| pairs; 2^16 of them take about 25 MiB
@@ -23,8 +24,7 @@ class TwoGroupSkeleton:
     associator cochain."""
 
     def __init__(self, alpha):
-        if alpha.degree != 3:
-            raise DegreeMismatch("associator must be a degree-3 cochain")
+        _check_associator(alpha)
         witness = alpha.normalization_witness()
         if witness is not None:
             raise NotNormalized(witness)
@@ -56,6 +56,7 @@ def _first_mismatch(lhs, rhs, A):
 
 
 def _check_associator(alpha):
+    check_instance(alpha, Cochain, "the associator")
     if alpha.degree != 3:
         raise DegreeMismatch("associator must be a degree-3 cochain")
 
@@ -92,6 +93,7 @@ def check_zigzag(alpha, x, ev, coev):
     alpha(x, x^{-1}, x); the right snake picks up alpha(x^{-1}, x, x^{-1})
     with the opposite orientation.
     """
+    _check_associator(alpha)
     G, A = alpha.group, alpha.coeffs
     xbar = G.inv(x)
     zero = A.zero
@@ -106,6 +108,7 @@ def duality_data(alpha, x):
     ev + coev = -alpha(x, x^{-1}, x) and ev + coev = alpha(x^{-1}, x, x^{-1}),
     so pairs exist iff these agree, and then coev = that sum - ev.  Refused
     with SizeBound when |A| exceeds MAX_DUALITY_PAIRS."""
+    _check_associator(alpha)
     A = alpha.coeffs
     if A.order > MAX_DUALITY_PAIRS:
         raise SizeBound("duality data has up to |A| = %d pairs, above the bound %d"
@@ -117,12 +120,13 @@ def duality_data(alpha, x):
         return []
     evs = A.elements()
     coevs = right - np.array(evs, dtype=np.int64).reshape(A.order, len(A.moduli))
-    return list(zip(evs, map(tuple, (coevs % A.moduli).tolist())))
+    return list(zip(evs, rows_as_tuples(coevs % A.moduli)))
 
 
 def check_duality(alpha):
     """Every object of a skeletal 2-group is dualizable; verify that each x
     admits at least one (ev, coev) pair.  Returns (ok, witness_object)."""
+    _check_associator(alpha)
     for x in range(alpha.group.order):
         if not duality_data(alpha, x):
             return False, x
@@ -140,6 +144,7 @@ def monoidal_functor_check(alpha_src, alpha_dst, j):
     """
     _check_associator(alpha_src)
     alpha_src._compat(alpha_dst)
+    check_instance(j, Cochain, "the structure cells")
     if j.degree != 2 or j.group != alpha_src.group or j.coeffs != alpha_src.coeffs:
         raise DegreeMismatch("structure cells must form a degree-2 cochain")
     T, J = j.group.table_array, j.cube()

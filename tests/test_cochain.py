@@ -18,16 +18,29 @@ from twogrp.cochain import (
     is_cocycle,
     pull_back_along_automorphism,
 )
+from twogrp.correspondence import verify_theorem
 from twogrp.errors import (
     DegreeMismatch,
+    IndexOutOfRange,
     NotACocycle,
     NotAnAutomorphism,
     NotNormalized,
     ShapeMismatch,
     SizeBound,
+    TruncationMismatch,
     WitnessMismatch,
 )
 from twogrp.group import cyclic, dihedral, group_automorphisms, group_construct
+from twogrp.simplicial import nerve_bg
+from twogrp.twogroup import (
+    TwoGroupSkeleton,
+    check_duality,
+    check_pentagon,
+    check_triangle,
+    check_zigzag,
+    duality_data,
+    monoidal_functor_check,
+)
 
 from oracles import brute_coboundary, brute_h3_multi
 
@@ -65,6 +78,36 @@ def test_value_indexing():
     c = Cochain.from_function(C3, Z3, 2, lambda a, b: ((a + 2 * b) % 3,))
     assert c.value((1, 2)) == ((1 + 4) % 3,)
     assert c.values[c.flat_index((2, 1))] == ((2 + 2) % 3,)
+    assert c.value((np.int64(2), np.int8(1))) == ((2 + 2) % 3,)
+
+
+@pytest.mark.parametrize("args,error,match", [
+    # numpy's negative indexing used to read the value at (2, 0, 0)
+    ((-1, 0, 0), IndexOutOfRange, "out of range: -1"),
+    # flat index 15 belongs to (1, 2, 0)
+    ((1, 1, 3), IndexOutOfRange, "out of range: 3"),
+    # both used to read the value at (0, 0, 0)
+    ((0, 0), ShapeMismatch, "takes 3 arguments, got 2"),
+    ((0, 0, 0, 0), ShapeMismatch, "takes 3 arguments, got 4"),
+    # used to raise a TypeError
+    ((0, 1, "a"), ShapeMismatch, "'a' is not an integer"),
+    ((0, 1, 1.0), ShapeMismatch, "1.0 is not an integer"),
+    ((0, True, 1), ShapeMismatch, "True is not an integer"),
+    (7, ShapeMismatch, "must be a sequence"),
+], ids=["negative", "past-order", "short", "long", "str", "float", "bool", "not-a-sequence"])
+def test_value_refuses_other_cells(args, error, match):
+    alpha = cohomology(C3, Z3, 3).representatives[0]
+    with pytest.raises(error, match=match):
+        alpha.value(args)
+
+
+def test_trivial_coefficients_give_one_empty_row_per_tuple():
+    trivial = AbelianGroup([])
+    for G in (C2, dihedral(3)):
+        for n in range(4):
+            c = Cochain.zero(G, trivial, n)
+            assert c.values == ((),) * G.order**n
+            assert coboundary(c).values == ((),) * G.order ** (n + 1)
 
 
 def test_shape_mismatch():
@@ -631,8 +674,31 @@ V4 = group_construct("product:cyclic:2,cyclic:2")
      "coordinates must be integers"),
     (lambda: cohomology(C2, Z2, 2).representatives_of([("a",)]), ShapeMismatch,
      "coordinates must be integers"),
+    # each used to raise an AttributeError
+    (lambda: coboundary(5), ShapeMismatch, "cochain must be a Cochain, got int"),
+    (lambda: is_cocycle("x"), ShapeMismatch, "cochain must be a Cochain, got str"),
+    (lambda: check_pentagon(5), ShapeMismatch, "associator must be a Cochain"),
+    (lambda: check_triangle(5), ShapeMismatch, "associator must be a Cochain"),
+    (lambda: check_duality(5), ShapeMismatch, "associator must be a Cochain"),
+    (lambda: duality_data(5, 0), ShapeMismatch, "associator must be a Cochain"),
+    (lambda: check_zigzag(5, 0, (0,), (0,)), ShapeMismatch, "associator must be a Cochain"),
+    (lambda: TwoGroupSkeleton(5), ShapeMismatch, "associator must be a Cochain"),
+    (lambda: monoidal_functor_check(*[Cochain.zero(C2, Z2, 3)] * 2, [0]), ShapeMismatch,
+     "structure cells must be a Cochain, got list"),
+    (lambda: are_cohomologous(Cochain.zero(C2, Z2, 3), "x"), ShapeMismatch,
+     "other cochain must be a Cochain, got str"),
+    (lambda: are_cohomologous(None, Cochain.zero(C2, Z2, 3)), ShapeMismatch,
+     "first cochain must be a Cochain, got NoneType"),
+    (lambda: verify_theorem("x"), ShapeMismatch, "associator must be a Cochain, got str"),
+    # used to raise a TypeError
+    (lambda: nerve_bg(C2, 2.5), TruncationMismatch, "integer, got 2.5"),
+    # used to answer with the nerve cached for truncation 1
+    (lambda: (nerve_bg(C2, 1), nerve_bg(C2, True)), TruncationMismatch, "integer, got True"),
 ], ids=["float-degree", "bool-degree", "str-degree", "solve-float-degree", "str-max-group",
-        "none-max-coeffs", "str-coordinate", "float-coordinate", "str-row"])
+        "none-max-coeffs", "str-coordinate", "float-coordinate", "str-row", "coboundary-int",
+        "is-cocycle-str", "pentagon-int", "triangle-int", "duality-int", "duality-data-int",
+        "zigzag-int", "skeleton-int", "functor-list", "cohomologous-str", "cohomologous-none",
+        "verify-str", "nerve-float-truncation", "nerve-bool-truncation"])
 def test_malformed_arguments_are_refused(call, error, match):
     with pytest.raises(error, match=match):
         call()

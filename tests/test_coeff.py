@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from twogrp.coeff import MAX_COEFF_ORDER, AbelianGroup
+from twogrp.coeff import MAX_COEFF_ORDER, AbelianGroup, rows_as_tuples
 from twogrp.errors import InvalidFactor, ShapeMismatch, SizeBound
 
 
@@ -84,3 +86,21 @@ def test_check_rejects_bad_elements():
 def test_json_round_trip():
     A = AbelianGroup([2, 4])
     assert AbelianGroup.from_json(A.to_json()) == A
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (1, 0), (5, 0), (0, 3), (1, 1), (7, 3), (4096, 2)])
+def test_rows_as_tuples_matches_the_per_row_decode(shape):
+    arr = np.random.default_rng(sum(shape)).integers(0, 2**24, size=shape)
+    rows = rows_as_tuples(arr)
+    assert rows == tuple(map(tuple, arr.tolist()))
+    assert type(rows) is tuple and len(rows) == shape[0]
+    assert all(type(row) is tuple and all(type(r) is int for r in row) for row in rows)
+
+
+def test_elements_are_the_residue_tuples_in_order():
+    assert AbelianGroup([]).elements() == [()]
+    for factors in ([2], [6], [2, 2], [2, 4, 3]):
+        A = AbelianGroup(factors)
+        els = A.elements()
+        assert type(els) is list
+        assert els == sorted(itertools.product(*map(range, factors)))

@@ -277,3 +277,11 @@ def test_validation_matches_direct_scan(table):
         assert (exc.reason, exc.witness) == want
     else:
         assert want is None and G.table == tuple(map(tuple, table))
+
+
+def test_table_decodes_table_array():
+    for spec in ("cyclic:1", "cyclic:5", "dihedral:4", "symmetric:3",
+                 "product:cyclic:2,cyclic:4"):
+        G = group_construct(spec)
+        assert G.table == tuple(tuple(G.mul(x, y) for y in G.elements()) for x in G.elements())
+        assert all(type(row) is tuple and all(type(v) is int for v in row) for row in G.table)

@@ -6,7 +6,7 @@ import pytest
 from twogrp.coeff import AbelianGroup
 from twogrp.cochain import Cochain, coboundary, cohomology, is_cocycle
 from twogrp.errors import DegreeMismatch, NotACocycle, NotNormalized, SizeBound
-from twogrp.group import cyclic, dihedral
+from twogrp.group import cyclic, dihedral, group_construct
 from twogrp.twogroup import (
     TwoGroupSkeleton,
     check_duality,
@@ -186,3 +186,19 @@ def test_pentagon_grid_is_bounded():
     with pytest.raises(SizeBound, match="pentagon"):
         check_pentagon(Cochain.zero(cyclic(33), Z2, 3))
     assert check_pentagon(Cochain.zero(cyclic(32), Z2, 3)) == (True, None)
+
+
+@pytest.mark.parametrize("spec,factors", [
+    ("cyclic:2", []), ("cyclic:3", [3]), ("dihedral:3", [2, 2]), ("cyclic:4", [4, 2]),
+    ("product:cyclic:2,cyclic:2", [2]),
+])
+def test_duality_data_lists_every_ev_with_its_coev(spec, factors):
+    G, A = group_construct(spec), AbelianGroup(factors)
+    for alpha in cohomology(G, A, 3).representatives + [Cochain.zero(G, A, 3)]:
+        for x in G.elements():
+            right = alpha.value((G.inv(x), x, G.inv(x)))
+            expect = [(ev, A.sub(right, ev)) for ev in A.elements()]
+            pairs = duality_data(alpha, x)
+            assert pairs == expect
+            assert all(type(part) is tuple and all(type(r) is int for r in part)
+                       for pair in pairs for part in pair)
