@@ -183,7 +183,6 @@ def run_cocycle(args):
             "orbit_representatives": [c.to_json()["values"] for c in reps],
         }
         return report, True
-    raise ParseError("unknown cocycle subaction %r" % args.subaction)
 
 
 def run_twogroup(args):
@@ -216,7 +215,6 @@ def run_twogroup(args):
         ok, witness = monoidal_functor_check(src, dst, j)
         report = {"ok": ok, "witness": list(witness) if witness else None}
         return report, ok
-    raise ParseError("unknown twogroup subaction %r" % args.subaction)
 
 
 def run_sset(args):
@@ -241,7 +239,6 @@ def run_sset(args):
             return {"ok": True, "written": args.output,
                     "levels": obj["levels"]}, True
         return {"ok": True, "sset": obj}, True
-    raise ParseError("unknown sset subaction %r" % args.subaction)
 
 
 def run_theorem(args):

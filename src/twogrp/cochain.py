@@ -86,7 +86,9 @@ def _check_cells(count, what):
                         % (what, count, MAX_CELLS_PER_LEVEL))
 
 
-def _cochain_degree(group, degree):
+def _cochain_degree(group, coeffs, degree):
+    check_instance(group, FiniteGroup, "the cochain's group")
+    check_instance(coeffs, AbelianGroup, "the cochain's coefficients")
     degree = _check_degree(degree)
     _check_cells(group.order**degree, "a degree-%d cochain" % degree)
     return degree
@@ -122,7 +124,7 @@ class Cochain:
     def __init__(self, group, coeffs, degree, values):
         self.group = group
         self.coeffs = coeffs
-        self.degree = _cochain_degree(group, degree)
+        self.degree = _cochain_degree(group, coeffs, degree)
         rows = group.order**self.degree
         if len(values) != rows:
             raise ShapeMismatch("expected %d values, got %d" % (rows, len(values)))
@@ -130,13 +132,13 @@ class Cochain:
 
     @classmethod
     def zero(cls, group, coeffs, degree):
-        degree = _cochain_degree(group, degree)
+        degree = _cochain_degree(group, coeffs, degree)
         shape = (group.order**degree, len(coeffs.moduli))
         return cls(group, coeffs, degree, np.zeros(shape, dtype=np.int64))
 
     @classmethod
     def from_function(cls, group, coeffs, degree, fn):
-        degree = _cochain_degree(group, degree)
+        degree = _cochain_degree(group, coeffs, degree)
         vals = [
             fn(*args)
             for args in itertools.product(range(group.order), repeat=degree)
@@ -260,7 +262,7 @@ class Cochain:
             raise DegreeMismatch(
                 "cochain degree must be an integer >= 0, got %r" % (degree,)
             )
-        degree = _cochain_degree(group, degree)
+        degree = _cochain_degree(group, coeffs, degree)
         rows = []
 
         def walk(node, depth):

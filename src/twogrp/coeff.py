@@ -144,8 +144,9 @@ def is_integer(x):
 def check_instance(x, cls, what):
     """Refuse with ShapeMismatch, naming what, unless x is an instance of cls."""
     if not isinstance(x, cls):
-        raise ShapeMismatch("%s must be a %s, got %s"
-                            % (what, cls.__name__, type(x).__name__))
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise ShapeMismatch("%s must be %s %s, got %s"
+                            % (what, article, cls.__name__, type(x).__name__))
 
 
 def rows_as_tuples(arr):

@@ -18,10 +18,14 @@ and the cached nerve, W, Wbar and decalage for every alpha but does that
 work once per (G, A), with the same witnesses.
 
 Cells are mixed-radix codes of their coordinates in the order the
-docstrings list them (elements of G, then element indices of A), so every
-table and map component here is one gather over an open index grid of
-(f, g, h, t1, t2, t3) with G's multiplication table, A's addition,
-subtraction tables and alpha's value indices.
+docstrings list them (elements of G, then element indices of A), so a
+model's cell is a cell of the nerve of G with A's coordinates appended as
+the least significant digits: a 2-cell is the nerve's 2-cell times |A| plus
+a, a 3-cell the nerve's 3-cell times |A|^3 plus the code of its three
+A-coordinates.  Every table reads G's part off the cached nerve_bg(G, 3),
+whose face rule is the one in simplicial.nerve_face, and computes A's part
+with A's addition and subtraction tables and alpha's value indices; no
+table here multiplies through G's table.
 """
 
 import functools
@@ -29,8 +33,8 @@ import functools
 import numpy as np
 
 from .cochain import Cochain
-from .coeff import check_instance
-from .errors import DegreeMismatch, IndexOutOfRange
+from .coeff import AbelianGroup, check_instance
+from .errors import DegreeMismatch, IndexOutOfRange, ShapeMismatch
 from .simplicial import (
     CACHE_SIZE,
     Horn,
@@ -57,38 +61,17 @@ from .simplicial import (
 from .twogroup import TwoGroupSkeleton
 
 
-def _code2(G, A, f, g, a):
-    """The index of the 2-cell (f, g, a) of either model."""
-    return encode((f, g, a), (G.order, G.order, A.order))
-
-
-def _code3(G, A, f, g, h, a, b, c):
-    """The index of the 3-cell of either model with coordinates
-    (f, g, h, a, b, c) in G^3 x A^3."""
-    return encode((f, g, h, a, b, c), (G.order,) * 3 + (A.order,) * 3)
-
-
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _frame(G, A):
-    """Levels 0-2 of both models, which alpha does not enter: one point,
-    the elements of G, and 2-cells (f, g, a) with faces g, fg, f."""
-    ng, na = G.order, A.order
-    shape2 = (ng, ng, na)
-    f, g, _a = grid(shape2)
-    f1 = np.arange(ng, dtype=np.int64)
-    levels = [range(1), range(ng), range(ng * ng * na)]
-    faces = {
-        (1, 0): np.zeros(ng, dtype=np.int64),
-        (1, 1): np.zeros(ng, dtype=np.int64),
-        (2, 0): flat(g, shape2),
-        (2, 1): flat(G.table_array[f, g], shape2),
-        (2, 2): flat(f, shape2),
-    }
-    degeneracies = {
-        (0, 0): np.zeros(1, dtype=np.int64),
-        (1, 0): _code2(G, A, 0, f1, 0),
-        (1, 1): _code2(G, A, f1, 0, 0),
-    }
+    """Levels 0-2 of both models, which alpha does not enter: levels 0 and
+    1 of the nerve of G, and 2-cells (f, g, a), the nerve's 2-cell (f, g)
+    followed by the digit a, with faces g, fg, f."""
+    NG, na = nerve_bg(G, 3), A.order
+    levels = [NG.levels[0], NG.levels[1], range(NG.size(2) * na)]
+    faces = {(1, i): NG.faces[(1, i)] for i in range(2)}
+    faces.update({(2, i): np.repeat(NG.faces[(2, i)], na) for i in range(3)})
+    degeneracies = {(0, 0): NG.degeneracies[(0, 0)]}
+    degeneracies.update({(1, i): NG.degeneracies[(1, i)] * na for i in range(2)})
     return TruncatedSSet(2, levels, faces, degeneracies)
 
 
@@ -99,6 +82,22 @@ def _model(G, A, faces3, degeneracies3):
     in A."""
     level3 = range(G.order**3 * A.order**3)
     return TruncatedSSet(3, [level3], faces3, degeneracies3, base=_frame(G, A))
+
+
+def _model_on_nerve(G, A, face_digits, degeneracy_digits):
+    """_model with G's coordinates read off the nerve of G and A's appended
+    as the least significant digits: d_i of the 3-cell (fgh, x1, x2, x3) is
+    the nerve's d_i of fgh and the digit face_digits(fgh, x1, x2, x3)[i], and
+    s_i of the 2-cell (fg, t) the nerve's s_i of fg and the three digits
+    degeneracy_digits(t)[i], all over open grids."""
+    NG, na = nerve_bg(G, 3), A.order
+    shape3, shape2 = (NG.size(3), na, na, na), (NG.size(2), na)
+    (fgh, *x), (fg, t) = grid(shape3), grid(shape2)
+    digits3, digits2 = face_digits(fgh, *x), degeneracy_digits(t)
+    faces3 = {(3, i): flat(NG.faces[(3, i)][fgh] * na + digits3[i], shape3) for i in range(4)}
+    degeneracies3 = {(2, i): flat(NG.degeneracies[(2, i)][fg] * na**3
+                                  + encode(digits2[i], (na,) * 3), shape2) for i in range(3)}
+    return _model(G, A, faces3, degeneracies3)
 
 
 def duskin_nerve(skeleton):
@@ -114,57 +113,34 @@ def duskin_nerve(skeleton):
     the two routes through the interior of the tetrahedron.  A 3-cell is
     indexed by (f, g, h, t1, t2, t3); t0 is solved for.
     """
+    check_instance(skeleton, TwoGroupSkeleton, "the skeleton")
     G, A, alpha = skeleton.group, skeleton.coeffs, skeleton.alpha
-    ng, na = G.order, A.order
-    _guard_level(ng**3 * na**3)
-    T, Add, Sub = G.table_array, A.add_array, A.sub_array
-    V = alpha.index_array().reshape((ng,) * 3)
-    shape3 = (ng, ng, ng, na, na, na)
-    f, g, h, t1, t2, t3 = grid(shape3)
-    t0 = Sub[Add[V[f, g, h], Add[t1, t3]], t2]
-    faces3 = {
-        (3, 0): flat(_code2(G, A, g, h, t0), shape3),
-        (3, 1): flat(_code2(G, A, T[f, g], h, t1), shape3),
-        (3, 2): flat(_code2(G, A, f, T[g, h], t2), shape3),
-        (3, 3): flat(_code2(G, A, f, g, t3), shape3),
-    }
+    _guard_level(G.order**3 * A.order**3)
+    Add, Sub = A.add_array, A.sub_array
+    V = alpha.index_array()
+
+    def faces(fgh, t1, t2, t3):
+        return Sub[Add[V[fgh], Add[t1, t3]], t2], t1, t2, t3
+
     # s_i(f, g, t) is (0, f, g, t, t, 0, 0), (f, 0, g, 0, t, t, 0) or
     # (f, g, 0, 0, 0, t, t); its t0 is as listed because alpha is normalized
-    shape2 = (ng, ng, na)
-    f, g, t = grid(shape2)
-    degeneracies3 = {
-        (2, 0): flat(_code3(G, A, 0, f, g, t, 0, 0), shape2),
-        (2, 1): flat(_code3(G, A, f, 0, g, t, t, 0), shape2),
-        (2, 2): flat(_code3(G, A, f, g, 0, 0, t, t), shape2),
-    }
-    return _model(G, A, faces3, degeneracies3)
+    return _model_on_nerve(G, A, faces, lambda t: ((t, 0, 0), (t, t, 0), (0, t, t)))
 
 
 def pullback_model(skeleton):
     """The explicit homotopy-fiber model: one point, 1-cells the elements
     of G, 2-cells (f, g, a), and 3-cells (f, g, h, a, b, c) whose faces
     carry a+d, a+b, b+c and c with d = alpha(f, g, h)."""
+    check_instance(skeleton, TwoGroupSkeleton, "the skeleton")
     G, A, alpha = skeleton.group, skeleton.coeffs, skeleton.alpha
-    ng, na = G.order, A.order
-    _guard_level(ng**3 * na**3)
-    T, Add = G.table_array, A.add_array
-    V = alpha.index_array().reshape((ng,) * 3)
-    shape3 = (ng, ng, ng, na, na, na)
-    f, g, h, a, b, c = grid(shape3)
-    faces3 = {
-        (3, 0): flat(_code2(G, A, g, h, Add[a, V[f, g, h]]), shape3),
-        (3, 1): flat(_code2(G, A, T[f, g], h, Add[a, b]), shape3),
-        (3, 2): flat(_code2(G, A, f, T[g, h], Add[b, c]), shape3),
-        (3, 3): flat(_code2(G, A, f, g, c), shape3),
-    }
-    shape2 = (ng, ng, na)
-    f, g, a = grid(shape2)
-    degeneracies3 = {
-        (2, 0): flat(_code3(G, A, 0, f, g, a, 0, 0), shape2),
-        (2, 1): flat(_code3(G, A, f, 0, g, 0, a, 0), shape2),
-        (2, 2): flat(_code3(G, A, f, g, 0, 0, 0, a), shape2),
-    }
-    return _model(G, A, faces3, degeneracies3)
+    _guard_level(G.order**3 * A.order**3)
+    Add = A.add_array
+    V = alpha.index_array()
+
+    def faces(fgh, a, b, c):
+        return Add[a, V[fgh]], Add[a, b], Add[b, c], c
+
+    return _model_on_nerve(G, A, faces, lambda a: ((a, 0, 0), (0, a, 0), (0, 0, a)))
 
 
 def canonical_iso(duskin, pullback, coeffs):
@@ -173,8 +149,14 @@ def canonical_iso(duskin, pullback, coeffs):
 
         a = t1 - t2 + t3,  b = t2 - t3,  c = t3.
     """
+    check_instance(duskin, TruncatedSSet, "the Duskin nerve")
+    check_instance(pullback, TruncatedSSet, "the pullback model")
+    check_instance(coeffs, AbelianGroup, "the coefficients")
     A = coeffs
     ng, na = duskin.size(1), A.order
+    if duskin.size(3) != ng**3 * na**3:
+        raise ShapeMismatch("%d level-3 cells, not |G|^3 |A|^3 = %d for A = %r"
+                            % (duskin.size(3), ng**3 * na**3, A))
     Add, Sub = A.add_array, A.sub_array
     shape3 = (ng**3, na, na, na)
     fgh, t1, t2, t3 = grid(shape3)

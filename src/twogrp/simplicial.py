@@ -15,9 +15,10 @@ Gamma(A[2]), its total space W and classifying space Wbar) and in
 correspondence.py have product-structured levels: a cell's index is the
 mixed-radix code of its coordinates (first coordinate most significant, the
 lexicographic enumeration order), and tables are gathers over open index
-grids with the group table and A's addition table.  Also provided: fiber
-products by a sorted join, horns, and the Kan condition, swept by one
-vectorised join over level-(n-1) face tables.
+grids with A's addition table and, for G, the one face rule nerve_face, or
+nerve_bg's tables built with it (the models and the level-4 cocycle map).
+Also provided: fiber products by a sorted join, horns, and the Kan
+condition, swept by one vectorised join over level-(n-1) face tables.
 
 A truncated set may be built on a base, a set of lower truncation whose
 levels, faces and degeneracies it shares as the same array objects; it
@@ -37,7 +38,7 @@ import types
 
 import numpy as np
 
-from .coeff import is_integer
+from .coeff import AbelianGroup, check_instance, is_integer
 from .errors import (
     DegreeMismatch,
     DimensionBound,
@@ -47,6 +48,7 @@ from .errors import (
     ShapeMismatch,
     TruncationMismatch,
 )
+from .group import FiniteGroup
 
 MAX_CELLS_PER_LEVEL = 1 << 20
 
@@ -183,6 +185,8 @@ class TruncatedSSet:
     """
 
     def __init__(self, truncation, levels, faces, degeneracies, base=None):
+        if not is_integer(truncation):
+            raise TruncationMismatch("truncation must be an integer, got %r" % (truncation,))
         self.truncation = int(truncation)
         if self.truncation < 0:
             raise TruncationMismatch("truncation must be >= 0, got %d" % self.truncation)
@@ -341,6 +345,7 @@ def validate_simplicial(X):
     kept on X.  On a set whose base passed, only the identities that touch
     a level above the base are checked; the first failure is the same, as
     the base's identities hold."""
+    check_instance(X, TruncatedSSet, "the simplicial set")
     base = X.base
     low = base.truncation + 1 if base is not None and validate_simplicial(base)[0] else 0
     return _cached(X, "simplicial", lambda: _failed_identity(X, low))
@@ -392,6 +397,8 @@ class SimplicialMap:
     cells of dst level n."""
 
     def __init__(self, src, dst, components):
+        check_instance(src, TruncatedSSet, "the source")
+        check_instance(dst, TruncatedSSet, "the target")
         if src.truncation != dst.truncation:
             raise TruncationMismatch("source and target truncations differ")
         self.src = src
@@ -478,6 +485,7 @@ def _guard_level(size):
 def nerve_bg(G, truncation=3):
     """The nerve of a finite group: level n is G^n, faces multiply adjacent
     entries or drop ends, degeneracies insert the identity."""
+    check_instance(G, FiniteGroup, "the group")
     if not is_integer(truncation):
         raise TruncationMismatch("nerve truncation must be an integer, got %r"
                                  % (truncation,))
@@ -609,11 +617,21 @@ def _abelian_sset(A, truncation, widths, targets):
     return TruncatedSSet(truncation, levels, tables["face"], tables["degeneracy"])
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
+def _check_b2a(A, truncation, what):
+    """Refuse anything but coefficients A and an integer truncation of at
+    most 4."""
+    check_instance(A, AbelianGroup, "the coefficients")
+    if not is_integer(truncation):
+        raise TruncationMismatch("%s truncation must be an integer, got %r" % (what, truncation))
+    if truncation > 4:
+        raise DimensionBound("%s supports truncation at most 4" % what)
+
+
+# typed like nerve_bg, as are w_b2a and wbar_b2a
+@functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
 def gamma_a2(A, truncation=4):
     """Gamma(A[2]) as a truncated simplicial set."""
-    if truncation > 4:
-        raise DimensionBound("gamma_a2 supports truncation at most 4")
+    _check_b2a(A, truncation, "gamma_a2")
     gamma = GammaA2(A, truncation)
     return _abelian_sset(A, truncation, gamma.width, gamma.targets)
 
@@ -628,22 +646,20 @@ def _w_sset(A, truncation, lead):
     )
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
+@functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
 def w_b2a(A, truncation=3):
     """W(Gamma(A[2])), the total space of the universal bundle over the
     classifying space of B^2 A: level n is Gamma_n x ... x Gamma_0."""
-    if truncation > 4:
-        raise DimensionBound("w_b2a supports truncation at most 4")
+    _check_b2a(A, truncation, "w_b2a")
     return _w_sset(A, truncation, True)
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
+@functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
 def wbar_b2a(A, truncation=3):
     """The simplicial classifying space of Gamma(A[2]): level n is
     Gamma_{n-1} x ... x Gamma_0, with operations transported from W by
     lifting along the unit section and dropping the leading factor."""
-    if truncation > 4:
-        raise DimensionBound("wbar_b2a supports truncation at most 4")
+    _check_b2a(A, truncation, "wbar_b2a")
     return _w_sset(A, truncation, False)
 
 
@@ -667,8 +683,12 @@ def cocycle_as_map(alpha, truncation=3):
     At truncation 3 the map always exists; at truncation 4 the component on
     4-cells must satisfy five face constraints whose joint solvability at
     every 4-tuple is exactly the cocycle condition, so NotACocycle is raised
-    with the first failing tuple.
+    with the first failing tuple.  It reads alpha at the faces of each
+    4-cell through nerve_bg(G, 4)'s face tables.
     """
+    from .cochain import Cochain  # cochain imports this module
+
+    check_instance(alpha, Cochain, "the associator")
     if alpha.degree != 3:
         raise DegreeMismatch("expected a degree-3 cochain")
     if truncation not in (3, 4):
@@ -676,24 +696,20 @@ def cocycle_as_map(alpha, truncation=3):
     G, A = alpha.group, alpha.coeffs
     NG = nerve_bg(G, truncation)
     Wb = wbar_b2a(A, truncation)
-    ng, na = G.order, A.order
-    V = alpha.index_array().reshape((ng,) * 3)
+    V = alpha.index_array()
     # Wbar_3 cells are ((alpha,), (), ()), coded by the index of alpha
-    comps = [np.zeros(NG.size(n), dtype=np.int64) for n in range(3)]
-    comps.append(V.ravel())
+    comps = [np.zeros(NG.size(n), dtype=np.int64) for n in range(3)] + [V]
     if truncation == 4:
-        T, Add, Sub = G.table_array, A.add_array, A.sub_array
-        shape = (ng,) * 4
-        g1, g2, g3, g4 = grid(shape)
-        d = V[g2, g3, g4]
-        a = Sub[V[T[g1, g2], g3, g4], d]
-        b = Sub[V[g1, T[g2, g3], g4], a]
-        c = V[g1, g2, g3]
-        bad = np.flatnonzero(flat(Add[b, c] != V[g1, g2, T[g3, g4]], shape))
+        Add, Sub = A.add_array, A.sub_array
+        # alpha on the faces d_0..d_4 of every 4-cell (g1, g2, g3, g4)
+        d, v1, v2, v3, c = (V[NG.faces[(4, i)]] for i in range(5))
+        a = Sub[v1, d]
+        b = Sub[v2, a]
+        bad = np.flatnonzero(Add[b, c] != v3)
         if bad.size:
-            raise NotACocycle(tuple(int(v) for v in np.unravel_index(bad[0], shape)))
+            raise NotACocycle(tuple(int(v) for v in np.unravel_index(bad[0], (G.order,) * 4)))
         # the Wbar_4 cell ((a, b, c), (d,), (), ())
-        comps.append(flat(encode((a, b, c, d), (na,) * 4), shape))
+        comps.append(encode((a, b, c, d), (A.order,) * 4))
     return SimplicialMap(NG, Wb, comps)
 
 
@@ -734,6 +750,8 @@ def fiber_product(f, g):
     """The level-wise pullback of f: X -> Z and g: Y -> Z, with its two
     projections.  Cells of level n are the pairs (x, y) with f(x) = g(y),
     x-major and y ascending."""
+    check_instance(f, SimplicialMap, "f")
+    check_instance(g, SimplicialMap, "g")
     _check_same_set(f.dst, g.dst, "maps have different codomains")
     X, Y = f.src, g.src
     N = X.truncation
@@ -779,9 +797,11 @@ class Horn:
     """A compatible horn: faces[j] for j != missing at level n-1."""
 
     def __init__(self, n, missing, faces):
+        faces = dict(faces)
+        if not all(map(is_integer, (n, missing, *faces.values()))):
+            raise ShapeMismatch("a horn's dimension, missing index and faces must be integers")
         if not 0 <= missing <= n:
             raise IndexOutOfRange("missing index out of range")
-        faces = dict(faces)
         if sorted(faces) != [j for j in range(n + 1) if j != missing]:
             raise ShapeMismatch("horn must supply every face except the missing one")
         self.n = n
@@ -898,6 +918,9 @@ def _check_horn_type(X, n, missing):
 def fillers(X, horn):
     """All cells whose faces extend the horn, ascending."""
     _check_horn_type(X, horn.n, horn.missing)
+    outside = [c for c in horn.faces.values() if not 0 <= c < X.size(horn.n - 1)]
+    if outside:
+        raise IndexOutOfRange("horn face %r is not a cell of level %d" % (outside[0], horn.n - 1))
     extends = np.ones(X.size(horn.n), dtype=bool)
     for j, c in horn.faces.items():
         extends &= X.faces[(horn.n, j)] == c
@@ -1026,8 +1049,8 @@ def is_kan(X, up_to=None):
     the first unfilled horn in enumerate_horns order, n and missing
     ascending.  up_to, when given, must be at least 1: a sweep over no level
     would pass vacuously."""
-    if up_to is not None and up_to < 1:
-        raise DimensionBound("is_kan checks levels 1..up_to, got up_to = %d" % up_to)
+    if up_to is not None and not (is_integer(up_to) and up_to >= 1):
+        raise DimensionBound("is_kan checks levels 1..up_to, got up_to = %r" % (up_to,))
     N = up_to if up_to is not None else X.truncation
     for n in range(1, min(N, X.truncation) + 1):
         for missing in range(n + 1):

@@ -87,6 +87,31 @@ def test_missing_file_is_usage_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv, match", [
+    (("cohomology", "--group", "cyclic:2", "--coeffs", "2,x"), "bad coefficient spec '2,x'"),
+    (("cohomology", "--group", "cyclic:2", "--coeffs", ","), "empty coefficient spec ','"),
+], ids=["non-integer-factor", "no-factor"])
+def test_bad_coefficient_specs_are_usage_errors(capsys, argv, match):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and not out
+    assert match in err
+
+
+def test_invalid_json_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text("{")
+    code, out, err = run(capsys, "sset", "validate", str(path))
+    assert code == EXIT_USAGE and not out
+    assert "invalid JSON in %s" % path in err
+
+
+def test_group_verb_writes_its_output_file(capsys, tmp_path):
+    path = tmp_path / "c4.json"
+    code, obj, _ = run_json(capsys, "group", "cyclic:4", "-o", str(path))
+    assert code == EXIT_PASS and obj["written"] == str(path)
+    assert json.loads(path.read_text()) == obj["group"] == cyclic(4).to_json()
+
+
 def test_bad_spec_is_fail(capsys):
     # a nonexistent group family parses as a spec string and fails loading
     code, out, err = run(capsys, "cohomology", "--group", "foo:3",

@@ -413,6 +413,31 @@ def test_are_cohomologous():
     assert wit is not None and coboundary(wit) == coboundary(b)
 
 
+def test_are_cohomologous_off_the_normalized_path():
+    # a difference that is not normalized has no normalized primitive
+    c = Cochain.from_function(C2, Z2, 2, lambda a, b: (1,) if (a, b) == (0, 1) else (0,))
+    assert are_cohomologous(Cochain.zero(C2, Z2, 2), c) is None
+    # in degree 0 only equal cochains are cohomologous, through beta = 0
+    zero, one = Cochain.zero(C2, Z2, 0), Cochain(C2, Z2, 0, [(1,)])
+    assert are_cohomologous(one, one) == zero
+    assert are_cohomologous(zero, one) is None
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: Cochain(C2, Z2, 1, [(0,), (0, 1)]), ShapeMismatch, "has 2 residues"),
+    # numpy promotes uint64 and int64 together to float64
+    (lambda: Cochain(C2, Z2, 1, [(np.uint64(1),), (np.int64(0),)]), ShapeMismatch,
+     "residues must be integers, got dtype float64"),
+    (lambda: Cochain.zero(C2, Z2, 3).add(Cochain.zero(C2, Z2, 2)), DegreeMismatch,
+     "cochains live on different complexes"),
+    (lambda: cohomology(C2, Z2, 2).cochain_from_coordinates((0, 0)), ShapeMismatch,
+     "expected 1 coordinates"),
+], ids=["ragged-rows", "float-rows", "other-complex", "coordinate-count"])
+def test_every_cochain_refusal_is_reached(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 def test_are_cohomologous_rejects_bad_witness(monkeypatch):
     # the self-check must survive python -O, so it cannot be an assert
     import twogrp.cochain
@@ -690,6 +715,12 @@ V4 = group_construct("product:cyclic:2,cyclic:2")
     (lambda: are_cohomologous(None, Cochain.zero(C2, Z2, 3)), ShapeMismatch,
      "first cochain must be a Cochain, got NoneType"),
     (lambda: verify_theorem("x"), ShapeMismatch, "associator must be a Cochain, got str"),
+    (lambda: Cochain(5, Z2, 3, []), ShapeMismatch,
+     "cochain's group must be a FiniteGroup, got int"),
+    (lambda: Cochain(C2, 5, 3, [(0,)] * 8), ShapeMismatch,
+     "cochain's coefficients must be an AbelianGroup, got int"),
+    (lambda: Cochain.zero(C2, [2], 3), ShapeMismatch,
+     "cochain's coefficients must be an AbelianGroup, got list"),
     # used to raise a TypeError
     (lambda: nerve_bg(C2, 2.5), TruncationMismatch, "integer, got 2.5"),
     # used to answer with the nerve cached for truncation 1
@@ -698,7 +729,8 @@ V4 = group_construct("product:cyclic:2,cyclic:2")
         "none-max-coeffs", "str-coordinate", "float-coordinate", "str-row", "coboundary-int",
         "is-cocycle-str", "pentagon-int", "triangle-int", "duality-int", "duality-data-int",
         "zigzag-int", "skeleton-int", "functor-list", "cohomologous-str", "cohomologous-none",
-        "verify-str", "nerve-float-truncation", "nerve-bool-truncation"])
+        "verify-str", "cochain-int-group", "cochain-int-coeffs", "zero-list-coeffs",
+        "nerve-float-truncation", "nerve-bool-truncation"])
 def test_malformed_arguments_are_refused(call, error, match):
     with pytest.raises(error, match=match):
         call()

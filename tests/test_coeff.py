@@ -15,6 +15,11 @@ def test_trivial_group():
     assert A.add((), ()) == ()
 
 
+def test_check_refuses_a_non_integer_residue():
+    with pytest.raises(ShapeMismatch, match="residue 0.5 is not an integer"):
+        AbelianGroup([4]).check((0.5,))
+
+
 def test_cyclic_arithmetic():
     A = AbelianGroup([4])
     assert A.add((3,), (2,)) == (1,)

@@ -18,7 +18,7 @@ from twogrp.correspondence import (
     verify_theorem,
 )
 from twogrp.errors import DegreeMismatch, DimensionBound, ShapeMismatch
-from twogrp.group import cyclic, dihedral, group_construct
+from twogrp.group import cyclic, dihedral, group_construct, symmetric
 from twogrp import simplicial
 from twogrp.simplicial import (
     SimplicialMap,
@@ -68,6 +68,17 @@ def encode(sk, n, coords):
     return int(np.ravel_multi_index(digits, radices(sk, n)))
 
 
+def s3_nonzero():
+    """A nonzero class of H^3(S3, Z3): G is not abelian and a != -a in A."""
+    res = cohomology(symmetric(3), AbelianGroup([3]), 3)
+    return res.lex_minimal_representative(res.cochain_from_coordinates((1,)))
+
+
+def identity_of(G):
+    """The identity of G, found through G.mul: its only idempotent."""
+    return next(x for x in range(G.order) if G.mul(x, x) == x)
+
+
 def test_duskin_nerve_sizes_and_validity():
     sk = TwoGroupSkeleton(c2_nontrivial())
     X = duskin_nerve(sk)
@@ -77,9 +88,13 @@ def test_duskin_nerve_sizes_and_validity():
 
 
 def test_duskin_compositor_constraint():
-    sk = TwoGroupSkeleton(c2_nontrivial())
+    for alpha in (c2_nontrivial(), s3_nonzero()):
+        check_duskin_cells(TwoGroupSkeleton(alpha))
+
+
+def check_duskin_cells(sk):
     X = duskin_nerve(sk)
-    A, alpha = sk.coeffs, sk.alpha
+    G, A, alpha = sk.group, sk.coeffs, sk.alpha
     for x in range(X.size(3)):
         # a 3-cell is coded by (f, g, h, t1, t2, t3); t0 is read off d0
         f, g, h, t1, t2, t3 = decode(sk, 3, x)
@@ -89,23 +104,43 @@ def test_duskin_compositor_constraint():
         assert lhs == rhs
         # each face extracts the 2-morphism attached to it
         assert (g0, h0) == (g, h)
-        assert decode(sk, 2, X.face(3, 1, x)) == (C2.mul(f, g), h, t1)
-        assert decode(sk, 2, X.face(3, 2, x)) == (f, C2.mul(g, h), t2)
+        assert decode(sk, 2, X.face(3, 1, x)) == (G.mul(f, g), h, t1)
+        assert decode(sk, 2, X.face(3, 2, x)) == (f, G.mul(g, h), t2)
         assert decode(sk, 2, X.face(3, 3, x)) == (f, g, t3)
+    # s_i inserts the identity and repeats t on the faces next to it; the
+    # solved t0 of s_i(f, g, t) is t, 0 and 0
+    e, zero = identity_of(G), A.zero
+    for x in range(X.size(2)):
+        f, g, t = decode(sk, 2, x)
+        degenerate = [X.degeneracy(2, i, x) for i in range(3)]
+        assert [decode(sk, 3, y) for y in degenerate] == [
+            (e, f, g, t, zero, zero), (f, e, g, t, t, zero), (f, g, e, zero, t, t)]
+        assert [decode(sk, 2, X.face(3, 0, y))[2] for y in degenerate] == [t, zero, zero]
 
 
 def test_pullback_model_faces():
-    sk = TwoGroupSkeleton(c2_nontrivial())
+    for alpha in (c2_nontrivial(), s3_nonzero()):
+        check_pullback_cells(TwoGroupSkeleton(alpha))
+
+
+def check_pullback_cells(sk):
     X = pullback_model(sk)
-    A, alpha = sk.coeffs, sk.alpha
-    assert [X.size(n) for n in range(4)] == [1, 2, 8, 64]
+    G, A, alpha = sk.group, sk.coeffs, sk.alpha
+    n, m = G.order, A.order
+    assert [X.size(k) for k in range(4)] == [1, n, n**2 * m, n**3 * m**3]
     for x in range(X.size(3)):
         f, g, h, a, b, c = decode(sk, 3, x)
         d = alpha.value((f, g, h))
         assert decode(sk, 2, X.face(3, 0, x)) == (g, h, A.add(a, d))
-        assert decode(sk, 2, X.face(3, 1, x)) == (C2.mul(f, g), h, A.add(a, b))
-        assert decode(sk, 2, X.face(3, 2, x)) == (f, C2.mul(g, h), A.add(b, c))
+        assert decode(sk, 2, X.face(3, 1, x)) == (G.mul(f, g), h, A.add(a, b))
+        assert decode(sk, 2, X.face(3, 2, x)) == (f, G.mul(g, h), A.add(b, c))
         assert decode(sk, 2, X.face(3, 3, x)) == (f, g, c)
+    # s_i(f, g, a) inserts the identity and puts a in slot i
+    e, zero = identity_of(G), A.zero
+    for x in range(X.size(2)):
+        f, g, a = decode(sk, 2, x)
+        assert [decode(sk, 3, X.degeneracy(2, i, x)) for i in range(3)] == [
+            (e, f, g, a, zero, zero), (f, e, g, zero, a, zero), (f, g, e, zero, zero, a)]
 
 
 def test_canonical_iso_round_trip_labels():
@@ -401,10 +436,10 @@ def test_corrupted_d0_fails_the_same_stages(monkeypatch):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CORRUPT_D0_DIGEST
 
 
-def shift_level3_cell(f, x):
-    """f with level-3 cell x sent to the next cell of the target."""
+def shift_cell(f, n, x):
+    """f with level-n cell x sent to the next cell of the target."""
     comps = [c.copy() for c in f.components]
-    comps[3][x] = (comps[3][x] + 1) % f.dst.size(3)
+    comps[n][x] = (comps[n][x] + 1) % f.dst.size(n)
     return SimplicialMap(f.src, f.dst, comps)
 
 
@@ -417,7 +452,7 @@ def test_map_off_the_fiber_product_keeps_the_report(monkeypatch):
     # map into the fiber product exists
     real = correspondence._model_to_w
     monkeypatch.setattr(correspondence, "_model_to_w",
-                        lambda *args: shift_level3_cell(real(*args), 0))
+                        lambda *args: shift_cell(real(*args), 3, 0))
     report = verify_theorem(Cochain.zero(C2, Z2, 3))
     leaves = "(p, q) leaves the fiber product at level 3"
     assert not report.ok
@@ -437,7 +472,7 @@ def test_cocycle_map_off_the_fiber_product_keeps_the_report(monkeypatch):
 
     def shifted(alpha, truncation=3):
         f = real(alpha, truncation)
-        return shift_level3_cell(f, 0) if truncation == 3 else f
+        return shift_cell(f, 3, 0) if truncation == 3 else f
 
     monkeypatch.setattr(correspondence, "cocycle_as_map", shifted)
     report = verify_theorem(Cochain.zero(C2, Z2, 3))
@@ -452,6 +487,69 @@ def test_cocycle_map_off_the_fiber_product_keeps_the_report(monkeypatch):
         ("agreement:mediating_map", leaves),
         ("agreement:bijective", leaves),
     ]
+
+
+def corrupted_pullback(rng):
+    """pullback_model with one seeded entry of its level-3 face d_2 moved to
+    another 2-cell, rebuilt through _model."""
+    real = correspondence.pullback_model
+
+    def build(skeleton):
+        X = real(skeleton)
+        faces = {k: v for k, v in X.faces.items() if k[0] == 3}
+        degs = {k: v for k, v in X.degeneracies.items() if k[0] == 2}
+        d2 = faces[(3, 2)] = faces[(3, 2)].copy()
+        x = rng.randrange(len(d2))
+        d2[x] = (d2[x] + rng.randrange(1, X.size(2))) % X.size(2)
+        return correspondence._model(skeleton.group, skeleton.coeffs, faces, degs)
+
+    return "pullback_model", build
+
+
+def shifted_model_to_nerve(rng):
+    """_model_to_nerve with one seeded level-3 cell shifted."""
+    real = correspondence._model_to_nerve
+    return "_model_to_nerve", lambda *args: shift_cell(
+        real(*args), 3, rng.randrange(args[0].size(3)))
+
+
+def shifted_level4_cocycle_map(rng):
+    """cocycle_as_map with one seeded level-4 cell shifted at truncation 4."""
+    real = correspondence.cocycle_as_map
+
+    def build(alpha, truncation=3):
+        f = real(alpha, truncation)
+        return shift_cell(f, 4, rng.randrange(f.src.size(4))) if truncation == 4 else f
+
+    return "cocycle_as_map", build
+
+
+# SHA-256 of the sorted-key JSON of the reports of each negative control
+# below, recorded before the models and the level-4 cocycle map read G's
+# coordinates off nerve_bg: every verdict and witness must stay as it was.
+NEGATIVE_CONTROLS = [
+    (corrupted_pullback, "simplicial:pullback",
+     "b140c2f7d4f213d8eec0bb64c1a4b952b61f67ee0e86c409941ec0a1d0de50d7"),
+    (shifted_model_to_nerve, "map:model_to_nerve",
+     "87e4a680df993b4a1bedcdb499e18cd1b066a63ac0d63df57a7578d00700f30f"),
+    (shifted_level4_cocycle_map, "map:cocycle_map_level4",
+     "40a1f9a6dcc0141547304631f873583834a7ebac023875d270281e6950c618cc"),
+]
+
+
+@pytest.mark.parametrize("patch, stage, digest", NEGATIVE_CONTROLS,
+                         ids=[stage for _, stage, _ in NEGATIVE_CONTROLS])
+def test_negative_controls_fail_the_same_stages(monkeypatch, patch, stage, digest):
+    name, replacement = patch(random.Random(20261020))
+    monkeypatch.setattr(correspondence, name, replacement)
+    reports = []
+    for G, A in FRAME_STRATA + [(symmetric(3), AbelianGroup([3]))]:
+        for alpha in lex_reps(G, A)[:2]:
+            report = verify_theorem(alpha).to_json()
+            assert stage in [st["name"] for st in report["stages"] if not st["ok"]]
+            reports.append(report)
+    text = json.dumps(reports, sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 def test_one_wrong_filler_count_fails_its_stage_alone(monkeypatch):
@@ -492,6 +590,27 @@ def test_wrong_inverse_fails_only_the_round_trip(monkeypatch):
     report = verify_theorem(Cochain.zero(G, A, 3))
     assert [st["name"] for st in report.stages] == STAGE_NAMES
     assert failed_stages(report) == [("iso:round_trip", None)]
+
+
+def models(alpha):
+    sk = TwoGroupSkeleton(alpha)
+    return duskin_nerve(sk), pullback_model(sk)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    # each used to raise an AttributeError
+    (lambda: duskin_nerve(5), ShapeMismatch, "skeleton must be a TwoGroupSkeleton, got int"),
+    (lambda: pullback_model(c2_nontrivial()), ShapeMismatch,
+     "skeleton must be a TwoGroupSkeleton, got Cochain"),
+    (lambda: canonical_iso(1, 2, Z2), ShapeMismatch,
+     "Duskin nerve must be a TruncatedSSet, got int"),
+    # used to build A's 2^48-entry addition table and escape with MemoryError
+    (lambda: canonical_iso(*models(c2_nontrivial()), AbelianGroup([2**24])), ShapeMismatch,
+     "64 level-3 cells, not"),
+], ids=["duskin-int", "pullback-cochain", "iso-int", "iso-other-coefficients"])
+def test_malformed_model_arguments_are_refused(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 def test_level_bound_comes_before_the_skeleton(monkeypatch):

@@ -34,6 +34,14 @@ def test_cyclic_basics():
     assert G.element_order(1) == 4
 
 
+def test_mul_and_inv_refuse_other_elements():
+    G = cyclic(4)
+    with pytest.raises(IndexOutOfRange, match=r"\(1, 4\)"):
+        G.mul(1, 4)
+    with pytest.raises(IndexOutOfRange, match="-1"):
+        G.inv(-1)
+
+
 def test_cyclic_three_inverse():
     G = cyclic(3)
     assert G.mul(1, 2) == 0

@@ -5,15 +5,17 @@ import numpy as np
 import pytest
 
 from twogrp.coeff import AbelianGroup
-from twogrp.cochain import Cochain, is_cocycle
+from twogrp.cochain import Cochain, coboundary, cohomology, is_cocycle
 from twogrp.errors import (
+    DegreeMismatch,
     DimensionBound,
     IndexOutOfRange,
     NotACocycle,
+    ParseError,
     ShapeMismatch,
     TruncationMismatch,
 )
-from twogrp.group import cyclic, dihedral
+from twogrp.group import cyclic, dihedral, symmetric
 from twogrp import simplicial
 from twogrp.simplicial import (
     Horn,
@@ -179,6 +181,39 @@ def test_level4_extension_iff_cocycle():
             with pytest.raises(NotACocycle) as err:
                 cocycle_as_map(alpha, 4)
             assert err.value.witness == witness
+
+
+def test_level4_witness_is_the_first_failing_tuple_over_s3():
+    # seeded normalized cochains over S3 with Z3: cocycles extend to level
+    # 4, and every other cochain is refused at the first 4-tuple where its
+    # coboundary is nonzero, also when a single value breaks a cocycle
+    G, A = symmetric(3), AbelianGroup([3])
+    rng = random.Random(20261021)
+    els = A.elements()
+
+    def normalized(degree, value):
+        return Cochain.from_function(G, A, degree, lambda *a: A.zero if 0 in a else value(a))
+
+    rep = cohomology(G, A, 3).representatives[0]
+    cochains = [normalized(3, lambda a: rng.choice(els)) for _ in range(4)]
+    for k in range(3):
+        beta = normalized(2, lambda a: rng.choice(els))
+        cocycle = rep.scale(k).add(coboundary(beta))
+        cochains.append(cocycle)
+        broken = rng.choice(list(itertools.product(range(1, 6), repeat=3)))
+        cochains.append(normalized(3, lambda a: A.add(cocycle.value(a), els[1])
+                                   if a == broken else cocycle.value(a)))
+    outcomes = set()
+    for alpha in cochains:
+        ok, witness = is_cocycle(alpha)
+        outcomes.add(ok)
+        if ok:
+            assert cocycle_as_map(alpha, 4).validate() == (True, None)
+        else:
+            with pytest.raises(NotACocycle) as err:
+                cocycle_as_map(alpha, 4)
+            assert err.value.witness == witness
+    assert outcomes == {True, False}
 
 
 def test_fiber_product_and_mediating():
@@ -389,6 +424,70 @@ def test_horn_type_out_of_range(n, missing, error):
     if 0 <= missing <= n:
         with pytest.raises(error):
             fillers(X, Horn(n, missing, {j: 0 for j in range(n + 1) if j != missing}))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    # each used to raise an AttributeError
+    (lambda: nerve_bg(5, 3), ShapeMismatch, "group must be a FiniteGroup, got int"),
+    (lambda: wbar_b2a(5, 3), ShapeMismatch, "coefficients must be an AbelianGroup, got int"),
+    (lambda: cocycle_as_map(5), ShapeMismatch, "associator must be a Cochain, got int"),
+    (lambda: fiber_product(1, 2), ShapeMismatch, "f must be a SimplicialMap, got int"),
+    (lambda: validate_simplicial(5), ShapeMismatch,
+     "simplicial set must be a TruncatedSSet, got int"),
+    (lambda: SimplicialMap(nerve_bg(C2, 3), 5, []), ShapeMismatch,
+     "target must be a TruncatedSSet, got int"),
+    # each used to raise a TypeError
+    (lambda: gamma_a2(Z2, "x"), TruncationMismatch, "gamma_a2 truncation must be an integer"),
+    (lambda: wbar_b2a(Z2, "x"), TruncationMismatch, "wbar_b2a truncation must be an integer"),
+    (lambda: w_b2a(Z2, 2.5), TruncationMismatch, "w_b2a truncation must be an integer"),
+    (lambda: is_kan(nerve_bg(C2, 3), "a"), DimensionBound, "got up_to = 'a'"),
+    (lambda: Horn(2, "a", {}), ShapeMismatch, "must be integers"),
+    # used to answer with the set cached for truncation 1
+    (lambda: (w_b2a(Z2, 1), w_b2a(Z2, True)), TruncationMismatch, "integer, got True"),
+    # used to raise a ValueError
+    (lambda: TruncatedSSet("x", [], {}, {}), TruncationMismatch, "integer, got 'x'"),
+    # used to answer [] for a face that level 1 does not have
+    (lambda: fillers(nerve_bg(C2, 3), Horn(2, 0, {1: 0, 2: 99})), IndexOutOfRange,
+     "horn face 99 is not a cell of level 1"),
+], ids=["nerve-int", "wbar-int", "cocycle-map-int", "fiber-product-int", "validate-int",
+        "map-int-target", "gamma-str-truncation", "wbar-str-truncation",
+        "w-float-truncation", "kan-str-up-to", "horn-str-missing", "w-bool-truncation",
+        "sset-str-truncation", "fillers-stray-face"])
+def test_malformed_simplicial_arguments_are_refused(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: point_and_edge({(1, 0): [[0], [0, 1]]}, {}), ShapeMismatch,
+     r"face table \(1, 0\) is not a flat integer table"),
+    (lambda: point_and_edge({(1, 0): [0.5, 0.0]}, {}), ShapeMismatch,
+     r"face table \(1, 0\) is not a flat integer table"),
+    (lambda: TruncatedSSet(-1, [], {}, {}), TruncationMismatch, "must be >= 0, got -1"),
+    (lambda: TruncatedSSet.from_json({"truncation": 1, "levels": [1, 2],
+                                      "faces": {"1,0": [2**64, 0], "1,1": [0, 0]},
+                                      "degeneracies": {"0,0": [0]}}),
+     ParseError, "holds an entry out of range"),
+    (lambda: SimplicialMap(nerve_bg(C2, 2), nerve_bg(C2, 3), []), TruncationMismatch,
+     "truncations differ"),
+    (lambda: SimplicialMap(nerve_bg(C2, 1), nerve_bg(C2, 1), [[0]]), ShapeMismatch,
+     "one component per level"),
+    (lambda: SimplicialMap(nerve_bg(C2, 1), nerve_bg(C2, 1), [[0], [0, 2]]), IndexOutOfRange,
+     "component 1 hits cell 2"),
+    (lambda: w_b2a(Z2, 5), DimensionBound, "w_b2a supports truncation at most 4"),
+    (lambda: wbar_b2a(Z2, 5), DimensionBound, "wbar_b2a supports truncation at most 4"),
+    (lambda: cocycle_as_map(Cochain.zero(C2, Z2, 2)), DegreeMismatch, "degree-3"),
+], ids=["ragged-table", "float-table", "negative-truncation", "json-entry-past-int64",
+        "map-truncations", "map-component-count", "map-component-range", "w-truncation-5",
+        "wbar-truncation-5", "cocycle-map-degree-2"])
+def test_every_refusal_is_reached(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+def test_among_an_empty_array():
+    keys = np.array([0, 3], dtype=np.int64)
+    assert simplicial._among(np.zeros(0, dtype=np.int64), keys).tolist() == [False, False]
 
 
 def test_index_table_shares_only_frozen_owned_arrays():
