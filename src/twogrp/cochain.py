@@ -96,8 +96,10 @@ def _cochain_degree(group, coeffs, degree):
 
 def _residue_array(A, values):
     """values, one row of residues per argument tuple, as a read-only int64
-    array after one vectorised range check.  On failure A.check names the
-    first bad row."""
+    array after one vectorised range check.  Otherwise every row goes
+    through A.check, which names the first bad row, and the array is built
+    from the checked residues (numpy reads rows that mix uint64 and int64
+    as float64)."""
     try:
         arr = np.asarray(values)
     except ValueError:  # ragged rows
@@ -109,9 +111,13 @@ def _residue_array(A, values):
         if not ((arr < 0) | (arr >= A.moduli)).any():
             arr.flags.writeable = False
             return arr
-    for row in values:
-        A.check(tuple(row))
-    raise ShapeMismatch("cochain residues must be integers, got dtype %s" % arr.dtype)
+    rows = [tuple(row) for row in values]
+    for row in rows:
+        A.check(row)
+    arr = np.array([[int(r) for r in row] for row in rows], dtype=np.int64)
+    arr = arr.reshape(len(rows), len(A.moduli))
+    arr.flags.writeable = False
+    return arr
 
 
 class Cochain:
@@ -139,6 +145,8 @@ class Cochain:
     @classmethod
     def from_function(cls, group, coeffs, degree, fn):
         degree = _cochain_degree(group, coeffs, degree)
+        if not callable(fn):
+            raise ShapeMismatch("the values must come from a function, got %s" % type(fn).__name__)
         vals = [
             fn(*args)
             for args in itertools.product(range(group.order), repeat=degree)
@@ -255,8 +263,10 @@ class Cochain:
 
     @classmethod
     def from_json(cls, obj, group=None, coeffs=None):
-        group = group or FiniteGroup.from_json(obj["group"])
-        coeffs = coeffs or AbelianGroup.from_json(obj["coeffs"])
+        if not isinstance(obj, dict) or not {"degree", "values"} <= obj.keys():
+            raise ParseError("a cochain must be a JSON object with a degree and values")
+        group = group or FiniteGroup.from_json(obj.get("group"))
+        coeffs = coeffs or AbelianGroup.from_json(obj.get("coeffs"))
         degree = obj["degree"]
         if not isinstance(degree, int) or isinstance(degree, bool) or degree < 0:
             raise DegreeMismatch(
@@ -438,6 +448,8 @@ def _class_basis(G, degree, m):
 def _check_bounds(G, A, degree, max_group, max_coeffs):
     """The degree as an int, once it and the order bounds are integers and
     G, A and the degree are inside them."""
+    check_instance(G, FiniteGroup, "the group")
+    check_instance(A, AbelianGroup, "the coefficients")
     degree = _check_degree(degree)
     for name, bound in (("max_group", max_group), ("max_coeffs", max_coeffs)):
         if not is_integer(bound):
@@ -534,6 +546,7 @@ class CohomologyResult:
     def _factor_vectors(self, c):
         """c's residues over normalized coordinates, one row per invariant
         factor, once c is known to be normalized and on this complex."""
+        check_instance(c, Cochain, "the cochain")
         if (c.group, c.coeffs, c.degree) != (self.group, self.coeffs, self.degree):
             raise DegreeMismatch("cochain lives on another complex than this H^n")
         witness = c.normalization_witness()

@@ -35,6 +35,7 @@ import numpy as np
 from .cochain import Cochain
 from .coeff import AbelianGroup, check_instance
 from .errors import DegreeMismatch, IndexOutOfRange, ShapeMismatch
+from .group import FiniteGroup
 from .simplicial import (
     CACHE_SIZE,
     Horn,
@@ -175,6 +176,8 @@ class TheoremReport:
     """Per-stage outcome of the end-to-end verification."""
 
     def __init__(self, group, coeffs):
+        check_instance(group, FiniteGroup, "the group")
+        check_instance(coeffs, AbelianGroup, "the coefficients")
         self.group = group
         self.coeffs = coeffs
         self.stages = []

@@ -13,7 +13,7 @@ import itertools
 
 import numpy as np
 
-from .coeff import is_integer, rows_as_tuples
+from .coeff import check_instance, is_integer, rows_as_tuples
 from .errors import IndexOutOfRange, NotAGroup, ParseError, SizeBound, UnsupportedSpec
 
 AUTOMORPHISM_ORDER_BOUND = 12
@@ -203,6 +203,8 @@ def symmetric(n):
 
 def product(g, h):
     """Direct product; pair (x, y) has index x*|H| + y."""
+    check_instance(g, FiniteGroup, "the first factor")
+    check_instance(h, FiniteGroup, "the second factor")
     order = g.order * h.order
     _check_order(order)
     x, y = np.divmod(np.arange(order), h.order)
@@ -214,6 +216,8 @@ def product(g, h):
 def group_construct(spec):
     """Build a group from a spec string: cyclic:N, dihedral:N, symmetric:N
     or product:SPEC,SPEC (products may nest)."""
+    if not isinstance(spec, str):
+        raise UnsupportedSpec("group spec must be a string, got %s" % type(spec).__name__)
     g, pos = _parse_spec(spec.strip(), 0)
     if pos != len(spec.strip()):
         raise UnsupportedSpec("trailing characters in group spec %r" % spec)
@@ -276,6 +280,7 @@ def group_automorphisms(g):
     far) determine an automorphism; every assignment of images of equal
     element orders is extended along the generators' breadth-first words at
     once, and the bijective homomorphisms are kept."""
+    check_instance(g, FiniteGroup, "the group")
     if g.order > AUTOMORPHISM_ORDER_BOUND:
         raise SizeBound(
             "automorphism search limited to order <= %d (got %d)"

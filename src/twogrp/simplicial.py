@@ -11,14 +11,18 @@ level sizes and face and degeneracy tables.  _table_keys is the one place
 that lists a truncation's tables; checks and builders walk it.
 
 The constructors here (the nerve of a finite group, the Dold-Kan nerve
-Gamma(A[2]), its total space W and classifying space Wbar) and in
+Gamma(A[2]), its classifying space Wbar and total space W) and in
 correspondence.py have product-structured levels: a cell's index is the
 mixed-radix code of its coordinates (first coordinate most significant, the
 lexicographic enumeration order), and tables are gathers over open index
 grids with A's addition table and, for G, the one face rule nerve_face, or
 nerve_bg's tables built with it (the models and the level-4 cocycle map).
-Also provided: fiber products by a sorted join, horns, and the Kan
-condition, swept by one vectorised join over level-(n-1) face tables.
+On the B^2 A side, Wbar(Gamma(A[2])) is the one builder (_wbar): W is its
+decalage Dec_0 Wbar, whose level n, d_i and s_i are Wbar's level n+1,
+d_{i+1} and s_{i+1} as the same arrays, and the decalage map W -> Wbar is
+Wbar's d_0, the face that Dec_0 forgets.  Also provided: fiber products by
+a sorted join, horns, and the Kan condition, swept by one vectorised join
+over level-(n-1) face tables.
 
 A truncated set may be built on a base, a set of lower truncation whose
 levels, faces and degeneracies it shares as the same array objects; it
@@ -436,6 +440,7 @@ class SimplicialMap:
 
     def compose(self, other):
         """self after other."""
+        check_instance(other, SimplicialMap, "the other map")
         _check_same_set(other.dst, self.src, "maps not composable")
         comps = [
             self.components[n][other.components[n]]
@@ -445,6 +450,7 @@ class SimplicialMap:
 
 
 def identity_map(X):
+    check_instance(X, TruncatedSSet, "the simplicial set")
     return SimplicialMap(
         X, X, [np.arange(X.size(n), dtype=np.int64) for n in range(X.truncation + 1)]
     )
@@ -452,6 +458,7 @@ def identity_map(X):
 
 def is_isomorphism(f):
     """Whether a validated simplicial map is a level-wise bijection."""
+    check_instance(f, SimplicialMap, "the map")
     for n in range(f.src.truncation + 1):
         if f.src.size(n) != f.dst.size(n):
             return False
@@ -463,6 +470,7 @@ def is_isomorphism(f):
 def inverse_map(f):
     """The level-wise inverse of a bijective map.  On a cell hit several
     times the last preimage wins; a cell never hit goes to cell 0."""
+    check_instance(f, SimplicialMap, "the map")
     comps = []
     for n in range(f.src.truncation + 1):
         inv = np.full(f.dst.size(n), -1, dtype=np.int64)
@@ -545,47 +553,37 @@ class GammaA2:
         return [pos[eta[:i + 1] + eta[i:]] for eta in self.surjections[n]]
 
 
-def _w_targets(gamma, kind, n, i, lead):
-    """Where d_i or s_i on level n of W(Gamma(A[2])) sends each copy of A.
+def _w_targets(gamma, kind, n, i):
+    """Where d_i or s_i on level n of Wbar(Gamma(A[2])) sends each copy of A.
 
-    A W cell is a list of Gamma cells (g_n, ..., g_0), the entry at
-    position t lying in Gamma_{n-t}.  d_i (i < n) applies d_{i-t} to the
-    entries before i, adds d_0(g_i) to g_{i+1} and keeps the rest; d_n
-    applies d_{n-t} to every entry but g_0, which it drops.  s_i applies
-    s_{i-t} to the entries up to i, inserts a zero and keeps the rest.
-    Without lead (Wbar), the leading entry is the zero lift of a Wbar cell
-    and the leading entry of the result is dropped.
+    A Wbar_n cell is (g_1, ..., g_n) with g_t in Gamma_{n-t}.  d_i and s_i
+    apply d_{i-t} or s_{i-t} to g_t for 1 <= t <= i.  d_i then moves g_t to
+    position t-1 for t >= max(i+1, 2), which adds d_0(g_i) into g_{i+1} and
+    drops g_1 when i = 0; s_i moves g_t to position t+1 for t > i, leaving
+    a zero at i+1 (J. P. May, Simplicial Objects in Algebraic Topology).
     """
     m = n - 1 if kind == "face" else n + 1
-    if kind == "face" and i == n:
-        moves = [(t, t, gamma.targets("face", n - t, n - t)) for t in range(n)]
-    elif kind == "face":
-        moves = [(t, t, gamma.targets("face", n - t, i - t)) for t in range(i)]
-        moves.append((i, i, gamma.targets("face", n - i, 0)))
-        moves += [(t, t - 1, None) for t in range(i + 1, n + 1)]
+    moves = [(t, t, gamma.targets(kind, n - t, i - t)) for t in range(1, i + 1)]
+    if kind == "face":
+        moves += [(t, t - 1, None) for t in range(max(i + 1, 2), n + 1)]
     else:
-        moves = [(t, t, gamma.targets("degeneracy", n - t, i - t)) for t in range(i + 1)]
         moves += [(t, t + 1, None) for t in range(i + 1, n + 1)]
-    skip = 0 if lead else 1
-    src_off = _w_offsets(gamma, n, skip)
-    dst_off = _w_offsets(gamma, m, skip)
+    src_off, dst_off = _w_offsets(gamma, n), _w_offsets(gamma, m)
     out = [-1] * src_off[-1]
     for t, u, local in moves:
-        if t < skip:
-            continue
         if local is None:
             local = range(gamma.width(n - t))
         for j, target in enumerate(local):
-            if target >= 0 and u >= skip:
+            if target >= 0:
                 out[src_off[t] + j] = dst_off[u] + target
     return out
 
 
-def _w_offsets(gamma, n, skip):
-    """Offsets of the entries t = 0..n of a W_n cell among its copies of A,
-    counting from entry skip, followed by the total."""
+def _w_offsets(gamma, n):
+    """Offsets of the entries t = 1..n of a Wbar_n cell among its copies of
+    A, at index t, followed by the total."""
     off = [0] * (n + 2)
-    for t in range(skip, n + 1):
+    for t in range(1, n + 1):
         off[t + 1] = off[t] + gamma.width(n - t)
     return off
 
@@ -627,7 +625,7 @@ def _check_b2a(A, truncation, what):
         raise DimensionBound("%s supports truncation at most 4" % what)
 
 
-# typed like nerve_bg, as are w_b2a and wbar_b2a
+# typed like nerve_bg, as are w_b2a and decalage_map
 @functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
 def gamma_a2(A, truncation=4):
     """Gamma(A[2]) as a truncated simplicial set."""
@@ -636,44 +634,48 @@ def gamma_a2(A, truncation=4):
     return _abelian_sset(A, truncation, gamma.width, gamma.targets)
 
 
-def _w_sset(A, truncation, lead):
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _wbar(A, truncation):
+    """Wbar(Gamma(A[2])) at any truncation: the one builder of the B^2 A
+    side, which W and the decalage are read off."""
     gamma = GammaA2(A, truncation)
-    skip = 0 if lead else 1
-    return _abelian_sset(
-        A, truncation,
-        lambda n: sum(gamma.width(n - t) for t in range(skip, n + 1)),
-        lambda kind, n, i: _w_targets(gamma, kind, n, i, lead),
-    )
+    return _abelian_sset(A, truncation, lambda n: _w_offsets(gamma, n)[-1],
+                         lambda kind, n, i: _w_targets(gamma, kind, n, i))
+
+
+def wbar_b2a(A, truncation=3):
+    """The simplicial classifying space of Gamma(A[2]): level n is
+    Gamma_{n-1} x ... x Gamma_0, with May's faces and degeneracies (see
+    _w_targets).  The arguments are checked in front of the cache."""
+    _check_b2a(A, truncation, "wbar_b2a")
+    return _wbar(A, int(truncation))
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
 def w_b2a(A, truncation=3):
-    """W(Gamma(A[2])), the total space of the universal bundle over the
-    classifying space of B^2 A: level n is Gamma_n x ... x Gamma_0."""
+    """W(Gamma(A[2])), the total space of the universal bundle over Wbar:
+    its decalage Dec_0 Wbar.  Level n is Wbar's level n+1, Gamma_n x ... x
+    Gamma_0, and d_i and s_i are Wbar's d_{i+1} and s_{i+1}, the same
+    arrays.  A negative truncation reads the point Wbar_0 and is refused
+    with its own value."""
     _check_b2a(A, truncation, "w_b2a")
-    return _w_sset(A, truncation, True)
+    N = int(truncation)
+    Wb = _wbar(A, max(N + 1, 0))
+    tables = {"face": {}, "degeneracy": {}}
+    for kind, n, i, _ in _table_keys(N):
+        tables[kind][(n, i)] = Wb.tables[kind][(n + 1, i + 1)]
+    return TruncatedSSet(N, Wb.levels[1:], tables["face"], tables["degeneracy"])
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
-def wbar_b2a(A, truncation=3):
-    """The simplicial classifying space of Gamma(A[2]): level n is
-    Gamma_{n-1} x ... x Gamma_0, with operations transported from W by
-    lifting along the unit section and dropping the leading factor."""
-    _check_b2a(A, truncation, "wbar_b2a")
-    return _w_sset(A, truncation, False)
-
-
-@functools.lru_cache(maxsize=CACHE_SIZE)
 def decalage_map(A, truncation=3):
-    """dec: W(B^2 A) -> Wbar(B^2 A), dropping the leading factor, whose
-    copies of A are the most significant digits of a W cell."""
+    """dec: W(B^2 A) -> Wbar(B^2 A), the face d_0 of Wbar that Dec_0
+    forgets: on level n it is Wbar's d_0 on level n+1, the same array, and
+    drops the leading factor Gamma_n."""
     W = w_b2a(A, truncation)
-    Wb = wbar_b2a(A, truncation)
-    comps = [
-        np.arange(W.size(n), dtype=np.int64) % Wb.size(n)
-        for n in range(truncation + 1)
-    ]
-    return SimplicialMap(W, Wb, comps)
+    Wb = _wbar(A, W.truncation + 1)
+    comps = [Wb.faces[(n + 1, 0)] for n in range(W.truncation + 1)]
+    return SimplicialMap(W, wbar_b2a(A, truncation), comps)
 
 
 def cocycle_as_map(alpha, truncation=3):
@@ -774,6 +776,9 @@ def mediating_map(P, proj_x, proj_y, p, q):
     """The unique map into the fiber product P induced by p: T -> X and
     q: T -> Y with matching composites: t goes to the cell of P that the
     projections send to (p(t), q(t))."""
+    check_instance(P, TruncatedSSet, "the fiber product")
+    for f, what in ((proj_x, "proj_x"), (proj_y, "proj_y"), (p, "p"), (q, "q")):
+        check_instance(f, SimplicialMap, what)
     _check_same_set(p.src, q.src, "p and q have different domains")
     comps = []
     for n in range(p.src.truncation + 1):
@@ -907,6 +912,7 @@ def _face_groups(X, n, i):
 
 
 def _check_horn_type(X, n, missing):
+    check_instance(X, TruncatedSSet, "the simplicial set")
     if not 1 <= n <= X.truncation:
         raise DimensionBound(
             "horns have dimension 1..%d here, got %d" % (X.truncation, n)
@@ -917,6 +923,7 @@ def _check_horn_type(X, n, missing):
 
 def fillers(X, horn):
     """All cells whose faces extend the horn, ascending."""
+    check_instance(horn, Horn, "the horn")
     _check_horn_type(X, horn.n, horn.missing)
     outside = [c for c in horn.faces.values() if not 0 <= c < X.size(horn.n - 1)]
     if outside:
@@ -1049,6 +1056,7 @@ def is_kan(X, up_to=None):
     the first unfilled horn in enumerate_horns order, n and missing
     ascending.  up_to, when given, must be at least 1: a sweep over no level
     would pass vacuously."""
+    check_instance(X, TruncatedSSet, "the simplicial set")
     if up_to is not None and not (is_integer(up_to) and up_to >= 1):
         raise DimensionBound("is_kan checks levels 1..up_to, got up_to = %r" % (up_to,))
     N = up_to if up_to is not None else X.truncation

@@ -1,0 +1,139 @@
+"""A catalogue of one-line mutants of src/twogrp, each with the tests that
+must kill it.
+
+    python tests/mutants.py [NAME ...]
+
+Each mutant replaces a fragment that occurs exactly once in one source file.
+For each mutant the script copies src/, tests/ and pyproject.toml to a
+fresh temporary directory, applies the mutant there and runs the mutant's
+tests with pytest -x; the mutant is killed when a test fails.  The tests
+are first run once on an unmutated copy, where they must pass, so a kill
+is never a broken test.  The exit status is 1 when a mutant survives, when a
+fragment does not occur exactly once, or when the unmutated copy fails, and
+0 otherwise.  pytest does not collect this file (it is not named test_*).
+"""
+
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+COR, SIM = "src/twogrp/correspondence.py", "src/twogrp/simplicial.py"
+COR_TESTS, SIM_TESTS = "tests/test_correspondence.py", "tests/test_simplicial.py"
+ORACLE = SIM_TESTS + "::test_b2a_objects_match_the_definitions"
+CONTROLS = COR_TESTS + "::test_negative_controls_fail_the_same_stages"
+
+# (name, file, fragment, replacement, tests)
+MUTANTS = [
+    # the three mutants of the models' nerve face rule
+    ("model-d1-d2", COR,
+     "NG.faces[(3, i)][fgh] * na + digits3[i]",
+     "NG.faces[(3, (0, 2, 1, 3)[i])][fgh] * na + digits3[i]",
+     [COR_TESTS + "::test_duskin_compositor_constraint",
+      COR_TESTS + "::test_pullback_model_faces"]),
+    ("frame-level2-reversed", COR,
+     "np.repeat(NG.faces[(2, i)], na)",
+     "np.repeat(NG.faces[(2, 2 - i)], na)",
+     [COR_TESTS + "::test_duskin_nerve_sizes_and_validity", COR_TESTS + "::test_report_shape"]),
+    ("level4-d1-d2", SIM,
+     "d, v1, v2, v3, c = (V[NG.faces[(4, i)]] for i in range(5))",
+     "d, v2, v1, v3, c = (V[NG.faces[(4, i)]] for i in range(5))",
+     [SIM_TESTS + "::test_cocycle_as_map", SIM_TESTS + "::test_level4_extension_iff_cocycle"]),
+    # W, Wbar and the decalage read off the one Wbar builder
+    ("decalage-last-face", SIM,
+     "comps = [Wb.faces[(n + 1, 0)] for n in range(W.truncation + 1)]",
+     "comps = [Wb.faces[(n + 1, n + 1)] for n in range(W.truncation + 1)]",
+     [ORACLE, SIM_TESTS + "::test_decalage_validates"]),
+    ("w-unshifted-index", SIM,
+     "tables[kind][(n, i)] = Wb.tables[kind][(n + 1, i + 1)]",
+     "tables[kind][(n, i)] = Wb.tables[kind][(n + 1, i)]",
+     [ORACLE]),
+    ("wbar-face-drops-next-entry", SIM,
+     "moves += [(t, t - 1, None) for t in range(max(i + 1, 2), n + 1)]",
+     "moves += [(t, t - 1, None) for t in range(max(i + 2, 2), n + 1)]",
+     [ORACLE]),
+    ("wbar-degeneracy-drops-next-entry", SIM,
+     "moves += [(t, t + 1, None) for t in range(i + 1, n + 1)]",
+     "moves += [(t, t + 1, None) for t in range(i + 2, n + 1)]",
+     [ORACLE]),
+    ("gamma-keeps-non-surjections", SIM,
+     "pos.get(eta[:i] + eta[i + 1:], -1)",
+     "pos.get(eta[:i] + eta[i + 1:], 0)",
+     [ORACLE]),
+    ("copies-overwrite", SIM,
+     "out[t] = x[j] if out[t] is None else A.add_array[out[t], x[j]]",
+     "out[t] = x[j]",
+     [ORACLE]),
+    # verdicts that only the negative controls record as failed
+    ("w-verdict-always-passes", COR,
+     'report.record("simplicial:%s" % tag, ok, witness)',
+     'report.record("simplicial:%s" % tag, ok or tag == "w", witness)',
+     [CONTROLS]),
+    ("decalage-verdict-always-passes", COR,
+     'report.record("map:decalage", ok, witness)',
+     'report.record("map:decalage", True, witness)',
+     [CONTROLS]),
+    ("bijective-verdict-always-passes", COR,
+     'report.record("iso:bijective", is_isomorphism(iso))',
+     'report.record("iso:bijective", True)',
+     [CONTROLS]),
+]
+
+
+def copy_tree(dest):
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name,
+                        ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+    shutil.copy(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def run_tests(tree, tests):
+    """Whether the tests pass on the copy at tree."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    done = subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL)
+    return done.returncode == 0
+
+
+def main(names):
+    chosen = [m for m in MUTANTS if not names or m[0] in names]
+    unknown = set(names) - {m[0] for m in MUTANTS}
+    if unknown:
+        print("unknown mutants: %s" % ", ".join(sorted(unknown)))
+        return 1
+    failures = 0
+    for name, path, fragment, _, _ in chosen:
+        count = (ROOT / path).read_text(encoding="utf-8").count(fragment)
+        if count != 1:
+            print("STALE     %s: fragment occurs %d times in %s" % (name, count, path))
+            failures += 1
+    if failures:
+        return 1
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = pathlib.Path(tmp) / "clean"
+        copy_tree(tree)
+        tests = sorted({t for m in chosen for t in m[4]})
+        if not run_tests(tree, tests):
+            print("the named tests fail on the unmutated source")
+            return 1
+        for name, path, fragment, replacement, tests in chosen:
+            tree = pathlib.Path(tmp) / name
+            copy_tree(tree)
+            source = tree / path
+            source.write_text(source.read_text(encoding="utf-8").replace(fragment, replacement),
+                              encoding="utf-8")
+            killed = not run_tests(tree, tests)
+            print("%s  %s" % ("killed  " if killed else "SURVIVED", name))
+            failures += not killed
+            shutil.rmtree(tree)
+    print("%d of %d mutants survived" % (failures, len(chosen)))
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

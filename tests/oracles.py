@@ -348,3 +348,127 @@ def brute_hexagon(table, factors, src, dst, j):
         lambda x, y, z: _plus(s[x, y, z], c[y, z], c[x, table[y][z]]),
         factors,
     )
+
+
+# ---------------------------------------------------------------------------
+# Gamma(A[2]), Wbar, W and the decalage from their definitions
+#
+# A is given by its invariant factors; its elements are the residue tuples
+# in lexicographic order, numbered from 0.  Every cell is a tuple of
+# element numbers (its copies of A) or a tuple of such tuples, and its code
+# is the mixed-radix number of all its copies in order, first most
+# significant.
+
+
+def monotone_surjections(n):
+    """The monotone surjections [n] ->> [2] as value tuples, lexicographic,
+    by filtering all maps [n] -> [2]."""
+    return [s for s in itertools.product(range(3), repeat=n + 1)
+            if set(s) == {0, 1, 2} and all(a <= b for a, b in zip(s, s[1:]))]
+
+
+class B2AOracle:
+    """Gamma(A[2]) as a simplicial abelian group and May's Wbar and W of
+    it, as Python tuples (J. P. May, Simplicial Objects in Algebraic
+    Topology, 1967, section 21)."""
+
+    def __init__(self, factors):
+        elements = list(itertools.product(*(range(m) for m in factors)))
+        number = {e: k for k, e in enumerate(elements)}
+        self.order = len(elements)
+        self.sum = [[number[tuple((x + y) % m for x, y, m in zip(a, b, factors))]
+                     for b in elements] for a in elements]
+        self.surjections = {}
+
+    def surj(self, n):
+        if n not in self.surjections:
+            self.surjections[n] = monotone_surjections(n)
+        return self.surjections[n]
+
+    def plus(self, g, h):
+        return tuple(self.sum[a][b] for a, b in zip(g, h))
+
+    def zero(self, n):
+        return (0,) * len(self.surj(n))
+
+    def gamma_cells(self, n):
+        """Gamma_n: one copy of A per monotone surjection [n] ->> [2]."""
+        return list(itertools.product(range(self.order), repeat=len(self.surj(n))))
+
+    def gamma(self, kind, n, i, g):
+        """d_i or s_i of the Gamma_n cell g: the copy of sigma goes to the
+        copy of sigma after the coface delta_i or the codegeneracy sigma_i,
+        and is dropped when that composite does not reach all of [2];
+        copies that land together add."""
+        m = n - 1 if kind == "face" else n + 1
+        position = {s: k for k, s in enumerate(self.surj(m))}
+        out = list(self.zero(m))
+        for s, a in zip(self.surj(n), g):
+            t = s[:i] + s[i + 1:] if kind == "face" else s[:i + 1] + s[i:]
+            if t in position:
+                out[position[t]] = self.sum[out[position[t]]][a]
+        return tuple(out)
+
+    def wbar_cells(self, n):
+        """Wbar_n: (g_1, ..., g_n) with g_t in Gamma_{n-t}."""
+        return list(itertools.product(*(self.gamma_cells(n - t) for t in range(1, n + 1))))
+
+    def wbar(self, kind, n, i, g):
+        """May's d_i and s_i of the Wbar_n cell g = (g_1, ..., g_n):
+        d_0 drops g_1; d_i (0 < i < n) is (d_{i-1} g_1, ..., d_1 g_{i-1},
+        d_0 g_i + g_{i+1}, g_{i+2}, ..., g_n); d_n is (d_{n-1} g_1, ...,
+        d_1 g_{n-1}); s_i is (s_{i-1} g_1, ..., s_0 g_i, 0, g_{i+1}, ...,
+        g_n)."""
+        if kind == "face":
+            if i == 0:
+                return g[1:]
+            low = tuple(self.gamma("face", n - t, i - t, g[t - 1]) for t in range(1, i))
+            if i == n:
+                return low
+            return low + (self.plus(self.gamma("face", n - i, 0, g[i - 1]), g[i]),) + g[i + 1:]
+        low = tuple(self.gamma("degeneracy", n - t, i - t, g[t - 1]) for t in range(1, i + 1))
+        return low + (self.zero(n - i),) + g[i:]
+
+    def w_cells(self, n):
+        """W_n = Gamma_n x Wbar_n: (h_0, h_1, ..., h_n) with h_t in
+        Gamma_{n-t}."""
+        return [(h,) + g for h in self.gamma_cells(n) for g in self.wbar_cells(n)]
+
+    def w(self, kind, n, i, h):
+        """May's d_i and s_i of the W_n cell h = (h_0, ..., h_n): d_i
+        (i < n) is (d_i h_0, ..., d_1 h_{i-1}, d_0 h_i + h_{i+1}, h_{i+2},
+        ..., h_n); d_n is (d_n h_0, ..., d_1 h_{n-1}); s_i is (s_i h_0, ...,
+        s_0 h_i, 0, h_{i+1}, ..., h_n)."""
+        if kind == "face":
+            low = tuple(self.gamma("face", n - t, i - t, h[t]) for t in range(i))
+            if i == n:
+                return low
+            return low + (self.plus(self.gamma("face", n - i, 0, h[i]), h[i + 1]),) + h[i + 2:]
+        low = tuple(self.gamma("degeneracy", n - t, i - t, h[t]) for t in range(i + 1))
+        return low + (self.zero(n - i),) + h[i + 1:]
+
+    def code(self, cell):
+        """The mixed-radix code of a cell's copies of A, in order."""
+        code = 0
+        for part in cell:
+            for a in (part if isinstance(part, tuple) else (part,)):
+                code = code * self.order + a
+        return code
+
+    def to_json(self, what, truncation):
+        """The to_json() of Gamma(A[2]) ("gamma"), Wbar ("wbar") or W ("w")
+        at the given truncation."""
+        cells = getattr(self, what + "_cells")
+        op = getattr(self, what)
+        levels = [cells(n) for n in range(truncation + 1)]
+        faces = {"%d,%d" % (n, i): [self.code(op("face", n, i, x)) for x in levels[n]]
+                 for n in range(1, truncation + 1) for i in range(n + 1)}
+        degeneracies = {"%d,%d" % (n, i): [self.code(op("degeneracy", n, i, x))
+                                           for x in levels[n]]
+                        for n in range(truncation) for i in range(n + 1)}
+        return {"truncation": truncation, "levels": [len(lv) for lv in levels],
+                "faces": faces, "degeneracies": degeneracies}
+
+    def decalage(self, truncation):
+        """The components of dec: W -> Wbar, which drops h_0."""
+        return [[self.code(h[1:]) for h in self.w_cells(n)] for n in range(truncation + 1)]

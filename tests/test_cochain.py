@@ -25,12 +25,14 @@ from twogrp.errors import (
     NotACocycle,
     NotAnAutomorphism,
     NotNormalized,
+    ParseError,
     ShapeMismatch,
     SizeBound,
     TruncationMismatch,
+    UnsupportedSpec,
     WitnessMismatch,
 )
-from twogrp.group import cyclic, dihedral, group_automorphisms, group_construct
+from twogrp.group import cyclic, dihedral, group_automorphisms, group_construct, product
 from twogrp.simplicial import nerve_bg
 from twogrp.twogroup import (
     TwoGroupSkeleton,
@@ -425,17 +427,22 @@ def test_are_cohomologous_off_the_normalized_path():
 
 @pytest.mark.parametrize("call, error, match", [
     (lambda: Cochain(C2, Z2, 1, [(0,), (0, 1)]), ShapeMismatch, "has 2 residues"),
-    # numpy promotes uint64 and int64 together to float64
-    (lambda: Cochain(C2, Z2, 1, [(np.uint64(1),), (np.int64(0),)]), ShapeMismatch,
-     "residues must be integers, got dtype float64"),
     (lambda: Cochain.zero(C2, Z2, 3).add(Cochain.zero(C2, Z2, 2)), DegreeMismatch,
      "cochains live on different complexes"),
     (lambda: cohomology(C2, Z2, 2).cochain_from_coordinates((0, 0)), ShapeMismatch,
      "expected 1 coordinates"),
-], ids=["ragged-rows", "float-rows", "other-complex", "coordinate-count"])
+], ids=["ragged-rows", "other-complex", "coordinate-count"])
 def test_every_cochain_refusal_is_reached(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+def test_mixed_numpy_integer_rows_are_accepted():
+    # numpy reads rows that mix uint64 and int64 as float64; once every row
+    # passes A.check, the residues are taken as the integers they are
+    mixed = Cochain(C2, Z2, 1, [(np.uint64(1),), (np.int64(0),)])
+    assert mixed == Cochain(C2, Z2, 1, [(1,), (0,)])
+    assert mixed.residues.dtype == np.int64 and not mixed.residues.flags.writeable
 
 
 def test_are_cohomologous_rejects_bad_witness(monkeypatch):
@@ -725,12 +732,35 @@ V4 = group_construct("product:cyclic:2,cyclic:2")
     (lambda: nerve_bg(C2, 2.5), TruncationMismatch, "integer, got 2.5"),
     # used to answer with the nerve cached for truncation 1
     (lambda: (nerve_bg(C2, 1), nerve_bg(C2, True)), TruncationMismatch, "integer, got True"),
+    # each used to raise an AttributeError
+    (lambda: group_construct(5), UnsupportedSpec, "spec must be a string, got int"),
+    (lambda: group_automorphisms(5), ShapeMismatch, "group must be a FiniteGroup, got int"),
+    (lambda: product(5, C2), ShapeMismatch, "first factor must be a FiniteGroup, got int"),
+    (lambda: cohomology(5, Z2, 3), ShapeMismatch, "group must be a FiniteGroup, got int"),
+    (lambda: cohomology(C2, 5, 3), ShapeMismatch,
+     "coefficients must be an AbelianGroup, got int"),
+    (lambda: cocycle_solve(5, Z2, 3), ShapeMismatch, "group must be a FiniteGroup, got int"),
+    (lambda: cohomology_classes_mod_aut(5, Z2), ShapeMismatch,
+     "group must be a FiniteGroup, got int"),
+    (lambda: cohomology(C2, Z2, 3).class_coordinates(5), ShapeMismatch,
+     "cochain must be a Cochain, got int"),
+    (lambda: cohomology(C2, Z2, 3).lex_minimal_representative(5), ShapeMismatch,
+     "cochain must be a Cochain, got int"),
+    # each used to raise a TypeError
+    (lambda: Cochain.from_function(C2, Z2, 3, 5), ShapeMismatch,
+     "must come from a function, got int"),
+    (lambda: Cochain.from_json(5), ParseError, "must be a JSON object"),
+    # used to raise a KeyError
+    (lambda: Cochain.from_json({}), ParseError, "must be a JSON object with a degree and values"),
 ], ids=["float-degree", "bool-degree", "str-degree", "solve-float-degree", "str-max-group",
         "none-max-coeffs", "str-coordinate", "float-coordinate", "str-row", "coboundary-int",
         "is-cocycle-str", "pentagon-int", "triangle-int", "duality-int", "duality-data-int",
         "zigzag-int", "skeleton-int", "functor-list", "cohomologous-str", "cohomologous-none",
         "verify-str", "cochain-int-group", "cochain-int-coeffs", "zero-list-coeffs",
-        "nerve-float-truncation", "nerve-bool-truncation"])
+        "nerve-float-truncation", "nerve-bool-truncation", "group-spec-int",
+        "automorphisms-int", "product-int", "cohomology-int-group", "cohomology-int-coeffs",
+        "solve-int-group", "classes-int-group", "class-coordinates-int", "lex-minimal-int",
+        "from-function-int", "from-json-int", "from-json-empty"])
 def test_malformed_arguments_are_refused(call, error, match):
     with pytest.raises(error, match=match):
         call()

@@ -365,7 +365,7 @@ def test_classes_of_one_stratum_get_their_own_answers(bad_first):
 
 def test_alpha_free_work_runs_once_per_stratum(monkeypatch):
     # fresh frame, nerve, W, Wbar and decalage for C3/Z3
-    for cached in (_frame, nerve_bg, w_b2a, wbar_b2a, decalage_map):
+    for cached in (_frame, nerve_bg, w_b2a, simplicial._wbar, decalage_map):
         cached.cache_clear()
     calls = []
 
@@ -524,32 +524,136 @@ def shifted_level4_cocycle_map(rng):
     return "cocycle_as_map", build
 
 
+def with_entry_moved(X, kind, key, x, rng):
+    """A copy of X, a set on no base, with entry x of one table moved to
+    another in-range cell."""
+    tables = {k: dict(X.tables[k]) for k in ("face", "degeneracy")}
+    tab = tables[kind][key] = tables[kind][key].copy()
+    bound = X.size(key[0] - 1 if kind == "face" else key[0] + 1)
+    tab[x] = (tab[x] + rng.randrange(1, bound)) % bound
+    return TruncatedSSet(X.truncation, X.levels, tables["face"], tables["degeneracy"])
+
+
+def moved_w_face(rng):
+    """w_b2a with one seeded face of a degenerate 3-cell moved.  W's level
+    1 is a point, so no identity reads the faces of the other 3-cells."""
+    real = correspondence.w_b2a
+
+    def build(A, truncation=3):
+        W = real(A, truncation)
+        x = int(W.degeneracies[(2, rng.randrange(3))][rng.randrange(W.size(2))])
+        return with_entry_moved(W, "face", (3, rng.randrange(4)), x, rng)
+
+    return "w_b2a", build
+
+
+def moved_wbar_degeneracy(rng):
+    """wbar_b2a with one seeded degeneracy of its one 2-cell moved.  Every
+    face of a 3-cell lands on that 2-cell, so no identity reads them."""
+    real = correspondence.wbar_b2a
+    return "wbar_b2a", lambda A, truncation=3: with_entry_moved(
+        real(A, truncation), "degeneracy", (2, rng.randrange(3)), 0, rng)
+
+
+def shifted_decalage(rng):
+    """decalage_map with one seeded degenerate 3-cell shifted.  Wbar's
+    levels 0-2 are points, so only a degeneracy sees a 3-cell move."""
+    real = correspondence.decalage_map
+
+    def build(A, truncation=3):
+        f = real(A, truncation)
+        x = int(f.src.degeneracies[(2, rng.randrange(3))][rng.randrange(f.src.size(2))])
+        return shift_cell(f, 3, x)
+
+    return "decalage_map", build
+
+
+def moved_nerve_face(rng):
+    """nerve_bg with one seeded level-3 face entry moved, one corrupted
+    nerve per group, which the models then read G's coordinates off."""
+    real, corrupted = correspondence.nerve_bg, {}
+
+    def build(G, truncation=3):
+        if (G, truncation) not in corrupted:
+            NG = real(G, truncation)
+            corrupted[G, truncation] = with_entry_moved(
+                NG, "face", (3, rng.randrange(4)), rng.randrange(NG.size(3)), rng)
+        return corrupted[G, truncation]
+
+    return "nerve_bg", build
+
+
+def zeroing_model(pullback, coeffs):
+    """The endomorphism of a pullback model that zeroes every A-coordinate
+    (the least significant digits of its cells): valid when alpha is zero,
+    and not a bijection."""
+    na = coeffs.order
+    return SimplicialMap(pullback, pullback, [
+        np.arange(pullback.size(n)) // na**k * na**k for n, k in enumerate((0, 0, 1, 3))])
+
+
+def zeroed_iso(rng):
+    """canonical_iso followed by zeroing_model."""
+    real = correspondence.canonical_iso
+    return "canonical_iso", lambda duskin, pullback, coeffs: zeroing_model(
+        pullback, coeffs).compose(real(duskin, pullback, coeffs))
+
+
+def control_classes():
+    """The first two classes of each stratum of the negative controls."""
+    return [alpha for G, A in FRAME_STRATA + [(symmetric(3), AbelianGroup([3]))]
+            for alpha in lex_reps(G, A)[:2]]
+
+
+def zero_classes():
+    """The zero classes of C2/Z2 and C3/Z3, where zeroing_model is valid."""
+    return [Cochain.zero(G, A, 3) for G, A in FRAME_STRATA[:2]]
+
+
 # SHA-256 of the sorted-key JSON of the reports of each negative control
-# below, recorded before the models and the level-4 cocycle map read G's
-# coordinates off nerve_bg: every verdict and witness must stay as it was.
+# below.  The first three were recorded before the models and the level-4
+# cocycle map read G's coordinates off nerve_bg, the others before W and the
+# decalage were read off Wbar: every verdict and witness must stay as it was.
 NEGATIVE_CONTROLS = [
-    (corrupted_pullback, "simplicial:pullback",
+    (corrupted_pullback, "simplicial:pullback", control_classes,
      "b140c2f7d4f213d8eec0bb64c1a4b952b61f67ee0e86c409941ec0a1d0de50d7"),
-    (shifted_model_to_nerve, "map:model_to_nerve",
+    (shifted_model_to_nerve, "map:model_to_nerve", control_classes,
      "87e4a680df993b4a1bedcdb499e18cd1b066a63ac0d63df57a7578d00700f30f"),
-    (shifted_level4_cocycle_map, "map:cocycle_map_level4",
+    (shifted_level4_cocycle_map, "map:cocycle_map_level4", control_classes,
      "40a1f9a6dcc0141547304631f873583834a7ebac023875d270281e6950c618cc"),
+    (moved_w_face, "simplicial:w", control_classes,
+     "7902189a2b8afd9f84dedf19228b41866ee59470d25aedfd0e9e4a6e589ee33f"),
+    (moved_wbar_degeneracy, "simplicial:wbar", control_classes,
+     "4d990fd8452002b6d91adc2853e2a4b0fc5fe8274c120e0d469574f52c1678e4"),
+    (shifted_decalage, "map:decalage", control_classes,
+     "f82f1d35a206a5ec37f2f2776747cc796e6e1c6dfabdff27bd429e3c0d6b9685"),
+    (moved_nerve_face, "simplicial:nerve", control_classes,
+     "1ab85391585dd0c74cec0a2405b08b0744d03642e232ec9d76fdbea3473f6192"),
+    (zeroed_iso, "iso:bijective", zero_classes,
+     "dd74ebb88fc888c5139564d18a5c8a2d2cf46d78916bde492b510745f89f6d92"),
 ]
 
 
-@pytest.mark.parametrize("patch, stage, digest", NEGATIVE_CONTROLS,
-                         ids=[stage for _, stage, _ in NEGATIVE_CONTROLS])
-def test_negative_controls_fail_the_same_stages(monkeypatch, patch, stage, digest):
+@pytest.mark.parametrize("patch, stage, classes, digest", NEGATIVE_CONTROLS,
+                         ids=[stage for _, stage, _, _ in NEGATIVE_CONTROLS])
+def test_negative_controls_fail_the_same_stages(monkeypatch, patch, stage, classes, digest):
     name, replacement = patch(random.Random(20261020))
     monkeypatch.setattr(correspondence, name, replacement)
     reports = []
-    for G, A in FRAME_STRATA + [(symmetric(3), AbelianGroup([3]))]:
-        for alpha in lex_reps(G, A)[:2]:
-            report = verify_theorem(alpha).to_json()
-            assert stage in [st["name"] for st in report["stages"] if not st["ok"]]
-            reports.append(report)
+    for alpha in classes():
+        report = verify_theorem(alpha).to_json()
+        assert stage in [st["name"] for st in report["stages"] if not st["ok"]]
+        reports.append(report)
     text = json.dumps(reports, sort_keys=True)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def test_a_valid_non_bijective_iso_fails_from_bijective_on(monkeypatch):
+    monkeypatch.setattr(correspondence, "canonical_iso", zeroed_iso(None)[1])
+    report = verify_theorem(Cochain.zero(C2, Z2, 3))
+    assert [name for name, _ in failed_stages(report)] == [
+        "iso:bijective", "iso:backward", "iso:round_trip"]
+    assert dict(failed_stages(report))["iso:backward"] == "face (2,0) not preserved at cell 3"
 
 
 def test_one_wrong_filler_count_fails_its_stage_alone(monkeypatch):
@@ -607,7 +711,12 @@ def models(alpha):
     # used to build A's 2^48-entry addition table and escape with MemoryError
     (lambda: canonical_iso(*models(c2_nontrivial()), AbelianGroup([2**24])), ShapeMismatch,
      "64 level-3 cells, not"),
-], ids=["duskin-int", "pullback-cochain", "iso-int", "iso-other-coefficients"])
+    # used to raise an AttributeError in to_json
+    (lambda: TheoremReport(5, 5).to_json(), ShapeMismatch, "group must be a FiniteGroup, got int"),
+    (lambda: TheoremReport(C2, [2]), ShapeMismatch,
+     "coefficients must be an AbelianGroup, got list"),
+], ids=["duskin-int", "pullback-cochain", "iso-int", "iso-other-coefficients",
+        "report-int", "report-list-coefficients"])
 def test_malformed_model_arguments_are_refused(call, error, match):
     with pytest.raises(error, match=match):
         call()

@@ -40,7 +40,7 @@ from twogrp.simplicial import (
     wbar_b2a,
 )
 
-from oracles import brute_compatible_horns, brute_first_unfilled_horn
+from oracles import B2AOracle, brute_compatible_horns, brute_first_unfilled_horn
 
 C2 = cyclic(2)
 Z2 = AbelianGroup([2])
@@ -141,6 +141,34 @@ def test_wbar_level4_face_values():
         x = cell((a, b, c, d), (A.order,) * 4)
         got = [els[Wb.face(4, i, x)][0] for i in range(5)]
         assert got == [d, (a + d) % 4, (a + b) % 4, (b + c) % 4, c]
+
+
+@pytest.mark.parametrize("factors", [[2], [3], [4], [2, 2]])
+def test_b2a_objects_match_the_definitions(factors):
+    # Gamma(A[2]), Wbar, W and the decalage built from their definitions
+    # in tests/oracles.py, compared table by table through to_json() and
+    # the decalage's components
+    A, oracle = AbelianGroup(factors), B2AOracle(factors)
+    for trunc in range(5):
+        assert gamma_a2(A, trunc).to_json() == oracle.to_json("gamma", trunc)
+        assert wbar_b2a(A, trunc).to_json() == oracle.to_json("wbar", trunc)
+        if trunc < 4 or A.order <= 3:  # W at truncation 4 holds |A|^10 top cells
+            assert w_b2a(A, trunc).to_json() == oracle.to_json("w", trunc)
+            got = [c.tolist() for c in decalage_map(A, trunc).components]
+            assert got == oracle.decalage(trunc)
+
+
+def test_w_and_the_decalage_are_read_off_wbar():
+    # W is Dec_0 Wbar: its d_i and s_i on level n are Wbar's d_{i+1} and
+    # s_{i+1} on level n+1, and dec on level n is Wbar's d_0 there
+    for A in (Z2, AbelianGroup([3]), AbelianGroup([2, 2])):
+        for trunc in range(5 if A.order <= 3 else 4):
+            W, Wb = w_b2a(A, trunc), simplicial._wbar(A, trunc + 1)
+            for kind, n, i, _ in simplicial._table_keys(trunc):
+                assert W.tables[kind][(n, i)] is Wb.tables[kind][(n + 1, i + 1)]
+            dec = decalage_map(A, trunc)
+            assert dec.dst is wbar_b2a(A, trunc)
+            assert all(c is Wb.faces[(n + 1, 0)] for n, c in enumerate(dec.components))
 
 
 def test_decalage_validates():
@@ -442,17 +470,41 @@ def test_horn_type_out_of_range(n, missing, error):
     (lambda: w_b2a(Z2, 2.5), TruncationMismatch, "w_b2a truncation must be an integer"),
     (lambda: is_kan(nerve_bg(C2, 3), "a"), DimensionBound, "got up_to = 'a'"),
     (lambda: Horn(2, "a", {}), ShapeMismatch, "must be integers"),
-    # used to answer with the set cached for truncation 1
+    # each used to answer with the set or map cached for truncation 1
     (lambda: (w_b2a(Z2, 1), w_b2a(Z2, True)), TruncationMismatch, "integer, got True"),
+    (lambda: (decalage_map(Z2, 1), decalage_map(Z2, True)), TruncationMismatch,
+     "integer, got True"),
     # used to raise a ValueError
     (lambda: TruncatedSSet("x", [], {}, {}), TruncationMismatch, "integer, got 'x'"),
     # used to answer [] for a face that level 1 does not have
     (lambda: fillers(nerve_bg(C2, 3), Horn(2, 0, {1: 0, 2: 99})), IndexOutOfRange,
      "horn face 99 is not a cell of level 1"),
+    # used to raise a TypeError inside the cache
+    (lambda: wbar_b2a([1], 3), ShapeMismatch, "coefficients must be an AbelianGroup, got list"),
+    # each used to raise an AttributeError
+    (lambda: is_kan(5), ShapeMismatch, "simplicial set must be a TruncatedSSet, got int"),
+    (lambda: filler_counts(5, 2, 0), ShapeMismatch,
+     "simplicial set must be a TruncatedSSet, got int"),
+    (lambda: enumerate_horns(5, 2, 0), ShapeMismatch,
+     "simplicial set must be a TruncatedSSet, got int"),
+    (lambda: fillers(nerve_bg(C2, 3), 5), ShapeMismatch, "horn must be a Horn, got int"),
+    (lambda: identity_map(5), ShapeMismatch, "simplicial set must be a TruncatedSSet, got int"),
+    (lambda: inverse_map(5), ShapeMismatch, "map must be a SimplicialMap, got int"),
+    (lambda: is_isomorphism(5), ShapeMismatch, "map must be a SimplicialMap, got int"),
+    (lambda: identity_map(nerve_bg(C2, 3)).compose(5), ShapeMismatch,
+     "other map must be a SimplicialMap, got int"),
+    (lambda: mediating_map(1, 2, 3, 4, 5), ShapeMismatch,
+     "fiber product must be a TruncatedSSet, got int"),
+    (lambda: mediating_map(nerve_bg(C2, 3), 2, 3, 4, 5), ShapeMismatch,
+     "proj_x must be a SimplicialMap, got int"),
 ], ids=["nerve-int", "wbar-int", "cocycle-map-int", "fiber-product-int", "validate-int",
         "map-int-target", "gamma-str-truncation", "wbar-str-truncation",
         "w-float-truncation", "kan-str-up-to", "horn-str-missing", "w-bool-truncation",
-        "sset-str-truncation", "fillers-stray-face"])
+        "decalage-bool-truncation", "sset-str-truncation", "fillers-stray-face",
+        "wbar-unhashable", "kan-int",
+        "filler-counts-int", "enumerate-horns-int", "fillers-int-horn", "identity-int",
+        "inverse-int", "is-isomorphism-int", "compose-int", "mediating-int",
+        "mediating-int-projection"])
 def test_malformed_simplicial_arguments_are_refused(call, error, match):
     with pytest.raises(error, match=match):
         call()
