@@ -15,6 +15,8 @@ import time
 
 from .coeff import AbelianGroup
 from .cochain import (
+    DEFAULT_MAX_COEFFS,
+    DEFAULT_MAX_GROUP,
     Cochain,
     cocycle_solve,
     cohomology,
@@ -293,8 +295,8 @@ def build_parser():
     )
     parser.add_argument("--format", choices=["text", "json"], default="text")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--max-group", type=int, default=8)
-    parser.add_argument("--max-coeffs", type=int, default=8)
+    parser.add_argument("--max-group", type=int, default=DEFAULT_MAX_GROUP)
+    parser.add_argument("--max-coeffs", type=int, default=DEFAULT_MAX_COEFFS)
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("group", help="construct or inspect a finite group")

@@ -132,8 +132,13 @@ class Cochain:
         self.coeffs = coeffs
         self.degree = _cochain_degree(group, coeffs, degree)
         rows = group.order**self.degree
-        if len(values) != rows:
-            raise ShapeMismatch("expected %d values, got %d" % (rows, len(values)))
+        try:
+            count = len(values)
+        except TypeError:
+            raise ShapeMismatch("values must be a sequence of residue rows, got %s"
+                                % type(values).__name__) from None
+        if count != rows:
+            raise ShapeMismatch("expected %d values, got %d" % (rows, count))
         self.residues = _residue_array(coeffs, values)
 
     @classmethod
@@ -222,6 +227,8 @@ class Cochain:
         return self._like(-self.residues % self.coeffs.moduli)
 
     def scale(self, n):
+        if not is_integer(n):
+            raise ShapeMismatch("scale factor %r is not an integer" % (n,))
         A = self.coeffs
         return self._like(self.residues * [n % m for m in A.invariant_factors] % A.moduli)
 
@@ -335,6 +342,7 @@ def pull_back_along_automorphism(phi, c):
     """(phi . c)(g1..gn) = c(phi[g1]..phi[gn]) for an automorphism phi given
     by its image row, as group_automorphisms lists them; any other row is
     refused."""
+    check_instance(c, Cochain, "the cochain")
     T = c.group.table_array
     phi = np.asarray(phi)
     if (phi.shape != (c.group.order,) or phi.dtype.kind not in "iu"
@@ -592,7 +600,12 @@ class CohomologyResult:
 
     def cochain_from_coordinates(self, coords):
         """A representative cocycle of the class with the given coordinates."""
-        if len(coords) != len(self._orders):
+        try:
+            count = len(coords)
+        except TypeError:
+            raise ShapeMismatch("coordinates must be a sequence, got %s"
+                                % type(coords).__name__) from None
+        if count != len(self._orders):
             raise ShapeMismatch("expected %d coordinates" % len(self._orders))
         if not all(map(is_integer, coords)):
             raise ShapeMismatch("coordinates must be integers, got %r" % (tuple(coords),))
@@ -614,7 +627,11 @@ class CohomologyResult:
         """The lex-minimal representative of the class of each coordinate
         row: one reduction per invariant factor for a block of rows, each
         block at most MAX_CELLS_PER_LEVEL residues."""
-        if any(len(row) != len(self._orders) for row in rows):
+        try:
+            lengths = [len(row) for row in rows]
+        except TypeError:
+            raise ShapeMismatch("coordinates must be a sequence of rows") from None
+        if any(count != len(self._orders) for count in lengths):
             raise ShapeMismatch("expected %d coordinates per row" % len(self._orders))
         rows = np.asarray(rows)
         if rows.size and rows.dtype.kind not in "iu":

@@ -21,7 +21,11 @@ class AbelianGroup:
     """A finite abelian group presented as Z_{m1} x ... x Z_{mk}."""
 
     def __init__(self, invariant_factors):
-        factors = tuple(invariant_factors)
+        try:
+            factors = tuple(invariant_factors)
+        except TypeError:
+            raise InvalidFactor("invariant factors must be a sequence of integers, got %r"
+                                % (invariant_factors,)) from None
         for m in factors:
             if not is_integer(m) or m < 2:
                 raise InvalidFactor("invariant factors must be integers >= 2, got %r" % (m,))
@@ -52,10 +56,14 @@ class AbelianGroup:
         return hash(self.invariant_factors)
 
     def check(self, x):
-        if len(x) != len(self.invariant_factors):
+        try:
+            count = len(x)
+        except TypeError:
+            raise ShapeMismatch("element %r is not a sequence of residues" % (x,)) from None
+        if count != len(self.invariant_factors):
             raise ShapeMismatch(
                 "element %r has %d residues, group has %d factors"
-                % (x, len(x), len(self.invariant_factors))
+                % (x, count, len(self.invariant_factors))
             )
         for r, m in zip(x, self.invariant_factors):
             if not is_integer(r):

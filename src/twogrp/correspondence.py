@@ -9,13 +9,14 @@ produced in coordinates and machine-checked, along with simplicial
 validity, agreement of the two pullback constructions, and the Kan
 property of the nerve.
 
-Alpha enters only level 3 of the two models (d_0 there), so levels 0-2
-are built once per (G, A) as a 2-truncated frame (_frame, an lru_cache),
-and each model is a 3-truncated set on that base (simplicial.TruncatedSSet
-with base=).  Checks keep their results on the object that owns the
-arrays they read (simplicial._owner), so verify_theorem checks the frame
-and the cached nerve, W, Wbar and decalage for every alpha but does that
-work once per (G, A), with the same witnesses.
+Alpha enters only level 3 of the two models (d_0 there), and levels 0-2
+read only the nerve of G and the order of A, so they are built once per
+(G, |A|) as a 2-truncated frame (_frame, an lru_cache), and each model is
+a 3-truncated set on that base (simplicial.TruncatedSSet with base=).
+Checks keep their results on the object that owns the arrays they read
+(simplicial._owner), so verify_theorem checks the frame and the cached
+nerve, W, Wbar and decalage for every alpha but does that work once per
+frame or per cached object, with the same witnesses.
 
 Cells are mixed-radix codes of their coordinates in the order the
 docstrings list them (elements of G, then element indices of A), so a
@@ -63,11 +64,11 @@ from .twogroup import TwoGroupSkeleton
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
-def _frame(G, A):
+def _frame(G, na):
     """Levels 0-2 of both models, which alpha does not enter: levels 0 and
     1 of the nerve of G, and 2-cells (f, g, a), the nerve's 2-cell (f, g)
-    followed by the digit a, with faces g, fg, f."""
-    NG, na = nerve_bg(G, 3), A.order
+    followed by the digit a in range(na), with faces g, fg, f."""
+    NG = nerve_bg(G, 3)
     levels = [NG.levels[0], NG.levels[1], range(NG.size(2) * na)]
     faces = {(1, i): NG.faces[(1, i)] for i in range(2)}
     faces.update({(2, i): np.repeat(NG.faces[(2, i)], na) for i in range(3)})
@@ -82,7 +83,7 @@ def _model(G, A, faces3, degeneracies3):
     tables of the 3-cells, whose coordinates are (f, g, h) in G^3 and three
     in A."""
     level3 = range(G.order**3 * A.order**3)
-    return TruncatedSSet(3, [level3], faces3, degeneracies3, base=_frame(G, A))
+    return TruncatedSSet(3, [level3], faces3, degeneracies3, base=_frame(G, A.order))
 
 
 def _model_on_nerve(G, A, face_digits, degeneracy_digits):

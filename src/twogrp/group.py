@@ -14,7 +14,9 @@ import itertools
 import numpy as np
 
 from .coeff import check_instance, is_integer, rows_as_tuples
-from .errors import IndexOutOfRange, NotAGroup, ParseError, SizeBound, UnsupportedSpec
+from .errors import (
+    IndexOutOfRange, NotAGroup, ParseError, ShapeMismatch, SizeBound, UnsupportedSpec,
+)
 
 AUTOMORPHISM_ORDER_BOUND = 12
 
@@ -39,12 +41,18 @@ def _table_array(table):
     row, in order, that is not n integers in [0, n): its length if that is
     wrong, else its first entry that is not an integer in range (a bool,
     float or string is not).  Entries are checked as Python integers, so no
-    entry can overflow int64 before it is refused."""
-    n = len(table)
+    entry can overflow int64 before it is refused.  Anything but a sequence
+    of sized rows is a ShapeMismatch, and an order above MAX_GROUP_ORDER a
+    SizeBound, before the entries are read."""
+    try:
+        n = len(table)
+        _check_order(n)
+        lengths = np.fromiter(map(len, table), dtype=np.int64, count=n)
+    except TypeError:
+        raise ShapeMismatch("a group table must be a sequence of sized rows") from None
     if n == 0:
         raise NotAGroup("closure", witness=())
     entries = [int(x) if is_integer(x) else x for x in itertools.chain.from_iterable(table)]
-    lengths = np.fromiter(map(len, table), dtype=np.int64, count=n)
     short = _first(lengths != n)
     bad = next((k for k, x in enumerate(entries) if type(x) is not int or not 0 <= x < n),
                None)
@@ -81,7 +89,6 @@ def _validate(T):
 
 class FiniteGroup:
     def __init__(self, table, name=None):
-        _check_order(len(table))
         T = _table_array(table)
         _validate(T)
         T.flags.writeable = False
@@ -125,11 +132,15 @@ class FiniteGroup:
         return orders
 
     def mul(self, x, y):
+        if not (is_integer(x) and is_integer(y)):
+            raise ShapeMismatch("elements must be integers, got %r" % ((x, y),))
         if not (0 <= x < self.order and 0 <= y < self.order):
             raise IndexOutOfRange("element index out of range: %r" % ((x, y),))
         return int(self.table_array[x, y])
 
     def inv(self, x):
+        if not is_integer(x):
+            raise ShapeMismatch("element %r is not an integer" % (x,))
         if not 0 <= x < self.order:
             raise IndexOutOfRange("element index out of range: %r" % (x,))
         return int(self._inverses[x])
@@ -141,6 +152,8 @@ class FiniteGroup:
         return bool(np.array_equal(self.table_array, self.table_array.T))
 
     def element_order(self, x):
+        if not is_integer(x):
+            raise ShapeMismatch("element %r is not an integer" % (x,))
         if not 0 <= x < self.order:
             raise IndexOutOfRange("element index out of range: %r" % (x,))
         return int(self._element_orders[x])

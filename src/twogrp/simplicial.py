@@ -20,7 +20,11 @@ nerve_bg's tables built with it (the models and the level-4 cocycle map).
 On the B^2 A side, Wbar(Gamma(A[2])) is the one builder (_wbar): W is its
 decalage Dec_0 Wbar, whose level n, d_i and s_i are Wbar's level n+1,
 d_{i+1} and s_{i+1} as the same arrays, and the decalage map W -> Wbar is
-Wbar's d_0, the face that Dec_0 forgets.  Also provided: fiber products by
+Wbar's d_0, the face that Dec_0 forgets; both are kept on that Wbar.
+Gamma(A[2])'s and Wbar's face and degeneracy rules read the indices alone
+(_gamma_targets, _w_targets), and A enters only where copies that land
+together are added.  Each builder checks its arguments, then calls a cache
+keyed by exactly what it reads.  Also provided: fiber products by
 a sorted join, horns, and the Kan condition, swept by one vectorised join
 over level-(n-1) face tables.
 
@@ -38,7 +42,9 @@ results, including the codes of the compatible horns one level above it.
 
 import functools
 import itertools
+import math
 import types
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -196,20 +202,28 @@ class TruncatedSSet:
             raise TruncationMismatch("truncation must be >= 0, got %d" % self.truncation)
         if self.truncation > MAX_DEGREE:
             raise DimensionBound("truncation %d exceeds bound %d" % (self.truncation, MAX_DEGREE))
+        if base is not None:
+            check_instance(base, TruncatedSSet, "the base")
         low = 0 if base is None else base.truncation + 1
         if low > self.truncation:
             raise TruncationMismatch(
                 "base truncation %d is not below %d" % (base.truncation, self.truncation)
             )
-        if len(levels) != self.truncation + 1 - low:
+        try:
+            sizes = [len(lv) for lv in levels]
+        except TypeError:
+            raise ShapeMismatch("levels must be a sequence of sized levels") from None
+        if len(sizes) != self.truncation + 1 - low:
             raise TruncationMismatch(
-                "expected %d levels, got %d" % (self.truncation + 1 - low, len(levels))
+                "expected %d levels, got %d" % (self.truncation + 1 - low, len(sizes))
             )
+        check_instance(faces, Mapping, "the face tables")
+        check_instance(degeneracies, Mapping, "the degeneracy tables")
         stray = _stray_table(self.truncation, low, faces, degeneracies)
         if stray is not None:
             raise ShapeMismatch(stray)
         self.base = base
-        self.levels = ([] if base is None else base.levels) + [range(len(lv)) for lv in levels]
+        self.levels = ([] if base is None else base.levels) + [range(size) for size in sizes]
         self._sizes = [len(lv) for lv in self.levels]
         self.faces = _frozen_tables({} if base is None else base.faces, faces, "face")
         self.degeneracies = _frozen_tables(
@@ -233,13 +247,25 @@ class TruncatedSSet:
                 raise IndexOutOfRange("%s (%d,%d) hits cell %d" % (kind, n, i, x))
 
     def size(self, n):
+        if not is_integer(n):
+            raise ShapeMismatch("level %r is not an integer" % (n,))
+        if not 0 <= n <= self.truncation:
+            raise IndexOutOfRange("no level %d in levels 0..%d" % (n, self.truncation))
         return self._sizes[n]
 
     def face(self, n, i, x):
-        return int(self.faces[(n, i)][x])
+        return self._entry("face", n, i, x)
 
     def degeneracy(self, n, i, x):
-        return int(self.degeneracies[(n, i)][x])
+        return self._entry("degeneracy", n, i, x)
+
+    def _entry(self, kind, n, i, x):
+        if not all(map(is_integer, (n, i, x))):
+            raise ShapeMismatch("level, index and cell must be integers, got %r" % ((n, i, x),))
+        tab = self.tables[kind].get((n, i))
+        if tab is None or not 0 <= x < len(tab):
+            raise IndexOutOfRange("no %s (%d,%d) of cell %d" % (kind, n, i, x))
+        return int(tab[x])
 
     def to_json(self):
         obj = {
@@ -407,6 +433,11 @@ class SimplicialMap:
             raise TruncationMismatch("source and target truncations differ")
         self.src = src
         self.dst = dst
+        try:
+            components = list(components)
+        except TypeError:
+            raise ShapeMismatch("components must be a sequence of tables, got %s"
+                                % type(components).__name__) from None
         self.components = tuple([
             _index_table(c, "component %d" % n) for n, c in enumerate(components)
         ])
@@ -421,6 +452,10 @@ class SimplicialMap:
         self._derived = {}
 
     def __call__(self, n, x):
+        if not (is_integer(n) and is_integer(x)):
+            raise ShapeMismatch("level and cell must be integers, got %r" % ((n, x),))
+        if not (0 <= n < len(self.components) and 0 <= x < len(self.components[n])):
+            raise IndexOutOfRange("no cell %d at level %d" % (x, n))
         return int(self.components[n][x])
 
     def validate(self):
@@ -488,8 +523,6 @@ def _guard_level(size):
         raise DimensionBound("level would hold %d cells" % size)
 
 
-# typed, so that True is not served the nerve cached for truncation 1
-@functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
 def nerve_bg(G, truncation=3):
     """The nerve of a finite group: level n is G^n, faces multiply adjacent
     entries or drop ends, degeneracies insert the identity."""
@@ -497,7 +530,11 @@ def nerve_bg(G, truncation=3):
     if not is_integer(truncation):
         raise TruncationMismatch("nerve truncation must be an integer, got %r"
                                  % (truncation,))
-    N = int(truncation)
+    return _nerve(G, int(truncation))
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _nerve(G, N):
     if N > MAX_DEGREE:
         raise DimensionBound("nerve truncation %d exceeds bound %d" % (N, MAX_DEGREE))
     _guard_level(G.order**N)
@@ -523,37 +560,21 @@ def surjections_to_2(n):
     return sorted(out)
 
 
-class GammaA2:
-    """The Dold-Kan nerve of the chain complex with A concentrated in
-    degree 2, as a simplicial abelian group: level n is one copy of A per
-    monotone surjection [n] ->> [2].  A face or degeneracy sends each copy
-    to at most one copy of the adjacent level and adds the copies that land
-    together, so it is described by where each copy goes."""
-
-    def __init__(self, coeffs, truncation):
-        self.coeffs = coeffs
-        self.truncation = truncation
-        self.surjections = [surjections_to_2(n) for n in range(truncation + 1)]
-        self.surj_pos = [
-            {s: i for i, s in enumerate(lv)} for lv in self.surjections
-        ]
-
-    def width(self, n):
-        """Copies of A at level n."""
-        return len(self.surjections[n])
-
-    def targets(self, kind, n, i):
-        """Where d_i (kind "face") or s_i (kind "degeneracy") sends each copy
-        of A at level n: its position at the adjacent level, or -1 when the
-        copy is dropped."""
-        if kind == "face":
-            pos = self.surj_pos[n - 1]
-            return [pos.get(eta[:i] + eta[i + 1:], -1) for eta in self.surjections[n]]
-        pos = self.surj_pos[n + 1]
-        return [pos[eta[:i + 1] + eta[i:]] for eta in self.surjections[n]]
+def _gamma_targets(kind, n, i):
+    """Where d_i (kind "face") or s_i (kind "degeneracy") on level n of
+    Gamma(A[2]) sends each copy of A.  Level n holds one copy per monotone
+    surjection [n] ->> [2]; a copy goes to the position, at the adjacent
+    level, of its surjection composed with the coface or codegeneracy, or
+    to -1 when that composite is not surjective."""
+    if kind == "face":
+        m, moved = n - 1, [eta[:i] + eta[i + 1:] for eta in surjections_to_2(n)]
+    else:
+        m, moved = n + 1, [eta[:i + 1] + eta[i:] for eta in surjections_to_2(n)]
+    pos = {eta: k for k, eta in enumerate(surjections_to_2(m))}
+    return [pos.get(eta, -1) for eta in moved]
 
 
-def _w_targets(gamma, kind, n, i):
+def _w_targets(kind, n, i):
     """Where d_i or s_i on level n of Wbar(Gamma(A[2])) sends each copy of A.
 
     A Wbar_n cell is (g_1, ..., g_n) with g_t in Gamma_{n-t}.  d_i and s_i
@@ -563,28 +584,28 @@ def _w_targets(gamma, kind, n, i):
     a zero at i+1 (J. P. May, Simplicial Objects in Algebraic Topology).
     """
     m = n - 1 if kind == "face" else n + 1
-    moves = [(t, t, gamma.targets(kind, n - t, i - t)) for t in range(1, i + 1)]
+    moves = [(t, t, _gamma_targets(kind, n - t, i - t)) for t in range(1, i + 1)]
     if kind == "face":
         moves += [(t, t - 1, None) for t in range(max(i + 1, 2), n + 1)]
     else:
         moves += [(t, t + 1, None) for t in range(i + 1, n + 1)]
-    src_off, dst_off = _w_offsets(gamma, n), _w_offsets(gamma, m)
+    src_off, dst_off = _w_offsets(n), _w_offsets(m)
     out = [-1] * src_off[-1]
     for t, u, local in moves:
         if local is None:
-            local = range(gamma.width(n - t))
+            local = range(math.comb(n - t, 2))
         for j, target in enumerate(local):
             if target >= 0:
                 out[src_off[t] + j] = dst_off[u] + target
     return out
 
 
-def _w_offsets(gamma, n):
+def _w_offsets(n):
     """Offsets of the entries t = 1..n of a Wbar_n cell among its copies of
-    A, at index t, followed by the total."""
+    A, at index t, followed by the total C(n, 3)."""
     off = [0] * (n + 2)
     for t in range(1, n + 1):
-        off[t + 1] = off[t] + gamma.width(n - t)
+        off[t + 1] = off[t] + math.comb(n - t, 2)
     return off
 
 
@@ -602,10 +623,10 @@ def _sum_table(A, targets, width_out):
     return flat(encode(parts, (na,) * width_out), shape)
 
 
-def _abelian_sset(A, truncation, widths, targets):
-    """A level-wise power of A: level n has widths(n) copies of A, and
+def _abelian_sset(A, truncation, k, targets):
+    """A level-wise power of A: level n has C(n, k) copies of A, and
     targets(kind, n, i) says where d_i or s_i sends each copy."""
-    copies = [widths(n) for n in range(truncation + 1)]
+    copies = [math.comb(n, k) for n in range(truncation + 1)]
     for w in copies:
         _guard_level(A.order**w)
     levels = [range(A.order**w) for w in copies]
@@ -625,22 +646,22 @@ def _check_b2a(A, truncation, what):
         raise DimensionBound("%s supports truncation at most 4" % what)
 
 
-# typed like nerve_bg, as are w_b2a and decalage_map
-@functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
 def gamma_a2(A, truncation=4):
-    """Gamma(A[2]) as a truncated simplicial set."""
+    """Gamma(A[2]) as a truncated simplicial set (see _gamma_targets)."""
     _check_b2a(A, truncation, "gamma_a2")
-    gamma = GammaA2(A, truncation)
-    return _abelian_sset(A, truncation, gamma.width, gamma.targets)
+    return _gamma(A, int(truncation))
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _gamma(A, truncation):
+    return _abelian_sset(A, truncation, 2, _gamma_targets)
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _wbar(A, truncation):
     """Wbar(Gamma(A[2])) at any truncation: the one builder of the B^2 A
-    side, which W and the decalage are read off."""
-    gamma = GammaA2(A, truncation)
-    return _abelian_sset(A, truncation, lambda n: _w_offsets(gamma, n)[-1],
-                         lambda kind, n, i: _w_targets(gamma, kind, n, i))
+    side.  W and the decalage are read off it and kept on it."""
+    return _abelian_sset(A, truncation, 3, _w_targets)
 
 
 def wbar_b2a(A, truncation=3):
@@ -651,31 +672,33 @@ def wbar_b2a(A, truncation=3):
     return _wbar(A, int(truncation))
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
 def w_b2a(A, truncation=3):
     """W(Gamma(A[2])), the total space of the universal bundle over Wbar:
     its decalage Dec_0 Wbar.  Level n is Wbar's level n+1, Gamma_n x ... x
     Gamma_0, and d_i and s_i are Wbar's d_{i+1} and s_{i+1}, the same
-    arrays.  A negative truncation reads the point Wbar_0 and is refused
-    with its own value."""
+    arrays, and the set is kept on that Wbar.  A negative truncation reads
+    the point Wbar_0 and is refused with its own value."""
     _check_b2a(A, truncation, "w_b2a")
     N = int(truncation)
     Wb = _wbar(A, max(N + 1, 0))
-    tables = {"face": {}, "degeneracy": {}}
-    for kind, n, i, _ in _table_keys(N):
-        tables[kind][(n, i)] = Wb.tables[kind][(n + 1, i + 1)]
-    return TruncatedSSet(N, Wb.levels[1:], tables["face"], tables["degeneracy"])
+
+    def build():
+        tables = {"face": {}, "degeneracy": {}}
+        for kind, n, i, _ in _table_keys(N):
+            tables[kind][(n, i)] = Wb.tables[kind][(n + 1, i + 1)]
+        return TruncatedSSet(N, Wb.levels[1:], tables["face"], tables["degeneracy"])
+
+    return _cached(Wb, "w", build)
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
 def decalage_map(A, truncation=3):
     """dec: W(B^2 A) -> Wbar(B^2 A), the face d_0 of Wbar that Dec_0
     forgets: on level n it is Wbar's d_0 on level n+1, the same array, and
-    drops the leading factor Gamma_n."""
+    drops the leading factor Gamma_n.  The map is kept on that Wbar."""
     W = w_b2a(A, truncation)
     Wb = _wbar(A, W.truncation + 1)
     comps = [Wb.faces[(n + 1, 0)] for n in range(W.truncation + 1)]
-    return SimplicialMap(W, wbar_b2a(A, truncation), comps)
+    return _cached(Wb, "decalage", lambda: SimplicialMap(W, wbar_b2a(A, truncation), comps))
 
 
 def cocycle_as_map(alpha, truncation=3):
@@ -802,6 +825,7 @@ class Horn:
     """A compatible horn: faces[j] for j != missing at level n-1."""
 
     def __init__(self, n, missing, faces):
+        check_instance(faces, Mapping, "the horn's faces")
         faces = dict(faces)
         if not all(map(is_integer, (n, missing, *faces.values()))):
             raise ShapeMismatch("a horn's dimension, missing index and faces must be integers")

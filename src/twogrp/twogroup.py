@@ -95,6 +95,8 @@ def check_zigzag(alpha, x, ev, coev):
     """
     _check_associator(alpha)
     G, A = alpha.group, alpha.coeffs
+    A.check(ev)
+    A.check(coev)
     xbar = G.inv(x)
     zero = A.zero
     left = A.add(A.add(coev, alpha.value((x, xbar, x))), ev)

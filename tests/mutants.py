@@ -23,7 +23,10 @@ import tempfile
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 COR, SIM = "src/twogrp/correspondence.py", "src/twogrp/simplicial.py"
+GRP = "src/twogrp/group.py"
 COR_TESTS, SIM_TESTS = "tests/test_correspondence.py", "tests/test_simplicial.py"
+COCHAIN_TESTS, CONTRACT = "tests/test_cochain.py", "tests/test_contract.py"
+SIM_REFUSED = SIM_TESTS + "::test_malformed_simplicial_arguments_are_refused"
 ORACLE = SIM_TESTS + "::test_b2a_objects_match_the_definitions"
 CONTROLS = COR_TESTS + "::test_negative_controls_fail_the_same_stages"
 
@@ -61,9 +64,34 @@ MUTANTS = [
      "moves += [(t, t + 1, None) for t in range(i + 2, n + 1)]",
      [ORACLE]),
     ("gamma-keeps-non-surjections", SIM,
-     "pos.get(eta[:i] + eta[i + 1:], -1)",
-     "pos.get(eta[:i] + eta[i + 1:], 0)",
+     "return [pos.get(eta, -1) for eta in moved]",
+     "return [pos.get(eta, 0) for eta in moved]",
      [ORACLE]),
+    ("wbar-copies-of-gamma", SIM,
+     "_abelian_sset(A, truncation, 3, _w_targets)",
+     "_abelian_sset(A, truncation, 2, _w_targets)",
+     [ORACLE]),
+    ("decalage-rebuilt-per-call", SIM,
+     'return _cached(Wb, "decalage", lambda: SimplicialMap(W, wbar_b2a(A, truncation), comps))',
+     "return SimplicialMap(W, wbar_b2a(A, truncation), comps)",
+     [SIM_TESTS + "::test_builders_cache_one_object_per_integer_value"]),
+    # argument checks in front of the caches and at the entry points
+    ("nerve-unchecked-before-cache", SIM,
+     'check_instance(G, FiniteGroup, "the group")',
+     "pass",
+     [SIM_REFUSED + "[nerve-unhashable]"]),
+    ("face-negative-cell-wraps", SIM,
+     "if tab is None or not 0 <= x < len(tab):",
+     "if tab is None or not x < len(tab):",
+     [SIM_REFUSED + "[face-negative-cell]"]),
+    ("horn-faces-unchecked", SIM,
+     'check_instance(faces, Mapping, "the horn\'s faces")',
+     "pass",
+     [CONTRACT + "::test_malformed_arguments_raise_a_twogrp_error[Horn]"]),
+    ("inverse-of-a-non-integer", GRP,
+     "    def inv(self, x):\n        if not is_integer(x):",
+     "    def inv(self, x):\n        if False:",
+     [COCHAIN_TESTS + "::test_malformed_arguments_are_refused[inv-str]"]),
     ("copies-overwrite", SIM,
      "out[t] = x[j] if out[t] is None else A.add_array[out[t], x[j]]",
      "out[t] = x[j]",

@@ -22,6 +22,7 @@ from twogrp.correspondence import verify_theorem
 from twogrp.errors import (
     DegreeMismatch,
     IndexOutOfRange,
+    InvalidFactor,
     NotACocycle,
     NotAnAutomorphism,
     NotNormalized,
@@ -32,7 +33,9 @@ from twogrp.errors import (
     UnsupportedSpec,
     WitnessMismatch,
 )
-from twogrp.group import cyclic, dihedral, group_automorphisms, group_construct, product
+from twogrp.group import (
+    FiniteGroup, cyclic, dihedral, group_automorphisms, group_construct, product,
+)
 from twogrp.simplicial import nerve_bg
 from twogrp.twogroup import (
     TwoGroupSkeleton,
@@ -752,6 +755,31 @@ V4 = group_construct("product:cyclic:2,cyclic:2")
     (lambda: Cochain.from_json(5), ParseError, "must be a JSON object"),
     # used to raise a KeyError
     (lambda: Cochain.from_json({}), ParseError, "must be a JSON object with a degree and values"),
+    # each used to raise a TypeError
+    (lambda: FiniteGroup(5), ShapeMismatch, "sequence of sized rows"),
+    (lambda: AbelianGroup(5), InvalidFactor, "must be a sequence of integers, got 5"),
+    (lambda: cyclic(2).inv("a"), ShapeMismatch, "element 'a' is not an integer"),
+    (lambda: cyclic(2).mul(True, 1), ShapeMismatch, r"elements must be integers, got \(True, 1\)"),
+    (lambda: Cochain(C2, Z2, 3, 5), ShapeMismatch, "values must be a sequence of residue rows"),
+    (lambda: Cochain.zero(C2, Z2, 3).scale("a"), ShapeMismatch, "scale factor 'a'"),
+    (lambda: duality_data(Cochain.zero(C2, Z2, 3), "a"), ShapeMismatch,
+     "element 'a' is not an integer"),
+    (lambda: check_zigzag(Cochain.zero(C2, Z2, 3), "a", (0,), (0,)), ShapeMismatch,
+     "element 'a' is not an integer"),
+    (lambda: check_zigzag(Cochain.zero(C2, Z2, 3), 1, 5, (0,)), ShapeMismatch,
+     "element 5 is not a sequence of residues"),
+    (lambda: cohomology(C2, Z2, 3).cochain_from_coordinates(5), ShapeMismatch,
+     "coordinates must be a sequence, got int"),
+    (lambda: cohomology(C2, Z2, 3).representatives_of(5), ShapeMismatch,
+     "coordinates must be a sequence of rows"),
+    (lambda: Z2.check(5), ShapeMismatch, "element 5 is not a sequence of residues"),
+    (lambda: Z2.index(5), ShapeMismatch, "element 5 is not a sequence of residues"),
+    # each used to raise an IndexError
+    (lambda: cyclic(2).mul(0.5, 1), ShapeMismatch, "elements must be integers"),
+    (lambda: cyclic(2).element_order(1.5), ShapeMismatch, "element 1.5 is not an integer"),
+    # used to raise an AttributeError
+    (lambda: pull_back_along_automorphism([0, 1], 5), ShapeMismatch,
+     "cochain must be a Cochain, got int"),
 ], ids=["float-degree", "bool-degree", "str-degree", "solve-float-degree", "str-max-group",
         "none-max-coeffs", "str-coordinate", "float-coordinate", "str-row", "coboundary-int",
         "is-cocycle-str", "pentagon-int", "triangle-int", "duality-int", "duality-data-int",
@@ -760,7 +788,10 @@ V4 = group_construct("product:cyclic:2,cyclic:2")
         "nerve-float-truncation", "nerve-bool-truncation", "group-spec-int",
         "automorphisms-int", "product-int", "cohomology-int-group", "cohomology-int-coeffs",
         "solve-int-group", "classes-int-group", "class-coordinates-int", "lex-minimal-int",
-        "from-function-int", "from-json-int", "from-json-empty"])
+        "from-function-int", "from-json-int", "from-json-empty", "group-int-table",
+        "coeffs-int-factors", "inv-str", "mul-bool", "cochain-int-values", "scale-str",
+        "duality-data-str", "zigzag-str", "zigzag-int-ev", "coordinates-int", "rows-int",
+        "check-int", "index-int", "mul-float", "element-order-float", "pull-back-int-cochain"])
 def test_malformed_arguments_are_refused(call, error, match):
     with pytest.raises(error, match=match):
         call()

@@ -320,6 +320,11 @@ def test_frame_is_shared():
     for k, v in X.base.degeneracies.items():
         assert X.degeneracies[k] is v
     assert X.to_json() == TruncatedSSet.from_json(X.to_json()).to_json()
+    # the frame reads only G and |A|: Z4 and Z2^2 share it
+    G = cyclic(2)
+    over_z4, over_v4 = (duskin_nerve(TwoGroupSkeleton(Cochain.zero(G, AbelianGroup(f), 3)))
+                        for f in ([4], [2, 2]))
+    assert over_z4.base is over_v4.base is _frame(G, 4)
 
 
 def test_frame_never_changes_an_answer():
@@ -365,7 +370,7 @@ def test_classes_of_one_stratum_get_their_own_answers(bad_first):
 
 def test_alpha_free_work_runs_once_per_stratum(monkeypatch):
     # fresh frame, nerve, W, Wbar and decalage for C3/Z3
-    for cached in (_frame, nerve_bg, w_b2a, simplicial._wbar, decalage_map):
+    for cached in (_frame, simplicial._nerve, simplicial._wbar):
         cached.cache_clear()
     calls = []
 
@@ -383,7 +388,7 @@ def test_alpha_free_work_runs_once_per_stratum(monkeypatch):
                         spy("commutation", SimplicialMap._failed_commutation))
     G, A = cyclic(3), AbelianGroup([3])
     first, second = lex_reps(G, A)[1:3]
-    frame = _frame(G, A)
+    frame = _frame(G, A.order)
     static = {"frame": frame, "nerve": nerve_bg(G, 3), "w": w_b2a(A, 3),
               "wbar": wbar_b2a(A, 3), "dec": decalage_map(A, 3)}
 

@@ -171,6 +171,12 @@ def test_w_and_the_decalage_are_read_off_wbar():
             assert all(c is Wb.faces[(n + 1, 0)] for n, c in enumerate(dec.components))
 
 
+def test_builders_cache_one_object_per_integer_value():
+    for build, arg in ((nerve_bg, C2), (gamma_a2, Z2), (wbar_b2a, Z2), (w_b2a, Z2),
+                       (decalage_map, Z2)):
+        assert build(arg, np.int64(3)) is build(arg, 3)
+
+
 def test_decalage_validates():
     for A in (Z2, AbelianGroup([3])):
         for trunc in (3, 4):
@@ -497,6 +503,30 @@ def test_horn_type_out_of_range(n, missing, error):
      "fiber product must be a TruncatedSSet, got int"),
     (lambda: mediating_map(nerve_bg(C2, 3), 2, 3, 4, 5), ShapeMismatch,
      "proj_x must be a SimplicialMap, got int"),
+    # each used to raise a TypeError inside the cache
+    (lambda: nerve_bg([1], 3), ShapeMismatch, "group must be a FiniteGroup, got list"),
+    (lambda: gamma_a2([1], 3), ShapeMismatch, "coefficients must be an AbelianGroup, got list"),
+    (lambda: w_b2a([1], 3), ShapeMismatch, "coefficients must be an AbelianGroup, got list"),
+    (lambda: decalage_map([1], 3), ShapeMismatch,
+     "coefficients must be an AbelianGroup, got list"),
+    (lambda: w_b2a(Z2, [3]), TruncationMismatch, r"integer, got \[3\]"),
+    # each used to raise a TypeError
+    (lambda: Horn(2, 0, 5), ShapeMismatch, "horn's faces must be a Mapping, got int"),
+    (lambda: TruncatedSSet(3, 5, {}, {}), ShapeMismatch, "levels must be a sequence"),
+    (lambda: TruncatedSSet(1, [[0], [0]], 5, {}), ShapeMismatch,
+     "face tables must be a Mapping, got int"),
+    (lambda: SimplicialMap(nerve_bg(C2, 1), nerve_bg(C2, 1), 5), ShapeMismatch,
+     "components must be a sequence of tables, got int"),
+    # used to raise an AttributeError
+    (lambda: TruncatedSSet(3, [[0]], {}, {}, base=5), ShapeMismatch,
+     "base must be a TruncatedSSet, got int"),
+    # used to raise an IndexError, a KeyError, and to answer cell 7's face
+    (lambda: nerve_bg(C2, 3).face(3, 0, "a"), ShapeMismatch, "must be integers"),
+    (lambda: nerve_bg(C2, 3).face(9, 0, 0), IndexOutOfRange, r"no face \(9,0\) of cell 0"),
+    (lambda: nerve_bg(C2, 3).face(3, 0, -1), IndexOutOfRange, r"no face \(3,0\) of cell -1"),
+    # used to answer the last level's size and the last cell's image
+    (lambda: nerve_bg(C2, 3).size(-1), IndexOutOfRange, "no level -1 in levels 0..3"),
+    (lambda: identity_map(nerve_bg(C2, 3))(3, -1), IndexOutOfRange, "no cell -1 at level 3"),
 ], ids=["nerve-int", "wbar-int", "cocycle-map-int", "fiber-product-int", "validate-int",
         "map-int-target", "gamma-str-truncation", "wbar-str-truncation",
         "w-float-truncation", "kan-str-up-to", "horn-str-missing", "w-bool-truncation",
@@ -504,7 +534,11 @@ def test_horn_type_out_of_range(n, missing, error):
         "wbar-unhashable", "kan-int",
         "filler-counts-int", "enumerate-horns-int", "fillers-int-horn", "identity-int",
         "inverse-int", "is-isomorphism-int", "compose-int", "mediating-int",
-        "mediating-int-projection"])
+        "mediating-int-projection", "nerve-unhashable", "gamma-unhashable", "w-unhashable",
+        "decalage-unhashable", "w-list-truncation", "horn-int-faces", "sset-int-levels",
+        "sset-int-faces", "map-int-components", "sset-int-base", "face-str-cell",
+        "face-missing-level", "face-negative-cell", "size-negative-level",
+        "map-negative-cell"])
 def test_malformed_simplicial_arguments_are_refused(call, error, match):
     with pytest.raises(error, match=match):
         call()
