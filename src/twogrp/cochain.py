@@ -381,12 +381,14 @@ def bar_matrix(G, degree):
     return D
 
 
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def _boundary_matrix(G, degree):
     """The bar matrix of d: normalized C^(degree-1) -> C^degree (no columns
-    at degree 0)."""
-    if degree == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    return bar_matrix(G, degree - 1)
+    at degree 0), built once per (G, degree) for the relations, the class
+    basis and the boundary basis of a solve, and read-only."""
+    D = np.zeros((1, 0), dtype=np.int64) if degree == 0 else bar_matrix(G, degree - 1)
+    D.flags.writeable = False
+    return D
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
@@ -417,14 +419,19 @@ def _cocycle_kernel(G, degree, p, k):
     if (Y % steps[:, None]).any():
         raise WitnessMismatch("image of d^%d not contained in the computed kernel of d^%d"
                               % (degree - 1, degree))
-    rel = np.concatenate([np.diag(orders), Y // steps[:, None]], axis=1)
+    # the orders ascend, and a generator of order 1 relates as a row e_j
+    # (its part of Y is 0), a trivial pivot: the relations are Smith-reduced
+    # on the generators of order > 1 only
+    nontrivial = orders > 1
+    rel = np.concatenate([np.diag(orders[nontrivial]), Y[nontrivial] // steps[nontrivial, None]],
+                         axis=1)
     res = smith_mod_prime_power(rel, p, k, want_uinv=True)
     # generator i of the quotient is column i of Uinv
     quotient = [i for i, f in enumerate(res["vals"]) if f > 0]
-    cocycles = gens[:, orders > 1]
-    summands = gens @ res["Uinv"][:, quotient] % q
+    cocycles = gens[:, nontrivial]
+    summands = cocycles @ res["Uinv"][:, quotient] % q
     cocycles.flags.writeable = summands.flags.writeable = False
-    return ((tuple(int(o) for o in orders if o > 1), cocycles),
+    return ((tuple(int(o) for o in orders[nontrivial]), cocycles),
             (tuple(p ** res["vals"][i] for i in quotient), summands))
 
 

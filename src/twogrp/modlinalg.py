@@ -4,9 +4,14 @@ Invariant factors, kernels and cyclic generators come from a diagonal
 (Smith-style) form over a single prime power Z_{p^k}, where an entry of
 minimal p-valuation is a unit multiple of a power of p and can serve as a
 pivot without coefficient growth.  The valuations are kept beside the
-matrix, read through a table of the p^k residues, and each pivot touches
-only the entries it changes: the row sweep is restricted to the pivot
-row's support, and the column sweep to the support of V's pivot column.
+matrix, read through a table of the p^k residues.  The least valuation of
+the trailing block never drops from one pivot to the next, so the pivot
+search starts at the last pivot's and stops at the first entry it finds.
+Each pivot touches only the entries it changes: the row sweep is
+restricted to the pivot row's support and the column sweep to the support
+of V's pivot column, both gathered and scattered through flat indices, and
+Uinv and Vinv change in one row per pivot, since the rows below it are
+still unit rows.  One implementation serves every p^k.
 
 Everything that reads a vector against a lattice works over Z_m directly:
 the Howell form of the lattice is computed once, then any number of
@@ -47,6 +52,34 @@ def _valuations(p, k):
     return table
 
 
+# rows of the trailing block that one step of the pivot search compares
+_CHUNK = 64
+
+
+def _swap_rows(A, a, b, start=0):
+    """Swap rows a and b of A from column start on (columns, through A.T)."""
+    row = A[a, start:].copy()
+    A[a, start:] = A[b, start:]
+    A[b, start:] = row
+
+
+def _first_of_least_valuation(W, t, v, k):
+    """(i, j, v) for the first entry, in row-major order, of the least
+    valuation in W[t:, t:], given that none is below v; None when all are k.
+    Rows are compared _CHUNK at a time and the scan stops at the first hit,
+    so a pivot of the current valuation is found without reading the whole
+    block."""
+    width = W.shape[1] - t
+    for v in range(v, k):
+        for r0 in range(t, W.shape[0], _CHUNK):
+            hits = W[r0:r0 + _CHUNK, t:] == v
+            first = int(hits.argmax())
+            if hits.flat[first]:
+                i, j = divmod(first, width)
+                return r0 + i, t + j, v
+    return None
+
+
 def smith_mod_prime_power(mat, p, k, want_v=False, want_uinv=False,
                           want_vinv=False):
     """Diagonalize mat over Z_q, q = p^k: mat @ V = Uinv @ S with S diagonal
@@ -56,48 +89,56 @@ def smith_mod_prime_power(mat, p, k, want_v=False, want_uinv=False,
     and "S", plus any of "V", "Uinv", "Vinv" requested; V and Uinv are
     invertible over Z_q, and Vinv is tracked alongside V.  The pivot at
     position t is the first entry of minimal valuation, in row-major order,
-    of the trailing block M[t:, t:].
+    of the trailing block M[t:, t:].  That minimum never drops from one
+    pivot to the next (every entry the row sweep writes is a combination of
+    entries of valuation at least the pivot's), so the search starts at the
+    last pivot's valuation and stops at the first entry it finds.
 
     Each pivot touches only the entries it changes: rows above t are zero
     from column t on, the row sweep covers the rows with a nonzero factor
     and the columns where the pivot row is nonzero, and the column sweep
-    updates V only in the rows where its pivot column is nonzero.
+    updates V only in the rows where its pivot column is nonzero.  Both
+    sweeps gather and scatter that block through flat indices.
     """
     q = p**k
-    M = np.array(mat, dtype=np.int64) % q
+    M = np.array(mat, dtype=np.int64, order="C") % q
     rows, cols = M.shape
-    # Uinv is built transposed, so that its column operations are row ones
-    UinvT = np.eye(rows, dtype=np.int64) if want_uinv else None
     V = np.eye(cols, dtype=np.int64) if want_v else None
-    Vinv = np.eye(cols, dtype=np.int64) if want_vinv else None
+    # Uinv is built transposed, so that its column operations are row ones.
+    # Pivot t only rewrites row t of UinvT and of Vinv, as a combination of
+    # rows below t, which are still unit rows: row r >= t is e_uperm[r] in
+    # UinvT and e_vperm[r] in Vinv.  So their swaps swap uperm and vperm, a
+    # combination writes its factors at those positions, and the unit rows
+    # left at the end are written then.
+    UinvT = np.zeros((rows, rows), dtype=np.int64) if want_uinv else None
+    Vinv = np.zeros((cols, cols), dtype=np.int64) if want_vinv else None
+    uperm, vperm = np.arange(rows), np.arange(cols)
     # W[i, j] is the valuation of M[i, j] in the trailing block: computed
     # once, permuted with M, and recomputed only where the row sweep changes M
     valuations = _valuations(p, k)
     W = valuations[M]
+    flatM, flatW = M.reshape(-1), W.reshape(-1)
+    flatV = None if V is None else V.reshape(-1)
 
     diag_vals = []
-    t = 0
+    t = vmin = 0
     npos = min(rows, cols)
     while t < npos:
-        sub = W[t:, t:]
-        i, j = divmod(int(sub.argmin()), cols - t)
-        vmin = int(sub[i, j])
-        if vmin >= k:
+        found = _first_of_least_valuation(W, t, vmin, k)
+        if found is None:
             break
-        i, j = i + t, j + t
+        i, j, vmin = found
         # rows above t are zero from column t on, so swaps skip them
         if i != t:
-            M[[t, i], t:] = M[[i, t], t:]
-            W[[t, i], t:] = W[[i, t], t:]
-            if UinvT is not None:
-                UinvT[[t, i]] = UinvT[[i, t]]
+            _swap_rows(M, t, i, t)
+            _swap_rows(W, t, i, t)
+            uperm[t], uperm[i] = uperm[i], uperm[t]
         if j != t:
-            M[t:, [t, j]] = M[t:, [j, t]]
-            W[t:, [t, j]] = W[t:, [j, t]]
+            _swap_rows(M.T, t, j, t)
+            _swap_rows(W.T, t, j, t)
             if V is not None:
-                V[:, [t, j]] = V[:, [j, t]]
-            if Vinv is not None:
-                Vinv[[t, j]] = Vinv[[j, t]]
+                _swap_rows(V.T, t, j)
+            vperm[t], vperm[j] = vperm[j], vperm[t]
         piv = p**vmin
         unit = int(M[t, t]) // piv
         uinv = pow(unit, -1, q)
@@ -105,33 +146,32 @@ def smith_mod_prime_power(mat, p, k, want_v=False, want_uinv=False,
         # it and its valuations
         support = t + np.flatnonzero(M[t, t:])
         M[t, support] = (M[t, support] * uinv) % q
-        if UinvT is not None:
-            UinvT[t] = (UinvT[t] * unit) % q
         # the row sweep subtracts a multiple of row t from each row below t
-        # with a nonzero factor, which changes only the support's columns
-        factors = M[t + 1:, t] // piv
-        nz = t + 1 + np.flatnonzero(factors)
+        # with a nonzero factor, which changes only the support's columns;
+        # the entries below the pivot are multiples of piv, so a factor is
+        # nonzero exactly where its entry is
+        nz = t + 1 + np.flatnonzero(M[t + 1:, t])
+        factors = M[nz, t] // piv
         if nz.size:
-            factors = factors[nz - t - 1]
-            block = np.ix_(nz, support)
-            swept = (M[block] - np.outer(factors, M[t, support])) % q
-            M[block] = swept
-            W[block] = valuations[swept]
-            if UinvT is not None:
-                UinvT[t] = (UinvT[t] + factors @ UinvT[nz]) % q
+            block = (nz * cols)[:, None] + support
+            swept = (flatM[block] - np.outer(factors, M[t, support])) % q
+            flatM[block] = swept
+            flatW[block] = valuations[swept]
+        if UinvT is not None:
+            UinvT[t, uperm[t]] = unit
+            UinvT[t, uperm[nz]] = factors
         # column t is now clear below the pivot, so the column sweep only
         # clears the rest of row t's support, and V only changes in the rows
         # where V[:, t] is nonzero
         tail = support[1:]
-        if tail.size:
-            cfac = M[t, tail] // piv
-            M[t, tail] = 0
-            if V is not None:
-                vrows = np.flatnonzero(V[:, t])
-                block = np.ix_(vrows, tail)
-                V[block] = (V[block] - np.outer(V[vrows, t], cfac)) % q
-            if Vinv is not None:
-                Vinv[t, :] = (Vinv[t, :] + cfac @ Vinv[tail]) % q
+        cfac = M[t, tail] // piv
+        M[t, tail] = 0
+        if V is not None and tail.size:
+            vrows = np.flatnonzero(V[:, t])
+            block = (vrows * cols)[:, None] + tail
+            flatV[block] = (flatV[block] - np.outer(V[vrows, t], cfac)) % q
+        if Vinv is not None:
+            Vinv[t, vperm[tail]] = cfac
         diag_vals.append(vmin)
         t += 1
     while len(diag_vals) < npos:
@@ -140,8 +180,10 @@ def smith_mod_prime_power(mat, p, k, want_v=False, want_uinv=False,
     if want_v:
         out["V"] = V
     if want_uinv:
+        UinvT[np.arange(t, rows), uperm[t:]] = 1
         out["Uinv"] = UinvT.T
     if want_vinv:
+        Vinv[np.arange(cols), vperm] = 1
         out["Vinv"] = Vinv
     return out
 
@@ -158,15 +200,9 @@ def kernel_mod_prime_power(mat, p, k):
     q = p**k
     cols = np.asarray(mat).shape[1]
     res = smith_mod_prime_power(mat, p, k, want_v=True, want_vinv=True)
-    V = res["V"]
-    vals = res["vals"]
-    gens = np.zeros((cols, cols), dtype=np.int64)
-    orders = []
-    for j in range(cols):
-        e = vals[j] if j < len(vals) else k
-        gens[:, j] = (V[:, j] * p ** (k - e)) % q
-        orders.append(p**e)
-    return gens, orders, res["Vinv"]
+    vals = res["vals"] + [k] * (cols - len(res["vals"]))
+    gens = res["V"] * p ** (k - np.array(vals, dtype=np.int64)) % q
+    return gens, [p**e for e in vals], res["Vinv"]
 
 
 def _xgcd(a, b):
@@ -183,12 +219,13 @@ def howell_basis(gen_cols, m):
     gen_cols (n x c) together with m*Z^n: its Howell form (Storjohann and
     Mulders, ESA 1998), as (positions, divisors, rows).
 
-    Greedy sweep over the coordinates: at each one, combine the generators
-    leading there into one pivot of value d = gcd(leading entries, m), clear
-    the others against it, and add its closure (m/d) * pivot, so that the
-    pivots at later coordinates span every element of L vanishing before
-    them.  Each generator is a row augmented with its coefficients on the
-    columns, so pivot row i satisfies
+    Greedy sweep, in ascending order, over the coordinates where a
+    generator leads: at each one, combine the generators leading there into
+    one pivot of value d = gcd(leading entries, m), clear the others against
+    it, and add its closure (m/d) * pivot, so that the pivots at later
+    coordinates span every element of L vanishing before them.  Each
+    generator is a row augmented with its coefficients on the columns, so
+    pivot row i satisfies
     rows[i, :n] = gen_cols @ rows[i, n:] (mod m), rows[i, :positions[i]] = 0
     and rows[i, positions[i]] = divisors[i].
     """
@@ -196,17 +233,26 @@ def howell_basis(gen_cols, m):
     n, c = gen_cols.shape
     R = np.concatenate([gen_cols.T, np.eye(c, dtype=np.int64)], axis=1)
     positions, divisors, pivots = [], [], []
-    for pos in range(n):
-        R = R[R[:, :n].any(axis=1)]
+    while True:
+        nonzero = R[:, :n] != 0
+        live = nonzero.any(axis=1)
+        if not live.any():
+            break
+        R = R[live]
+        # every live row vanishes before the last pivot's position, so the
+        # next pivot sits at the least first nonzero coordinate
+        pos = int(nonzero[live].argmax(axis=1).min())
         lead = np.flatnonzero(R[:, pos])
-        if not lead.size:
-            continue
-        acc = R[lead[0]]
-        for i in lead[1:]:
-            _, s, t = _xgcd(int(acc[pos]), int(R[i, pos]))
-            acc = (s * acc + t * R[i]) % m
-        d, s, _ = _xgcd(int(acc[pos]), m)
-        acc = (s * acc) % m
+        # Bezout steps take the leading entries to their gcd with m, and the
+        # pivot is the combination of the leading rows that they build up
+        entries = R[lead, pos].tolist()
+        a, coefs = entries[0], [1]
+        for x in entries[1:]:
+            _, s, t = _xgcd(a, x)
+            coefs = [s * f % m for f in coefs] + [t % m]
+            a = (s * a + t * x) % m
+        d, s, _ = _xgcd(a, m)
+        acc = np.array([s * f % m for f in coefs], dtype=np.int64) @ R[lead] % m
         cleared = (R[lead] - np.outer(R[lead, pos] // d, acc)) % m
         closure = (m // d) * acc % m
         R = np.concatenate([np.delete(R, lead, axis=0), cleared, closure[None]])

@@ -310,11 +310,15 @@ class TruncatedSSet:
 
 
 def _stray_table(truncation, low, faces, degeneracies):
-    """A message naming the first table, faces first, that levels
-    low..truncation have no place for (see _table_keys), or None."""
+    """A message naming the first table, faces first, whose key is not an
+    (n, i) pair of integers or that levels low..truncation have no place for
+    (see _table_keys), or None."""
     keys = {(kind, n, i) for kind, n, i, _ in _table_keys(truncation, low)}
     for kind, tables in (("face", faces), ("degeneracy", degeneracies)):
-        for n, i in tables:
+        for key in tables:
+            if not (isinstance(key, tuple) and len(key) == 2 and all(map(is_integer, key))):
+                return "a %s table key must be an (n, i) pair of integers, got %r" % (kind, key)
+            n, i = key
             if (kind, n, i) not in keys:
                 return "no place for a %s table (%d,%d) in levels %d..%d" % (
                     kind, n, i, low, truncation)
@@ -826,16 +830,16 @@ class Horn:
 
     def __init__(self, n, missing, faces):
         check_instance(faces, Mapping, "the horn's faces")
-        faces = dict(faces)
-        if not all(map(is_integer, (n, missing, *faces.values()))):
+        if not all(map(is_integer, (n, missing, *faces, *faces.values()))):
             raise ShapeMismatch("a horn's dimension, missing index and faces must be integers")
         if not 0 <= missing <= n:
             raise IndexOutOfRange("missing index out of range")
         if sorted(faces) != [j for j in range(n + 1) if j != missing]:
             raise ShapeMismatch("horn must supply every face except the missing one")
-        self.n = n
-        self.missing = missing
-        self.faces = faces
+        # Python ints, so that to_json is plain JSON whatever integers came in
+        self.n = int(n)
+        self.missing = int(missing)
+        self.faces = {int(j): int(x) for j, x in faces.items()}
 
     def key(self):
         return tuple(self.faces[j] for j in sorted(self.faces))

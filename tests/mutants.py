@@ -23,9 +23,10 @@ import tempfile
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 COR, SIM = "src/twogrp/correspondence.py", "src/twogrp/simplicial.py"
-GRP = "src/twogrp/group.py"
+GRP, MOD = "src/twogrp/group.py", "src/twogrp/modlinalg.py"
 COR_TESTS, SIM_TESTS = "tests/test_correspondence.py", "tests/test_simplicial.py"
 COCHAIN_TESTS, CONTRACT = "tests/test_cochain.py", "tests/test_contract.py"
+MOD_TESTS = "tests/test_modlinalg.py"
 SIM_REFUSED = SIM_TESTS + "::test_malformed_simplicial_arguments_are_refused"
 ORACLE = SIM_TESTS + "::test_b2a_objects_match_the_definitions"
 CONTROLS = COR_TESTS + "::test_negative_controls_fail_the_same_stages"
@@ -96,6 +97,17 @@ MUTANTS = [
      "out[t] = x[j] if out[t] is None else A.add_array[out[t], x[j]]",
      "out[t] = x[j]",
      [ORACLE]),
+    # the cold solve's pivot search and Howell sweep
+    ("pivot-search-one-valuation-high", MOD,
+     "found = _first_of_least_valuation(W, t, vmin, k)",
+     "found = _first_of_least_valuation(W, t, vmin + 1, k)",
+     [MOD_TESTS + "::test_smith_diagonalizes",
+      MOD_TESTS + "::test_cold_solve_outputs_are_pinned[dihedral:3]"]),
+    ("howell-last-leading-position", MOD,
+     "pos = int(nonzero[live].argmax(axis=1).min())",
+     "pos = int(nonzero[live].argmax(axis=1).max())",
+     [MOD_TESTS + "::test_lex_reduce_matches_brute_force",
+      MOD_TESTS + "::test_cold_solve_outputs_are_pinned[dihedral:3]"]),
     # verdicts that only the negative controls record as failed
     ("w-verdict-always-passes", COR,
      'report.record("simplicial:%s" % tag, ok, witness)',

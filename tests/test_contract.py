@@ -41,8 +41,8 @@ BAD = {
     "coordinate rows": (5, None, [5], [("a",)], [(2.5,)], [(0, 0)]),
     "factors": (5, None, [1], [2.5], ["3"], [True]),
     "table": (5, None, [1], [[0, 1], 5]),
-    "faces": (5, None, [1], "x", {1: 0, 2: "a"}, {1: 0, 2: 2.5}),
-    "tables": (5, None, [1], "x"),
+    "faces": (5, None, [1], "x", {1: 0, 2: "a"}, {1: 0, 2: 2.5}, {"a": 0, 2: 0}),
+    "tables": (5, None, [1], "x", {"a": [0]}, {(1,): [0]}, {(1, 0, 0): [0]}),
     "levels": (5, None, [5]),
     "components": (5, None, [1], [[0], 5]),
     "values": (5, None, [1], "x"),

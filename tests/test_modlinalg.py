@@ -16,6 +16,8 @@ from twogrp.modlinalg import (
     smith_mod_prime_power,
 )
 
+from cohomology_digest import GROUPS
+
 RNG = random.Random(20240817)
 
 CASES = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]
@@ -260,3 +262,98 @@ def test_smith_pivot_order_is_pinned(spec, p, k):
         arr = np.ascontiguousarray(res[key], dtype=np.int64)
         digests[key] = hashlib.sha256(repr(arr.shape).encode() + arr.tobytes()).hexdigest()
     assert digests == SMITH_DIGESTS[spec, p, k]
+
+
+# The cold-solve outputs, one SHA-256 per source of matrices, recorded
+# before the Smith sweeps moved to flat indices and the pivot search and
+# howell_basis learned to skip: every Smith output ("vals", "S", "V", "Vinv",
+# and "Uinv" where it is small) and every howell_basis output of the bar
+# matrices of degrees 0-3 of the groups of tests/cohomology_digest.py over
+# each prime power in COLD_PRIME_POWERS, and of seeded random matrices.
+# Uinv is square in the rows, so it is hashed only up to ROW_BOUND rows; the
+# Howell forms of the degree-3 bar matrices of groups of order 7 and 8 are
+# left out too, as they take seconds and no degree-3 solve builds them (the
+# solves build the Howell forms of the degree-2 bar matrices, which are
+# hashed).
+COLD_PRIME_POWERS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)]
+ROW_BOUND = 700
+COLD_SOLVE_DIGESTS = {
+    "cyclic:1": "bd44d62117f12dbbd6639c1456ba6f3cb8ceaa0b38a5d5da84747dd537b4d54a",
+    "cyclic:2": "5be601d4e719351c422ed850efe85bc85efcd5f803574283e7e704814709eec3",
+    "cyclic:3": "8ae246e943e3430a7923ffe5e64a7ba5b16b7dce1c3281e63eafefe3071881f2",
+    "cyclic:4": "642b2e3fc9ded8aefb3307ed3c630c922995fc3c4a7855a8e1031edb3acb6d3e",
+    "cyclic:5": "b51fd46be11b3c79dadfa8da3bafcdd00f44014184c89e6e1f4616d1166e593f",
+    "cyclic:6": "c4cdeaed22148827b21cd94e92a3cdc3a7a46e51a3e78f596bc34e2a5fb3fee7",
+    "cyclic:7": "12e218df1c189633ffba69f2845c83591764e433f9b489995e27028e6f3fd2b0",
+    "cyclic:8": "b7aa1432803c7834637b713baaff3ab146eea233e759f2f5ad8ed2211aff825b",
+    "product:cyclic:2,cyclic:2": "c0eff0669ecb00d09cdc89dfac29fa5829c773f806fc2da51f0b26587c3dd507",
+    "dihedral:3": "c9632a073efda31b322201d28bad3e4c587fb55343e448cfc5d6c68bde7b1b93",
+    "product:cyclic:2,cyclic:4": "9c3abae696bbc7b8b2903b1ecaf94bb972ec9af7c08bd9acabdd35f82959f93d",
+    "dihedral:4": "e87321636e76c0ad3ea816fa864342cb1ba78fa5087ca0e4860eeda02acf7597",
+    "product:cyclic:2,product:cyclic:2,cyclic:2":
+        "750657dc6f4a9df30968d45f4a1e5fd02c7614c87d5290b61baa5372f9c62356",
+    "dense": "5e5e0225cdb33fd317501a1432772b598fcc29e328f3e2962d68718b99905653",
+    "sparse": "559aef38296fbb6f57d76c0f0548250ef5f3503723f2feb7eb1ee56c1ac836d1",
+}
+
+
+def _hash_arrays(h, *arrays):
+    for arr in arrays:
+        arr = np.ascontiguousarray(arr, dtype=np.int64)
+        h.update(repr(arr.shape).encode() + arr.tobytes())
+
+
+def _hash_cold_outputs(h, M, p, k, howell=True):
+    q = p**k
+    small = M.shape[0] <= ROW_BOUND
+    res = smith_mod_prime_power(M, p, k, want_v=True, want_uinv=small, want_vinv=True)
+    h.update(repr(res["vals"]).encode())
+    _hash_arrays(h, res["S"], res["V"], res["Vinv"], *([res["Uinv"]] if small else []))
+    if howell:
+        positions, divisors, rows = howell_basis(M, q)
+        h.update(repr((positions, divisors)).encode())
+        _hash_arrays(h, rows)
+
+
+def _random_cold_matrices(kind):
+    """30 seeded random matrices per kind, each with its prime power: tall,
+    wide and square, up to 150 rows so that the pivot search spans several
+    row chunks, and for "sparse" at 10% density with multiples of p in half
+    the columns, which gives pivots of positive valuation."""
+    rng = np.random.default_rng({"dense": 20261020, "sparse": 20261021}[kind])
+    for i in range(30):
+        p, k = COLD_PRIME_POWERS[i % len(COLD_PRIME_POWERS)]
+        q = p**k
+        rows, cols = (int(x) for x in rng.integers(1, 151, 2))
+        M = rng.integers(0, q, (rows, cols))
+        if kind == "sparse":
+            M = M * (rng.random((rows, cols)) < 0.1)
+            M[:, ::2] = M[:, ::2] * p % q
+        yield M, p, k
+
+
+def cold_solve_digest(source):
+    h = hashlib.sha256()
+    if source in ("dense", "sparse"):
+        for M, p, k in _random_cold_matrices(source):
+            _hash_cold_outputs(h, M, p, k)
+            # howell_basis also serves composite moduli
+            positions, divisors, rows = howell_basis(M, 6 * p**k)
+            h.update(repr((positions, divisors)).encode())
+            _hash_arrays(h, rows)
+        return h.hexdigest()
+    G = group_construct(source)
+    for degree in range(4):
+        M = bar_matrix(G, degree)
+        for p, k in COLD_PRIME_POWERS:
+            _hash_cold_outputs(h, M, p, k, howell=degree < 3 or G.order < 7)
+    return h.hexdigest()
+
+
+def test_cold_solve_digests_cover_the_digest_groups():
+    assert list(COLD_SOLVE_DIGESTS) == GROUPS + ["dense", "sparse"]
+
+
+@pytest.mark.parametrize("source", list(COLD_SOLVE_DIGESTS))
+def test_cold_solve_outputs_are_pinned(source):
+    assert cold_solve_digest(source) == COLD_SOLVE_DIGESTS[source]

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import numpy as np
@@ -442,6 +443,14 @@ def test_horn_validation():
         Horn(2, 1, {0: 0})
     with pytest.raises(IndexOutOfRange):
         Horn(2, 5, {0: 0, 1: 0})
+
+
+def test_horn_of_numpy_integers_is_plain_json():
+    # a horn keeps its dimension, missing index and faces as Python ints, so
+    # one built from numpy integers writes the same JSON as a plain one
+    horn = Horn(np.int64(2), np.int64(0), {np.int64(1): np.int64(0), 2: 0})
+    assert json.dumps(horn.to_json()) == json.dumps(Horn(2, 0, {1: 0, 2: 0}).to_json())
+    assert horn.key() == (0, 0) and all(type(x) is int for x in horn.key())
 
 
 @pytest.mark.parametrize("n, missing, error", [
