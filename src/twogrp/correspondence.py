@@ -11,12 +11,19 @@ property of the nerve.
 
 Alpha enters only level 3 of the two models (d_0 there), and levels 0-2
 read only the nerve of G and the order of A, so they are built once per
-(G, |A|) as a 2-truncated frame (_frame, an lru_cache), and each model is
-a 3-truncated set on that base (simplicial.TruncatedSSet with base=).
+nerve object and |A| as a 2-truncated frame (_frame, an lru_cache), and
+each model is a 3-truncated set on that base (simplicial.TruncatedSSet
+with base=).  The maps are built on cached alpha-free base maps of levels
+0-2 in the same way (simplicial.SimplicialMap with base=): the cocycle
+maps on the zero map into Wbar's points, the decalage on its own levels
+0-2, the canonical iso on the identity of the shared frame, and the
+model's projections on maps from the frame (_from_model); the fiber
+product, its projections and the mediating map follow their bases.
 Checks keep their results on the object that owns the arrays they read
-(simplicial._owner), so verify_theorem checks the frame and the cached
-nerve, W, Wbar and decalage for every alpha but does that work once per
-frame or per cached object, with the same witnesses.
+(simplicial._owner, and the base maps), so verify_theorem checks the
+frame, the base maps and the cached nerve, W, Wbar and decalage for every
+alpha but does that work once per frame or per cached object, with the
+same witnesses; each class checks only its own level 3.
 
 Cells are mixed-radix codes of their coordinates in the order the
 docstrings list them (elements of G, then element indices of A), so a
@@ -42,14 +49,16 @@ from .simplicial import (
     Horn,
     SimplicialMap,
     TruncatedSSet,
+    _cached,
     _guard_level,
+    _kept_identity,
+    _low,
+    _lower,
     cocycle_as_map,
     decalage_map,
     encode,
     fiber_product,
     filler_counts,
-    flat,
-    grid,
     identity_map,
     inverse_map,
     is_isomorphism,
@@ -64,11 +73,11 @@ from .twogroup import TwoGroupSkeleton
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
-def _frame(G, na):
+def _frame(NG, na):
     """Levels 0-2 of both models, which alpha does not enter: levels 0 and
-    1 of the nerve of G, and 2-cells (f, g, a), the nerve's 2-cell (f, g)
-    followed by the digit a in range(na), with faces g, fg, f."""
-    NG = nerve_bg(G, 3)
+    1 of the nerve NG of G, and 2-cells (f, g, a), the nerve's 2-cell
+    (f, g) followed by the digit a in range(na), with faces g, fg, f.  Kept
+    per nerve object, the one thing it reads besides na."""
     levels = [NG.levels[0], NG.levels[1], range(NG.size(2) * na)]
     faces = {(1, i): NG.faces[(1, i)] for i in range(2)}
     faces.update({(2, i): np.repeat(NG.faces[(2, i)], na) for i in range(3)})
@@ -83,7 +92,8 @@ def _model(G, A, faces3, degeneracies3):
     tables of the 3-cells, whose coordinates are (f, g, h) in G^3 and three
     in A."""
     level3 = range(G.order**3 * A.order**3)
-    return TruncatedSSet(3, [level3], faces3, degeneracies3, base=_frame(G, A.order))
+    frame = _frame(nerve_bg(G, 3), A.order)
+    return TruncatedSSet(3, [level3], faces3, degeneracies3, base=frame)
 
 
 def _model_on_nerve(G, A, face_digits, degeneracy_digits):
@@ -91,15 +101,24 @@ def _model_on_nerve(G, A, face_digits, degeneracy_digits):
     as the least significant digits: d_i of the 3-cell (fgh, x1, x2, x3) is
     the nerve's d_i of fgh and the digit face_digits(fgh, x1, x2, x3)[i], and
     s_i of the 2-cell (fg, t) the nerve's s_i of fg and the three digits
-    degeneracy_digits(t)[i], all over open grids."""
+    degeneracy_digits(t)[i].  A table is the outer sum of a column of the
+    nerve's cells, scaled, and a row of digits: fgh and fg are columns of
+    the nerve's cells, x1, x2, x3 the digit rows of the codes of A^3 and t
+    the row of A's elements."""
     NG, na = nerve_bg(G, 3), A.order
-    shape3, shape2 = (NG.size(3), na, na, na), (NG.size(2), na)
-    (fgh, *x), (fg, t) = grid(shape3), grid(shape2)
+    fgh, fg = (np.arange(NG.size(n), dtype=np.int64)[:, None] for n in (3, 2))
+    x, t = _digit_rows(na, 3), np.arange(na, dtype=np.int64)
     digits3, digits2 = face_digits(fgh, *x), degeneracy_digits(t)
-    faces3 = {(3, i): flat(NG.faces[(3, i)][fgh] * na + digits3[i], shape3) for i in range(4)}
-    degeneracies3 = {(2, i): flat(NG.degeneracies[(2, i)][fg] * na**3
-                                  + encode(digits2[i], (na,) * 3), shape2) for i in range(3)}
+    faces3 = {(3, i): (NG.faces[(3, i)][fgh] * na + digits3[i]).ravel() for i in range(4)}
+    degeneracies3 = {(2, i): (NG.degeneracies[(2, i)][fg] * na**3
+                              + encode(digits2[i], (na,) * 3)).ravel() for i in range(3)}
     return _model(G, A, faces3, degeneracies3)
+
+
+def _digit_rows(na, k):
+    """The k digits of the codes range(na**k), most significant first, as
+    k rows."""
+    return np.unravel_index(np.arange(na**k, dtype=np.int64), (na,) * k)
 
 
 def duskin_nerve(skeleton):
@@ -160,17 +179,21 @@ def canonical_iso(duskin, pullback, coeffs):
         raise ShapeMismatch("%d level-3 cells, not |G|^3 |A|^3 = %d for A = %r"
                             % (duskin.size(3), ng**3 * na**3, A))
     Add, Sub = A.add_array, A.sub_array
-    shape3 = (ng**3, na, na, na)
-    fgh, t1, t2, t3 = grid(shape3)
+    t1, t2, t3 = _digit_rows(na, 3)
     a = Add[Sub[t1, t2], t3]
     b = Sub[t2, t3]
+    level3 = np.add.outer(np.arange(ng**3, dtype=np.int64) * na**3,
+                          encode((a, b, t3), (na,) * 3)).ravel()
+    # on the identity of the models' shared frame, or from level 0
+    frame = duskin.base if duskin.base is pullback.base else None
+    base = None if frame is None else _kept_identity(frame)
     comps = [
         np.zeros(1, dtype=np.int64),
         np.arange(duskin.size(1), dtype=np.int64),
         np.arange(duskin.size(2), dtype=np.int64),
-        flat(encode((fgh, a, b, t3), shape3), shape3),
+        level3,
     ]
-    return SimplicialMap(duskin, pullback, comps)
+    return SimplicialMap(duskin, pullback, comps[_low(base):], base)
 
 
 class TheoremReport:
@@ -314,13 +337,32 @@ def verify_theorem(alpha):
     return report
 
 
+def _from_model(model, dst, key, level):
+    """The map from the explicit model to dst whose component on level n is
+    level(n).  Levels 0..t of a model on a base of truncation t read only
+    the base and na, so they form a map of the base kept on it, keyed by
+    key and levels 0..t of dst, and the map is built on it."""
+    frame = model.base
+    if frame is None:
+        return SimplicialMap(model, dst, [level(n) for n in range(4)])
+    t = frame.truncation
+    lower = _lower(dst, t)
+    base = _cached(frame, (key, lower), lambda: SimplicialMap(
+        frame, lower, [level(n) for n in range(t + 1)]))
+    return SimplicialMap(model, dst, [level(n) for n in range(t + 1, 4)], base)
+
+
 def _model_to_nerve(model, NG, skeleton):
     """Forget the A-coordinates of the explicit model: they are the least
     significant digits of its cells."""
     na = skeleton.coeffs.order
-    cells = [np.arange(model.size(n), dtype=np.int64) for n in range(4)]
-    comps = [cells[0], cells[1], cells[2] // na, cells[3] // na**3]
-    return SimplicialMap(model, NG, comps)
+
+    def level(n):
+        if n < 3:
+            return np.arange(model.size(n), dtype=np.int64) // (na if n == 2 else 1)
+        return np.repeat(np.arange(model.size(3) // na**3, dtype=np.int64), na**3)
+
+    return _from_model(model, NG, ("to nerve", na), level)
 
 
 def _model_to_w(model, W, skeleton):
@@ -329,12 +371,12 @@ def _model_to_w(model, W, skeleton):
     with d = alpha(f, g, h)."""
     na = skeleton.coeffs.order
     values = skeleton.alpha.index_array()
-    cells2 = np.arange(model.size(2), dtype=np.int64)
-    cells3 = np.arange(model.size(3), dtype=np.int64)
-    comps = [
-        np.zeros(1, dtype=np.int64),
-        np.zeros(model.size(1), dtype=np.int64),
-        cells2 % na,
-        (cells3 % na**3) * na + values[cells3 // na**3],
-    ]
-    return SimplicialMap(model, W, comps)
+
+    def level(n):
+        if n < 2:
+            return np.zeros(model.size(n), dtype=np.int64)
+        if n == 2:
+            return np.arange(model.size(2), dtype=np.int64) % na
+        return np.add.outer(values, np.arange(na**3, dtype=np.int64) * na).ravel()
+
+    return _from_model(model, W, ("to w", na), level)

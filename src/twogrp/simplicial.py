@@ -30,14 +30,23 @@ over level-(n-1) face tables.
 
 A truncated set may be built on a base, a set of lower truncation whose
 levels, faces and degeneracies it shares as the same array objects; it
-takes and checks only its own upper levels.  Tables and components are
-read-only, so checks keep their results on the object: validate_simplicial
-and SimplicialMap.validate on the set or map, and a result that reads only
-levels 0..n of a set X (a horn type's filler index, face groups, first
-unfilled horn, filler counts) on _owner(X, n), the base when it reaches
-level n.  Sets that differ only above a base (the Duskin nerves and
-pullback models of one (G, A) for every cocycle) thus share the base's
-results, including the codes of the compatible horns one level above it.
+takes and checks only its own upper levels.  A map may be built on a base
+map between levels 0..t of its source and target (the very sets
+_lower(src, t) and _lower(dst, t)); it takes and checks only its own
+upper components.  identity_map, inverse_map, compose, is_isomorphism,
+fiber_product and mediating_map work on the bases first, keep that result
+on the base map, and do only the levels above it.  Tables and components
+are read-only, so checks keep their results on the object:
+validate_simplicial and SimplicialMap.validate on the set or map, and a
+result that reads only levels 0..n of a set X (a horn type's filler index,
+face groups, first unfilled horn, filler counts) on _owner(X, n), the base
+when it reaches level n.  Sets and maps that differ only above a base (the
+Duskin nerves, pullback models and maps of one (G, A) for every cocycle)
+thus share the base's results, including the codes of the compatible
+horns one level above it.  A set or map on a base that passed checks only
+the tables of _table_keys(N, t + 1); when the base fails, or its fiber
+product or mediating map raises IndexOutOfRange, it is checked or built
+from level 0, so that the first failure is the one without a base.
 """
 
 import functools
@@ -147,7 +156,11 @@ def _first_outside(tab, bound):
 
 def _first_mismatch(lhs, rhs):
     differ = lhs != rhs
-    return int(differ.argmax()) if differ.any() else None
+    if differ.size:
+        x = differ.argmax()
+        if differ[x]:
+            return int(x)
+    return None
 
 
 @functools.lru_cache(maxsize=None)
@@ -373,16 +386,41 @@ def _on_owner(X, n, key, build):
     return _cached(owner, key, lambda: build(owner))
 
 
+def _lower(X, k):
+    """Levels 0..k of X as a set: X at its own truncation, the base (or the
+    base's base) whose truncation is k, else a set on X's own arrays, on
+    X's base when it has one, kept on X."""
+    if k == X.truncation:
+        return X
+    if X.base is not None and k <= X.base.truncation:
+        return _lower(X.base, k)
+
+    def build():
+        low = 0 if X.base is None else X.base.truncation + 1
+        tables = {"face": {}, "degeneracy": {}}
+        for kind, n, i, _ in _table_keys(k, low):
+            tables[kind][(n, i)] = X.tables[kind][(n, i)]
+        return TruncatedSSet(k, X.levels[low:k + 1], tables["face"], tables["degeneracy"],
+                             base=X.base)
+
+    return _cached(X, ("lower", k), build)
+
+
 def validate_simplicial(X):
     """Check every simplicial identity expressible within the truncation.
     Returns (True, None) or (False, description_string), computed once and
     kept on X.  On a set whose base passed, only the identities that touch
     a level above the base are checked; the first failure is the same, as
-    the base's identities hold."""
+    the base's identities hold.  When the base fails, every identity is
+    checked, since an identity of a higher level may come first."""
     check_instance(X, TruncatedSSet, "the simplicial set")
-    base = X.base
-    low = base.truncation + 1 if base is not None and validate_simplicial(base)[0] else 0
-    return _cached(X, "simplicial", lambda: _failed_identity(X, low))
+
+    def build():
+        base = X.base
+        low = base.truncation + 1 if base is not None and validate_simplicial(base)[0] else 0
+        return _failed_identity(X, low)
+
+    return _cached(X, "simplicial", build)
 
 
 def _failed_identity(X, low):
@@ -428,29 +466,47 @@ def _failed_identity(X, low):
 class SimplicialMap:
     """A level-wise map of truncated simplicial sets; components is a tuple
     whose entry n is a read-only int64 table from cells of src level n to
-    cells of dst level n."""
+    cells of dst level n.
 
-    def __init__(self, src, dst, components):
+    With a base (a SimplicialMap from levels 0..t of src to levels 0..t of
+    dst, t below the truncation: the very sets _lower(src, t) and
+    _lower(dst, t)), components lists only the levels above t; the
+    components of levels 0..t are the base's own arrays, already checked.
+    """
+
+    def __init__(self, src, dst, components, base=None):
         check_instance(src, TruncatedSSet, "the source")
         check_instance(dst, TruncatedSSet, "the target")
         if src.truncation != dst.truncation:
             raise TruncationMismatch("source and target truncations differ")
+        low = 0
+        if base is not None:
+            check_instance(base, SimplicialMap, "the base")
+            t = base.src.truncation
+            if t >= src.truncation:
+                raise TruncationMismatch(
+                    "base truncation %d is not below %d" % (t, src.truncation))
+            if base.src is not _lower(src, t) or base.dst is not _lower(dst, t):
+                raise ShapeMismatch("the base is not a map of levels 0..%d of the source "
+                                    "and target" % t)
+            low = t + 1
         self.src = src
         self.dst = dst
+        self.base = base
         try:
             components = list(components)
         except TypeError:
             raise ShapeMismatch("components must be a sequence of tables, got %s"
                                 % type(components).__name__) from None
-        self.components = tuple([
-            _index_table(c, "component %d" % n) for n, c in enumerate(components)
-        ])
-        if len(self.components) != src.truncation + 1:
+        own = [_index_table(c, "component %d" % n) for n, c in enumerate(components, low)]
+        if len(own) != src.truncation + 1 - low:
             raise ShapeMismatch("need one component per level")
-        for n, comp in enumerate(self.components):
-            if len(comp) != src.size(n):
+        self.components = (() if base is None else base.components) + tuple(own)
+        for n in range(low, src.truncation + 1):
+            comp = self.components[n]
+            if len(comp) != src._sizes[n]:
                 raise ShapeMismatch("component %d has wrong length" % n)
-            y = _first_outside(comp, dst.size(n))
+            y = _first_outside(comp, dst._sizes[n])
             if y is not None:
                 raise IndexOutOfRange("component %d hits cell %d" % (n, y))
         self._derived = {}
@@ -465,12 +521,15 @@ class SimplicialMap:
     def validate(self):
         """Check commutation with all faces and degeneracies.  Returns
         (True, None) or (False, description), computed once and kept on the
-        map."""
+        map.  On a map whose base passed, only the tables that touch a level
+        above the base are checked, as validate_simplicial does."""
         return _cached(self, "validate", self._failed_commutation)
 
     def _failed_commutation(self):
+        base = self.base
+        low = base.src.truncation + 1 if base is not None and base.validate()[0] else 0
         comp = self.components
-        for kind, n, i, m in _table_keys(self.src.truncation):
+        for kind, n, i, m in _table_keys(self.src.truncation, low):
             x = _first_mismatch(self.dst.tables[kind][(n, i)][comp[n]],
                                 comp[m][self.src.tables[kind][(n, i)]])
             if x is not None:
@@ -481,41 +540,76 @@ class SimplicialMap:
         """self after other."""
         check_instance(other, SimplicialMap, "the other map")
         _check_same_set(other.dst, self.src, "maps not composable")
+        bases = _bases(self, other)
+        base = None if bases is None else _cached(
+            bases[1], ("compose", bases[0]), lambda: bases[0].compose(bases[1]))
         comps = [
             self.components[n][other.components[n]]
-            for n in range(other.src.truncation + 1)
+            for n in range(_low(base), other.src.truncation + 1)
         ]
-        return SimplicialMap(other.src, self.dst, comps)
+        return SimplicialMap(other.src, self.dst, comps, base)
+
+
+def _low(base):
+    """The first level above a base map, 0 for none."""
+    return 0 if base is None else base.src.truncation + 1
+
+
+def _bases(*maps):
+    """The bases of the maps when each has one and all have one truncation,
+    else None."""
+    bases = [f.base for f in maps]
+    if any(b is None for b in bases) or len({b.src.truncation for b in bases}) != 1:
+        return None
+    return bases
 
 
 def identity_map(X):
+    """The identity of X; on a set with a base, on the base's identity,
+    kept on the base."""
     check_instance(X, TruncatedSSet, "the simplicial set")
-    return SimplicialMap(
-        X, X, [np.arange(X.size(n), dtype=np.int64) for n in range(X.truncation + 1)]
-    )
+    base = None if X.base is None else _kept_identity(X.base)
+    return SimplicialMap(X, X, [np.arange(X._sizes[n], dtype=np.int64)
+                                for n in range(_low(base), X.truncation + 1)], base)
+
+
+def _kept_identity(X):
+    """identity_map(X), kept on X.  Only for a set that others are built on:
+    the map refers back to X, so on a set that lives for one class the pair
+    would wait for the cycle collector."""
+    return _cached(X, "identity", lambda: identity_map(X))
 
 
 def is_isomorphism(f):
-    """Whether a validated simplicial map is a level-wise bijection."""
+    """Whether a validated simplicial map is a level-wise bijection, kept on
+    the map; a map on a base asks the base first."""
     check_instance(f, SimplicialMap, "the map")
-    for n in range(f.src.truncation + 1):
-        if f.src.size(n) != f.dst.size(n):
+
+    def build():
+        if f.base is not None and not is_isomorphism(f.base):
             return False
-        if np.any(np.bincount(f.components[n], minlength=f.dst.size(n)) != 1):
-            return False
-    return True
+        for n in range(_low(f.base), f.src.truncation + 1):
+            if f.src._sizes[n] != f.dst._sizes[n]:
+                return False
+            if np.any(np.bincount(f.components[n], minlength=f.dst._sizes[n]) != 1):
+                return False
+        return True
+
+    return _cached(f, "isomorphism", build)
 
 
 def inverse_map(f):
     """The level-wise inverse of a bijective map.  On a cell hit several
-    times the last preimage wins; a cell never hit goes to cell 0."""
+    times the last preimage wins; a cell never hit goes to cell 0.  A map on
+    a base gets the base's inverse, kept on the base, as its base."""
     check_instance(f, SimplicialMap, "the map")
+    base = None if f.base is None else _cached(f.base, "inverse", lambda: inverse_map(f.base))
     comps = []
-    for n in range(f.src.truncation + 1):
-        inv = np.full(f.dst.size(n), -1, dtype=np.int64)
-        np.maximum.at(inv, f.components[n], np.arange(f.src.size(n), dtype=np.int64))
+    for n in range(_low(base), f.src.truncation + 1):
+        inv = np.full(f.dst._sizes[n], -1, dtype=np.int64)
+        np.maximum.at(inv, f.components[n], np.arange(f.src._sizes[n], dtype=np.int64))
         comps.append(np.maximum(inv, 0))
-    return SimplicialMap(f.dst, f.src, comps)
+    return SimplicialMap(f.dst, f.src, comps, base)
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +796,16 @@ def decalage_map(A, truncation=3):
     W = w_b2a(A, truncation)
     Wb = _wbar(A, W.truncation + 1)
     comps = [Wb.faces[(n + 1, 0)] for n in range(W.truncation + 1)]
-    return _cached(Wb, "decalage", lambda: SimplicialMap(W, wbar_b2a(A, truncation), comps))
+
+    def build():
+        # on its levels 0..2, the base that cocycle_as_map has too, so that
+        # their fiber product is built on the fiber product of the bases
+        dst = wbar_b2a(A, truncation)
+        t = min(2, W.truncation - 1)
+        base = None if t < 0 else SimplicialMap(_lower(W, t), _lower(dst, t), comps[:t + 1])
+        return SimplicialMap(W, dst, comps[t + 1:], base)
+
+    return _cached(Wb, "decalage", build)
 
 
 def cocycle_as_map(alpha, truncation=3):
@@ -726,8 +829,12 @@ def cocycle_as_map(alpha, truncation=3):
     NG = nerve_bg(G, truncation)
     Wb = wbar_b2a(A, truncation)
     V = alpha.index_array()
+    # levels 0-2 go to the points of Wbar, on the zero map kept on the nerve
+    low_ng, low_wb = _lower(NG, 2), _lower(Wb, 2)
+    base = _cached(low_ng, ("zero map", low_wb), lambda: SimplicialMap(
+        low_ng, low_wb, [np.zeros(NG.size(n), dtype=np.int64) for n in range(3)]))
     # Wbar_3 cells are ((alpha,), (), ()), coded by the index of alpha
-    comps = [np.zeros(NG.size(n), dtype=np.int64) for n in range(3)] + [V]
+    comps = [V]
     if truncation == 4:
         Add, Sub = A.add_array, A.sub_array
         # alpha on the faces d_0..d_4 of every 4-cell (g1, g2, g3, g4)
@@ -739,7 +846,7 @@ def cocycle_as_map(alpha, truncation=3):
             raise NotACocycle(tuple(int(v) for v in np.unravel_index(bad[0], (G.order,) * 4)))
         # the Wbar_4 cell ((a, b, c), (d,), (), ())
         comps.append(encode((a, b, c, d), (A.order,) * 4))
-    return SimplicialMap(NG, Wb, comps)
+    return SimplicialMap(NG, Wb, comps, base)
 
 
 def _expand(order, lo, counts):
@@ -778,37 +885,76 @@ class _PairLevel:
 def fiber_product(f, g):
     """The level-wise pullback of f: X -> Z and g: Y -> Z, with its two
     projections.  Cells of level n are the pairs (x, y) with f(x) = g(y),
-    x-major and y ascending."""
+    x-major and y ascending.
+
+    When f and g have bases of one truncation, P is built on the fiber
+    product of the bases, kept on f's base, and the projections on its
+    projections.  When the bases' product raises IndexOutOfRange, P is
+    built from level 0, so that the error names the first table in
+    _table_keys order that leaves the fiber product."""
     check_instance(f, SimplicialMap, "f")
     check_instance(g, SimplicialMap, "g")
     _check_same_set(f.dst, g.dst, "maps have different codomains")
+    return _fiber_product(f, g)[:3]
+
+
+def _fiber_product(f, g):
+    """fiber_product(f, g) and its pair levels."""
     X, Y = f.src, g.src
     N = X.truncation
-    pairs = [
-        _PairLevel(f.components[n], g.components[n], f.dst.size(n)) for n in range(N + 1)
+    base_p = base_x = base_y = None
+    pairs = []
+    bases = _bases(f, g)
+    if bases is not None:
+        try:
+            base_p, base_x, base_y, pairs = _cached(
+                bases[0], ("fiber product", bases[1]), lambda: _fiber_product(*bases))
+        except IndexOutOfRange:
+            pass  # built from level 0 below, so that the first failure is reported
+    low = len(pairs)
+    pairs = pairs + [
+        _PairLevel(f.components[n], g.components[n], f.dst._sizes[n]) for n in range(low, N + 1)
     ]
     tables = {"face": {}, "degeneracy": {}}
-    for kind, n, i, m in _table_keys(N):
+    for kind, n, i, m in _table_keys(N, low):
         tables[kind][(n, i)] = pairs[m].locate(
             X.tables[kind][(n, i)][pairs[n].xs], Y.tables[kind][(n, i)][pairs[n].ys],
             "%s (%d,%d)" % (kind, n, i),
         )
-    P = TruncatedSSet(N, [pl.xs for pl in pairs], tables["face"], tables["degeneracy"])
-    proj_x = SimplicialMap(P, X, [pl.xs for pl in pairs])
-    proj_y = SimplicialMap(P, Y, [pl.ys for pl in pairs])
-    return P, proj_x, proj_y
+    own = pairs[low:]
+    P = TruncatedSSet(N, [pl.xs for pl in own], tables["face"], tables["degeneracy"], base_p)
+    proj_x = SimplicialMap(P, X, [pl.xs for pl in own], base_x)
+    proj_y = SimplicialMap(P, Y, [pl.ys for pl in own], base_y)
+    return P, proj_x, proj_y, pairs
 
 
 def mediating_map(P, proj_x, proj_y, p, q):
     """The unique map into the fiber product P induced by p: T -> X and
     q: T -> Y with matching composites: t goes to the cell of P that the
-    projections send to (p(t), q(t))."""
+    projections send to (p(t), q(t)).  When p, q and the projections have
+    bases of one truncation, the map is built on the mediating map of the
+    bases, kept on p's base, as fiber_product is."""
     check_instance(P, TruncatedSSet, "the fiber product")
     for f, what in ((proj_x, "proj_x"), (proj_y, "proj_y"), (p, "p"), (q, "q")):
         check_instance(f, SimplicialMap, what)
     _check_same_set(p.src, q.src, "p and q have different domains")
+    return _mediating_map(P, proj_x, proj_y, p, q)
+
+
+def _mediating_map(P, proj_x, proj_y, p, q):
+    N = p.src.truncation
+    base = None
+    bases = _bases(p, q, proj_x, proj_y)
+    if bases is not None and P.truncation == N:
+        pb, qb, xb, yb = bases
+        lower = _lower(P, pb.src.truncation)
+        try:
+            base = _cached(pb, ("mediating map", lower, xb, yb, qb),
+                           lambda: _mediating_map(lower, xb, yb, pb, qb))
+        except IndexOutOfRange:
+            pass  # built from level 0 below, so that the first failure is reported
     comps = []
-    for n in range(p.src.truncation + 1):
+    for n in range(_low(base), N + 1):
         ysize = proj_y.dst.size(n)
         cells = proj_x.components[n] * ysize + proj_y.components[n]
         order = np.argsort(cells, kind="stable")
@@ -818,7 +964,7 @@ def mediating_map(P, proj_x, proj_y, p, q):
         if len(want) and (not len(ordered) or not np.array_equal(ordered[pos], want)):
             raise IndexOutOfRange("(p, q) leaves the fiber product at level %d" % n)
         comps.append(order[pos])
-    return SimplicialMap(p.src, P, comps)
+    return SimplicialMap(p.src, P, comps, base)
 
 
 # ---------------------------------------------------------------------------

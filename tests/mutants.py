@@ -73,8 +73,8 @@ MUTANTS = [
      "_abelian_sset(A, truncation, 2, _w_targets)",
      [ORACLE]),
     ("decalage-rebuilt-per-call", SIM,
-     'return _cached(Wb, "decalage", lambda: SimplicialMap(W, wbar_b2a(A, truncation), comps))',
-     "return SimplicialMap(W, wbar_b2a(A, truncation), comps)",
+     'return _cached(Wb, "decalage", build)',
+     "return build()",
      [SIM_TESTS + "::test_builders_cache_one_object_per_integer_value"]),
     # argument checks in front of the caches and at the entry points
     ("nerve-unchecked-before-cache", SIM,
@@ -108,6 +108,18 @@ MUTANTS = [
      "pos = int(nonzero[live].argmax(axis=1).max())",
      [MOD_TESTS + "::test_lex_reduce_matches_brute_force",
       MOD_TESTS + "::test_cold_solve_outputs_are_pinned[dihedral:3]"]),
+    # maps on a base: a base that fails must not end the check, and a
+    # fiber product whose bases raise is built from level 0
+    ("map-validate-ignores-base-verdict", SIM,
+     "low = base.src.truncation + 1 if base is not None and base.validate()[0] else 0",
+     "low = base.src.truncation + 1 if base is not None else 0",
+     [SIM_TESTS + "::test_a_map_on_a_base_reports_the_first_failure_of_its_components"]),
+    ("fiber-product-base-error-escapes", SIM,
+     "            pass  # built from level 0 below, so that the first failure is reported\n"
+     "    low = len(pairs)",
+     "            raise\n"
+     "    low = len(pairs)",
+     [SIM_TESTS + "::test_fiber_product_on_bases_raises_the_first_failure"]),
     # verdicts that only the negative controls record as failed
     ("w-verdict-always-passes", COR,
      'report.record("simplicial:%s" % tag, ok, witness)',

@@ -26,7 +26,7 @@ from twogrp import (
 )
 from twogrp.cochain import CohomologyResult
 from twogrp.errors import TwogrpError
-from twogrp.simplicial import identity_map
+from twogrp.simplicial import _lower, identity_map
 
 # Bad values per kind of parameter.  An index must lie in a range below 99.
 BAD = {
@@ -73,6 +73,13 @@ RESULT = twogrp.cohomology(C2, Z2, 3)
 DUSKIN, MODEL = twogrp.duskin_nerve(SKELETON), twogrp.pullback_model(SKELETON)
 REPORT = TheoremReport(C2, Z2)
 POINT_AND_EDGE = (1, [range(1), range(2)], {(1, 0): [0, 0], (1, 1): [0, 0]}, {(0, 0): [0]})
+# a base for maps of the nerve: the identity of its levels 0..2.  The bad
+# bases: no map, a map between other sets (an equal nerve built on its own
+# is not levels 0..2 of NERVE), a map whose truncation is not below the
+# nerve's, and one of levels 0..1, too low for a component of level 3 alone
+BASE = identity_map(_lower(NERVE, 2))
+BAD["base"] = (5, [1], "x", identity_map(twogrp.nerve_bg(C2, 2)), IDENTITY,
+               identity_map(_lower(NERVE, 1)))
 
 
 def args(*pairs):
@@ -118,6 +125,9 @@ CATALOGUE = {
     "SimplicialMap": [
         ("SimplicialMap", SimplicialMap,
          args("object", NERVE, "object", NERVE, "components", IDENTITY.components)),
+        ("SimplicialMap-on-a-base", SimplicialMap,
+         args("object", NERVE, "object", NERVE, "components", IDENTITY.components[3:],
+              "base", BASE)),
         ("SimplicialMap.compose", IDENTITY.compose, args("object", IDENTITY)),
         ("SimplicialMap.__call__", IDENTITY, args("index", 3, "index", 1)),
     ],

@@ -324,7 +324,7 @@ def test_frame_is_shared():
     G = cyclic(2)
     over_z4, over_v4 = (duskin_nerve(TwoGroupSkeleton(Cochain.zero(G, AbelianGroup(f), 3)))
                         for f in ([4], [2, 2]))
-    assert over_z4.base is over_v4.base is _frame(G, 4)
+    assert over_z4.base is over_v4.base is _frame(nerve_bg(G, 3), 4)
 
 
 def test_frame_never_changes_an_answer():
@@ -388,7 +388,7 @@ def test_alpha_free_work_runs_once_per_stratum(monkeypatch):
                         spy("commutation", SimplicialMap._failed_commutation))
     G, A = cyclic(3), AbelianGroup([3])
     first, second = lex_reps(G, A)[1:3]
-    frame = _frame(G, A.order)
+    frame = _frame(nerve_bg(G, 3), A.order)
     static = {"frame": frame, "nerve": nerve_bg(G, 3), "w": w_b2a(A, 3),
               "wbar": wbar_b2a(A, 3), "dec": decalage_map(A, 3)}
 
@@ -406,6 +406,47 @@ def test_alpha_free_work_runs_once_per_stratum(monkeypatch):
     # codes kept on the frame
     names = {name for name, _ in calls}
     assert names == {"fillers", "identities", "commutation"}
+
+
+def test_a_warm_class_checks_only_its_level_3(monkeypatch):
+    # after one V4/Z2^2 class, every map and set that a second class checks
+    # sits on a base that passed, so no check reads only levels 0-2
+    for cached in (_frame, simplicial._nerve, simplicial._wbar):
+        cached.cache_clear()
+    G, A = group_construct("product:cyclic:2,cyclic:2"), AbelianGroup([2, 2])
+    first, second = lex_reps(G, A)[1:3]
+    assert verify_theorem(first).ok
+    lows, mismatches = [], 0
+    real_identity, real_mismatch = simplicial._failed_identity, simplicial._first_mismatch
+    real_keys = simplicial._table_keys
+
+    def identity(X, low):
+        lows.append(("identities", X.truncation, low))
+        return real_identity(X, low)
+
+    def keys(truncation, low=0):
+        lows.append(("tables", truncation, low))
+        return real_keys(truncation, low)
+
+    def mismatch(lhs, rhs):
+        nonlocal mismatches
+        mismatches += 1
+        return real_mismatch(lhs, rhs)
+
+    monkeypatch.setattr(simplicial, "_failed_identity", identity)
+    monkeypatch.setattr(simplicial, "_table_keys", keys)
+    monkeypatch.setattr(simplicial, "_first_mismatch", mismatch)
+    assert verify_theorem(second).ok
+    # the two models, the fiber product and the six maps of truncation 3
+    # (cocycle map, iso, inverse, the model's two projections, mediating
+    # map) and the level-4 cocycle map, all from level 3; tables are also
+    # walked to build the level-3 tables of the models and of P
+    assert sorted(set(lows)) == [("identities", 3, 3), ("tables", 3, 3), ("tables", 4, 3)]
+    assert lows.count(("identities", 3, 3)) == 3
+    # 21 identities touch level 3, 7 tables of a 3-truncated map and 16 of
+    # a 4-truncated one: 3 * 21 + 6 * 7 + 16 = 121 checks, against 189 when
+    # each map and P checked levels 0-2 as well
+    assert mismatches == 121
 
 
 # SHA-256 of the sorted-key JSON of the reports below, recorded before
@@ -588,6 +629,22 @@ def moved_nerve_face(rng):
     return "nerve_bg", build
 
 
+def moved_nerve_level2_face(rng):
+    """nerve_bg with one seeded level-2 face entry moved, one corrupted
+    nerve per group.  The models' frame reads its level 2 off the nerve, so
+    the models see the move only if the frame is kept per nerve object."""
+    real, corrupted = correspondence.nerve_bg, {}
+
+    def build(G, truncation=3):
+        if (G, truncation) not in corrupted:
+            NG = real(G, truncation)
+            corrupted[G, truncation] = with_entry_moved(
+                NG, "face", (2, rng.randrange(3)), rng.randrange(NG.size(2)), rng)
+        return corrupted[G, truncation]
+
+    return "nerve_bg", build
+
+
 def zeroing_model(pullback, coeffs):
     """The endomorphism of a pullback model that zeroes every A-coordinate
     (the least significant digits of its cells): valid when alpha is zero,
@@ -619,6 +676,8 @@ def zero_classes():
 # below.  The first three were recorded before the models and the level-4
 # cocycle map read G's coordinates off nerve_bg, the others before W and the
 # decalage were read off Wbar: every verdict and witness must stay as it was.
+LEVEL2_NERVE_DIGEST = "26e7b02ce474978894a60982269ab035d595bc2009d6696c26dfcf9dbbb6a162"
+
 NEGATIVE_CONTROLS = [
     (corrupted_pullback, "simplicial:pullback", control_classes,
      "b140c2f7d4f213d8eec0bb64c1a4b952b61f67ee0e86c409941ec0a1d0de50d7"),
@@ -636,6 +695,11 @@ NEGATIVE_CONTROLS = [
      "1ab85391585dd0c74cec0a2405b08b0744d03642e232ec9d76fdbea3473f6192"),
     (zeroed_iso, "iso:bijective", zero_classes,
      "dd74ebb88fc888c5139564d18a5c8a2d2cf46d78916bde492b510745f89f6d92"),
+    # recorded in fresh processes, where the frame is first built from the
+    # moved nerve; a frame kept per group served the real nerve's level 2
+    # once it was warm, and only simplicial:nerve and map:model_to_nerve failed
+    (moved_nerve_level2_face, "simplicial:duskin", control_classes,
+     LEVEL2_NERVE_DIGEST),
 ]
 
 
@@ -651,6 +715,21 @@ def test_negative_controls_fail_the_same_stages(monkeypatch, patch, stage, class
         reports.append(report)
     text = json.dumps(reports, sort_keys=True)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_moved_level2_nerve_face_reads_the_same_warm_or_cold(monkeypatch, warm):
+    # cold: no frame kept yet; warm: every control class verified on the
+    # real nerve first, so that its frames are kept
+    _frame.cache_clear()
+    if warm:
+        for alpha in control_classes():
+            assert verify_theorem(alpha).ok
+    name, replacement = moved_nerve_level2_face(random.Random(20261020))
+    monkeypatch.setattr(correspondence, name, replacement)
+    reports = [verify_theorem(alpha).to_json() for alpha in control_classes()]
+    text = json.dumps(reports, sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == LEVEL2_NERVE_DIGEST
 
 
 def test_a_valid_non_bijective_iso_fails_from_bijective_on(monkeypatch):

@@ -373,6 +373,137 @@ def test_table_messages(build, error, message):
         assert str(info.value) == message
 
 
+def monoid_nerve(table):
+    """The 3-truncated nerve of a finite monoid with identity 0, given by
+    its multiplication table, built like nerve_bg."""
+    T = np.array(table)
+    k = len(table)
+    tables = {"face": {}, "degeneracy": {}}
+    for kind, n, i, m in simplicial._table_keys(3):
+        g = simplicial.grid((k,) * n)
+        parts = simplicial.nerve_face(T, g, i) if kind == "face" else g[:i] + [0] + g[i:]
+        tables[kind][(n, i)] = simplicial.flat(simplicial.encode(parts, (k,) * m), (k,) * n)
+    return TruncatedSSet(3, [range(k**n) for n in range(4)], tables["face"],
+                         tables["degeneracy"])
+
+
+def on_base(X, t):
+    """X as a set on its levels 0..t."""
+    tables = {"face": {}, "degeneracy": {}}
+    for kind, n, i, _ in simplicial._table_keys(X.truncation, t + 1):
+        tables[kind][(n, i)] = X.tables[kind][(n, i)]
+    return TruncatedSSet(X.truncation, X.levels[t + 1:], tables["face"],
+                         tables["degeneracy"], base=simplicial._lower(X, t))
+
+
+def to_idempotent(top):
+    """The point's n-cell sent to (g, ..., g) in the nerve of {e, g} with
+    g g = g, except that its 3-cell goes to top (a code of 3 digits).  Every
+    face is preserved below level 3 and no degeneracy is: s_0 of the point
+    goes to e, not g.  Returns the map with no base and the same map on a
+    base of levels 0..2."""
+    point, M = on_base(monoid_nerve([[0]]), 2), on_base(monoid_nerve([[0, 1], [1, 1]]), 2)
+    comps = [[0], [1], [3], [top]]
+    base = SimplicialMap(point.base, M.base, comps[:3])
+    return SimplicialMap(point, M, comps), SimplicialMap(point, M, comps[3:], base)
+
+
+# the 3-cell (g, g, g) keeps every face; (g, g, e) moves d_0
+ALL_G, LAST_E = 7, 6
+
+
+@pytest.mark.parametrize("top, first", [
+    (LAST_E, "face (3,0) not preserved at cell 0"),
+    (ALL_G, "degeneracy (0,0) not preserved at cell 0"),
+], ids=["level3-face-first", "base-alone"])
+def test_a_map_on_a_base_reports_the_first_failure_of_its_components(top, first):
+    # the base fails degeneracy (0,0); a face of level 3 comes before it in
+    # key order, so a base that fails must not end the check
+    plain, based = to_idempotent(top)
+    assert based.base.validate() == (False, "degeneracy (0,0) not preserved at cell 0")
+    assert plain.validate() == based.validate() == (False, first)
+
+
+@pytest.mark.parametrize("top, first", [
+    (LAST_E, "face (3,0) leaves the fiber product"),
+    (ALL_G, "degeneracy (0,0) leaves the fiber product"),
+], ids=["level3-face-first", "base-alone"])
+def test_fiber_product_on_bases_raises_the_first_failure(top, first):
+    # pairs (point, y) with y the image of the point: the point's
+    # degeneracies land on e, where the second factor does not follow
+    plain, based = to_idempotent(top)
+    ident = identity_map(based.dst)
+    assert ident.base is identity_map(based.dst).base is not None
+    with pytest.raises(IndexOutOfRange, match=r"degeneracy \(0,0\)"):
+        fiber_product(based.base, ident.base)
+    for f, g in ((plain, ident), (based, ident)):
+        with pytest.raises(IndexOutOfRange) as info:
+            fiber_product(f, g)
+        assert str(info.value) == first
+
+
+def test_mediating_map_on_bases_raises_the_first_failure():
+    # P is the diagonal of the idempotent nerve; (f, e) with e the degenerate
+    # map leaves it at level 1, in the base
+    _, based = to_idempotent(ALL_G)
+    ident = identity_map(based.dst)
+    P, px, py = fiber_product(ident, ident)
+    assert P.base is not None and px.base is not None
+    point = based.src
+    degenerate = SimplicialMap(point, based.dst, [[0]], SimplicialMap(
+        point.base, based.dst.base, [[0], [0], [0]]))
+    plain = [SimplicialMap(h.src, h.dst, h.components) for h in (based, degenerate)]
+    for p, q in ((based, degenerate), plain):
+        with pytest.raises(IndexOutOfRange) as info:
+            mediating_map(P, px, py, p, q)
+        assert str(info.value) == "(p, q) leaves the fiber product at level 1"
+
+
+def test_maps_on_bases_match_the_maps_without():
+    # the Duskin nerve and the pullback model of one class share a frame,
+    # and the maps built on it agree with the same components built whole
+    from twogrp.correspondence import canonical_iso, duskin_nerve, pullback_model
+    from twogrp.twogroup import TwoGroupSkeleton
+
+    sk = TwoGroupSkeleton(c2_nontrivial())
+    X, Y = duskin_nerve(sk), pullback_model(sk)
+    iso = canonical_iso(X, Y, Z2)
+    plain = SimplicialMap(X, Y, iso.components)
+    assert iso.base is identity_map(X).base is not None and plain.base is None
+    inv, plain_inv = inverse_map(iso), inverse_map(plain)
+    # the base's inverse and composite are kept on the base
+    assert inv.base is inverse_map(iso).base is not None
+    assert inv.compose(iso).base is inv.compose(iso).base is not None
+    for f, g in ((iso, plain), (inv, plain_inv), (inv.compose(iso), plain_inv.compose(plain)),
+                 (identity_map(X), SimplicialMap(X, X, identity_map(X).components))):
+        assert same_components(f, g)
+        assert f.validate() == g.validate() == (True, None)
+        assert is_isomorphism(f) and is_isomorphism(g)
+    P, px, py = fiber_product(cocycle_as_map(c2_nontrivial(), 3), decalage_map(Z2, 3))
+    Q, qx, qy = fiber_product(*(SimplicialMap(f.src, f.dst, f.components) for f in (
+        cocycle_as_map(c2_nontrivial(), 3), decalage_map(Z2, 3))))
+    assert P.base is not None and Q.base is None
+    assert P.to_json() == Q.to_json()
+    assert same_components(px, qx) and same_components(py, qy)
+    assert validate_simplicial(P) == validate_simplicial(Q) == (True, None)
+
+
+@pytest.mark.parametrize("base, error, message", [
+    (lambda X: 5, ShapeMismatch, "base must be a SimplicialMap, got int"),
+    (lambda X: identity_map(nerve_bg(C2, 2)), ShapeMismatch,
+     "the base is not a map of levels 0..2 of the source and target"),
+    (lambda X: identity_map(X), TruncationMismatch, "base truncation 3 is not below 3"),
+    (lambda X: identity_map(simplicial._lower(X, 1)), ShapeMismatch,
+     "need one component per level"),
+], ids=["not-a-map", "other-sets", "truncation-not-below", "truncation-too-low"])
+def test_bad_bases_are_refused(base, error, message):
+    # nerve_bg(C2, 2) has the tables of levels 0..2 of the nerve, but it is
+    # not the set that the map's base must be
+    X = nerve_bg(C2, 3)
+    with pytest.raises(error, match=message.replace("(", r"\(").replace(")", r"\)")):
+        SimplicialMap(X, X, [np.arange(X.size(3))], base(X))
+
+
 def test_horns_and_fillers_nerve():
     X = nerve_bg(dihedral(3), 3)
     obj = X.to_json()
