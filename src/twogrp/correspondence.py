@@ -339,12 +339,11 @@ def verify_theorem(alpha):
 
 def _from_model(model, dst, key, level):
     """The map from the explicit model to dst whose component on level n is
-    level(n).  Levels 0..t of a model on a base of truncation t read only
-    the base and na, so they form a map of the base kept on it, keyed by
-    key and levels 0..t of dst, and the map is built on it."""
+    level(n).  The model sits on its frame, of truncation t, and levels
+    0..t read only the frame and na, so they form a map of the frame kept
+    on it, keyed by key and levels 0..t of dst, and the map is built on
+    it."""
     frame = model.base
-    if frame is None:
-        return SimplicialMap(model, dst, [level(n) for n in range(4)])
     t = frame.truncation
     lower = _lower(dst, t)
     base = _cached(frame, (key, lower), lambda: SimplicialMap(
