@@ -8,8 +8,10 @@ Arithmetic is one numpy expression modulo A.moduli; pullbacks and the
 passage to and from normalized coordinates are gathers over the array.  The
 bar complex is the cochain complex of the nerve of G, so the coboundary and
 the integer bar matrix both read their faces from simplicial.nerve_face: dc
-is the alternating sum of c gathered at the faces of each tuple of G^(n+1),
-and bar_matrix places the same signs at the faces of normalized tuples.
+is the alternating sum of c's rows gathered through the flat face tables of
+level n+1 of the nerve, which simplicial._face_rows builds once per (G, n+1)
+and nerve_bg shares, and bar_matrix places the same signs at the faces of
+normalized tuples.
 
 All solving happens on the normalized subcomplex (cochains vanishing when
 any argument is the identity), coordinatized by tuples of non-identity
@@ -60,7 +62,7 @@ from .modlinalg import (
     smith_mod_prime_power,
 )
 from .simplicial import (
-    CACHE_SIZE, MAX_CELLS_PER_LEVEL, MAX_DEGREE, encode, flat, grid, nerve_face,
+    CACHE_SIZE, MAX_CELLS_PER_LEVEL, MAX_DEGREE, _face_rows, encode, flat, grid, nerve_face,
 )
 
 DEFAULT_MAX_GROUP = 8
@@ -305,20 +307,20 @@ def _unravel(code, shape):
 
 def _coboundary_residues(c):
     """The residues of dc, one row per tuple of G^(n+1): the alternating
-    sum of c over the nerve faces d_0..d_(n+1), modulo A.moduli."""
+    sum of c's rows at the nerve faces d_0..d_(n+1) of each tuple, read
+    from the face tables kept per (G, n + 1), modulo A.moduli."""
     check_instance(c, Cochain, "the cochain")
     G, n = c.group, c.degree
     _check_cells(G.order ** (n + 1), "the coboundary of a degree-%d cochain" % n)
-    shape = (G.order,) * (n + 1)
-    g = grid(shape)
-    acc = 0
-    for i in range(n + 2):
-        rows = encode(nerve_face(G.table_array, g, i), shape[1:])
-        term = np.take(c.residues, rows, axis=0)
-        acc = acc - term if i % 2 else acc + term
-    k = len(c.coeffs.moduli)
-    acc = np.broadcast_to(acc, shape + (k,)).reshape(G.order ** (n + 1), k)
-    return acc % c.coeffs.moduli
+    R, rows = c.residues, _face_rows(G, n + 1)
+    acc = R.take(rows[0], axis=0)
+    for i in range(1, n + 2):
+        if i % 2:
+            acc -= R.take(rows[i], axis=0)
+        else:
+            acc += R.take(rows[i], axis=0)
+    acc %= c.coeffs.moduli
+    return acc
 
 
 def coboundary(c):

@@ -17,6 +17,9 @@ mixed-radix code of its coordinates (first coordinate most significant, the
 lexicographic enumeration order), and tables are gathers over open index
 grids with A's addition table and, for G, the one face rule nerve_face, or
 nerve_bg's tables built with it (the models and the level-4 cocycle map).
+The nerve's face tables of each level are built once per (G, n) by
+_face_rows, and the nerves of every truncation and the coboundary hold
+those same arrays.
 On the B^2 A side, Wbar(Gamma(A[2])) is the one builder (_wbar): W is its
 decalage Dec_0 Wbar, whose level n, d_i and s_i are Wbar's level n+1,
 d_{i+1} and s_{i+1} as the same arrays, and the decalage map W -> Wbar is
@@ -632,18 +635,36 @@ def nerve_bg(G, truncation=3):
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
+def _face_rows(G, n):
+    """The face tables d_0..d_n of level n >= 1 of the nerve of G, built
+    once per (G, n) with nerve_face, as read-only flat int64 arrays: entry
+    x of d_i is the code of face i of the n-tuple with code x.  The nerves
+    of every truncation and the coboundary share these arrays; callers
+    bound |G|^n first."""
+    ng = G.order
+    g = grid((ng,) * n)
+    rows = []
+    for i in range(n + 1):
+        row = flat(encode(nerve_face(G.table_array, g, i), (ng,) * (n - 1)), (ng,) * n)
+        row.flags.writeable = False
+        rows.append(row)
+    return tuple(rows)
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def _nerve(G, N):
     if N > MAX_DEGREE:
         raise DimensionBound("nerve truncation %d exceeds bound %d" % (N, MAX_DEGREE))
     _guard_level(G.order**N)
     ng = G.order
-    T = G.table_array
     levels = [range(ng**n) for n in range(N + 1)]
     tables = {"face": {}, "degeneracy": {}}
     for kind, n, i, m in _table_keys(N):
-        g = grid((ng,) * n)
-        parts = nerve_face(T, g, i) if kind == "face" else g[:i] + [0] + g[i:]
-        tables[kind][(n, i)] = flat(encode(parts, (ng,) * m), (ng,) * n)
+        if kind == "face":
+            tables[kind][(n, i)] = _face_rows(G, n)[i]
+        else:
+            g = grid((ng,) * n)
+            tables[kind][(n, i)] = flat(encode(g[:i] + [0] + g[i:], (ng,) * m), (ng,) * n)
     return TruncatedSSet(N, levels, tables["face"], tables["degeneracy"])
 
 
@@ -1200,7 +1221,8 @@ def _first_unfilled(X, n, missing):
     ascending mixed-radix codes (radix size(n-1), first slot most
     significant).  Unless the filler index ranked its keys, a horn's code
     is the key of its fillers: the codes are looked up as they are, and
-    only the first miss is decoded."""
+    only the first miss is decoded.  When the codes are the sorted keys
+    themselves, every horn has a filler and nothing is looked up."""
 
     def encode_horns(B):
         blocks = [encode(cols, (B.size(n - 1),) * n) for cols in _horn_rows(B, n, missing)]
@@ -1210,6 +1232,8 @@ def _first_unfilled(X, n, missing):
         index = _filler_index(O, n, missing)
         if _owner(O, n - 1) is not O and not index.steps:
             codes = _on_owner(O, n - 1, ("horns", n, missing), encode_horns)
+            if np.array_equal(codes, index.sorted_keys):
+                return None  # every horn's code is a key
             hit = _among(index.sorted_keys, codes)
             if hit.all():
                 return None

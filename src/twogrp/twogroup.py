@@ -5,8 +5,11 @@ A skeleton has objects the elements of a finite group G, only identity
 normalized 3-cochain alpha.  Coherence is checked by evaluating both routes
 around each diagram at every cell at once, as gathers over alpha's residue
 array with G's multiplication table, and reporting the lexicographically
-first cell where they differ.  The checks never call coboundary or
-is_cocycle, so the two certificates stay independent.
+first cell where they differ.  The pentagon sums its five terms in one
+array over G^4: each product is a gather of alpha along one axis through
+G's flat table, each other term a broadcast of alpha.  The checks never
+call coboundary or is_cocycle and read no nerve table or cache, so the two
+certificates stay independent.
 """
 
 import numpy as np
@@ -45,14 +48,20 @@ class TwoGroupSkeleton:
         )
 
 
+def _first_nonzero(residues):
+    """(True, None) if residues, one row of residues per cell along the
+    last axis, vanish at every cell, else (False, the first cell in
+    lexicographic order where they do not)."""
+    bad = np.flatnonzero(residues.any(axis=-1))
+    if not bad.size:
+        return True, None
+    return False, tuple(int(i) for i in np.unravel_index(bad[0], residues.shape[:-1]))
+
+
 def _first_mismatch(lhs, rhs, A):
     """(True, None) if lhs == rhs in A at every cell, else (False, the
     first cell in lexicographic order where they differ)."""
-    diff = ((lhs - rhs) % A.moduli).any(axis=-1)
-    bad = np.flatnonzero(diff)
-    if not bad.size:
-        return True, None
-    return False, tuple(int(i) for i in np.unravel_index(bad[0], diff.shape))
+    return _first_nonzero((lhs - rhs) % A.moduli)
 
 
 def _check_associator(alpha):
@@ -69,12 +78,20 @@ def check_pentagon(alpha):
     (w, x, y, z)) for the lexicographically first mismatch.
     """
     _check_associator(alpha)
-    _check_cells(alpha.group.order**4, "the pentagon grid")
-    T, a = alpha.group.table_array, alpha.cube()
-    w, x, y, z = np.ogrid[(slice(0, alpha.group.order),) * 4]
-    route_a = a[T[w, x], y, z] + a[w, x, T[y, z]]
-    route_b = a[w, x, y] + a[w, T[x, y], z] + a[x, y, z]
-    return _first_mismatch(route_a, route_b, alpha.coeffs)
+    G, A = alpha.group, alpha.coeffs
+    N, k = G.order, len(A.moduli)
+    _check_cells(N**4, "the pentagon grid")
+    # the defect alpha(wx,y,z) + alpha(w,x,yz) - alpha(w,x,y) - alpha(w,xy,z)
+    # - alpha(x,y,z) at every (w, x, y, z); each product is a gather along
+    # one axis through the flat table T, each other term a broadcast
+    T, R, cells = G.table_array.ravel(), alpha.residues, (N,) * 4 + (k,)
+    defect = R.reshape(N, N * N, k)[T].reshape(cells)
+    defect += R.reshape(N * N, N, k)[:, T].reshape(cells)
+    defect -= R.reshape(N, N, N, 1, k)
+    defect -= R.reshape(N, N, N, k)[:, T].reshape(cells)
+    defect -= R.reshape(1, N, N, N, k)
+    defect %= A.moduli
+    return _first_nonzero(defect)
 
 
 def check_triangle(alpha):

@@ -24,7 +24,9 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 COR, SIM = "src/twogrp/correspondence.py", "src/twogrp/simplicial.py"
 GRP, MOD = "src/twogrp/group.py", "src/twogrp/modlinalg.py"
+COCHAIN, TWO = "src/twogrp/cochain.py", "src/twogrp/twogroup.py"
 COR_TESTS, SIM_TESTS = "tests/test_correspondence.py", "tests/test_simplicial.py"
+TWO_TESTS = "tests/test_twogroup.py"
 COCHAIN_TESTS, CONTRACT = "tests/test_cochain.py", "tests/test_contract.py"
 MOD_TESTS = "tests/test_modlinalg.py"
 SIM_REFUSED = SIM_TESTS + "::test_malformed_simplicial_arguments_are_refused"
@@ -120,6 +122,28 @@ MUTANTS = [
      "            raise\n"
      "    low = len(pairs)",
      [SIM_TESTS + "::test_fiber_product_on_bases_raises_the_first_failure"]),
+    # the coboundary reads the nerve's face rows, and the pentagon reads
+    # G's table alone
+    ("nerve-builds-its-own-face-rows", SIM,
+     "tables[kind][(n, i)] = _face_rows(G, n)[i]",
+     "tables[kind][(n, i)] = _face_rows.__wrapped__(G, n)[i]",
+     [SIM_TESTS + "::test_nerves_share_the_face_rows_of_each_level"]),
+    ("coboundary-first-term-reads-the-last-face", COCHAIN,
+     "acc = R.take(rows[0], axis=0)",
+     "acc = R.take(rows[-1], axis=0)",
+     [COCHAIN_TESTS + "::test_coboundary_matches_oracle"]),
+    ("pentagon-product-transposed", TWO,
+     "defect -= R.reshape(N, N, N, k)[:, T].reshape(cells)",
+     "defect -= R.reshape(N, N, N, k)[:, G.table_array.T.ravel()].reshape(cells)",
+     [TWO_TESTS + "::test_pentagon_matches_oracle_on_order_8[D4]"]),
+    ("pentagon-reads-the-coboundary", TWO,
+     "return _first_nonzero(defect)",
+     "return is_cocycle(alpha)",
+     [TWO_TESTS + "::test_the_pentagon_does_not_read_the_coboundary"]),
+    ("kan-fast-path-compares-lengths", SIM,
+     "if np.array_equal(codes, index.sorted_keys):",
+     "if len(codes) == len(index.sorted_keys):",
+     [COR_TESTS + "::test_frame_never_changes_an_answer"]),
     # verdicts that only the negative controls record as failed
     ("w-verdict-always-passes", COR,
      'report.record("simplicial:%s" % tag, ok, witness)',

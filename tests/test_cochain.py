@@ -815,6 +815,9 @@ def test_coboundary_matches_oracle():
     cases = [(dihedral(3), A, d) for A in (AbelianGroup([6]), AbelianGroup([2, 2]))
              for d in range(5)]
     cases.append((C2, Z2, 9))  # past 8 arguments, where a fixed-size index tuple overflows
+    # the order-8 groups that the cochain screen times, one of them not abelian
+    cases += [(G, AbelianGroup(f), d) for G in (dihedral(4), product(cyclic(2), cyclic(4)))
+              for f in ([2], [4], [2, 2]) for d in range(4)]
     for G, A, degree in cases:
         inputs = [random_cochain(G, A, degree, RNG), Cochain.zero(G, A, degree)]
         if degree:

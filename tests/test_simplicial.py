@@ -120,6 +120,19 @@ def test_nerve_faces():
     assert coords(X.degeneracy(2, 1, cell((g, h), r2)), r3) == (g, 0, h)
 
 
+def test_nerves_share_the_face_rows_of_each_level():
+    # one array per face of each level, whichever truncation reads it
+    for G in (C2, dihedral(3)):
+        for N in (3, 4):
+            X = nerve_bg(G, N)
+            for n in range(1, N + 1):
+                rows = simplicial._face_rows(G, n)
+                assert len(rows) == n + 1
+                for i in range(n + 1):
+                    assert X.faces[(n, i)] is rows[i]
+                    assert not rows[i].flags.writeable
+
+
 def test_w_face_values():
     A = AbelianGroup([4])
     els = A.elements()

@@ -3,10 +3,11 @@ import random
 
 import pytest
 
+from twogrp import cochain
 from twogrp.coeff import AbelianGroup
 from twogrp.cochain import Cochain, coboundary, cohomology, is_cocycle
 from twogrp.errors import DegreeMismatch, NotACocycle, NotNormalized, SizeBound
-from twogrp.group import cyclic, dihedral, group_construct
+from twogrp.group import cyclic, dihedral, group_construct, product
 from twogrp.twogroup import (
     TwoGroupSkeleton,
     check_duality,
@@ -16,6 +17,8 @@ from twogrp.twogroup import (
     duality_data,
     monoidal_functor_check,
 )
+
+from oracles import brute_pentagon
 
 RNG = random.Random(4027)
 
@@ -179,6 +182,48 @@ def test_monoidal_functor():
         assert not ok
     with pytest.raises(DegreeMismatch):
         monoidal_functor_check(zero, alpha, Cochain.zero(C2, Z2, 3))
+
+
+@pytest.mark.parametrize("G", [dihedral(4), product(cyclic(2), cyclic(4))], ids=["D4", "C2xC4"])
+def test_pentagon_matches_oracle_on_order_8(G):
+    # the order-8 groups that the cochain screen times; only D4 sees a
+    # product read in the wrong order
+    rng = random.Random(811)
+    for factors in ([2], [4], [2, 2]):
+        A = AbelianGroup(factors)
+        els = A.elements()
+        cocycle = coboundary(Cochain(G, A, 2, [rng.choice(els) for _ in range(G.order**2)]))
+        # the cocycle with its last cell moved, so that the first failure is
+        # late in the grid
+        moved = [list(row) for row in cocycle.values]
+        moved[-1][0] = (moved[-1][0] + 1) % factors[0]
+        inputs = [Cochain(G, A, 3, [rng.choice(els) for _ in range(G.order**3)]),
+                  Cochain.zero(G, A, 3), cocycle, Cochain(G, A, 3, moved)]
+        for alpha in inputs:
+            witness = brute_pentagon(G.table, A.invariant_factors, alpha.values)
+            assert check_pentagon(alpha) == (witness is None, witness)
+            assert check_pentagon(alpha) == is_cocycle(alpha)
+        assert check_pentagon(cocycle) == (True, None)
+        ok, witness = check_pentagon(inputs[-1])
+        assert not ok and witness > (0, 0, 0, 0)
+
+
+def test_the_pentagon_does_not_read_the_coboundary(monkeypatch):
+    # with d_1 and d_2 swapped in the face rows that the coboundary reads, a
+    # cocycle over Z3 fails is_cocycle (the defect moves by twice
+    # alpha(wx, y, z) - alpha(w, xy, z)); the pentagon reads G's table alone
+    alpha = Cochain.from_function(cyclic(3), AbelianGroup([3]), 3,
+                                  lambda a, b, c: ((a * ((b + c) // 3)) % 3,))
+    assert is_cocycle(alpha) == check_pentagon(alpha) == (True, None)
+    real = cochain._face_rows
+
+    def swapped(G, n):
+        rows = real(G, n)
+        return rows[:1] + (rows[2], rows[1]) + rows[3:]
+
+    monkeypatch.setattr(cochain, "_face_rows", swapped)
+    assert is_cocycle(alpha)[0] is False
+    assert check_pentagon(alpha) == (True, None)
 
 
 def test_pentagon_grid_is_bounded():
