@@ -11,19 +11,20 @@ property of the nerve.
 
 Alpha enters only level 3 of the two models (d_0 there), and levels 0-2
 read only the nerve of G and the order of A, so they are built once per
-nerve object and |A| as a 2-truncated frame (_frame, an lru_cache), and
-each model is a 3-truncated set on that base (simplicial.TruncatedSSet
-with base=).  The maps are built on cached alpha-free base maps of levels
-0-2 in the same way (simplicial.SimplicialMap with base=): the cocycle
-maps on the zero map into Wbar's points, the decalage on its own levels
-0-2, the canonical iso on the identity of the shared frame, and the
-model's projections on maps from the frame (_from_model); the fiber
-product, its projections and the mediating map follow their bases.
+nerve object and |A| as a 2-truncated frame (_frame, kept on the nerve),
+and each model is a 3-truncated set on that base (simplicial.TruncatedSSet
+with base=).  Every map here is built by simplicial._map_by_levels, whose
+alpha-free levels 0-2 form a base map built once and kept on levels 0-2 of
+its source: the canonical iso shares the frame's identity, and the
+model's projections to the nerve and to W sit on maps from the frame.
+The fiber product, its projections, the inverse and the mediating map
+follow their bases, and the round trip and the two composites compare
+levels 0-2 once per set of bases (simplicial._composites_agree).
 Checks keep their results on the object that owns the arrays they read
 (simplicial._owner, and the base maps), so verify_theorem checks the
 frame, the base maps and the cached nerve, W, Wbar and decalage for every
 alpha but does that work once per frame or per cached object, with the
-same witnesses; each class checks only its own level 3.
+same witnesses; each class checks and compares only its own level 3.
 
 Cells are mixed-radix codes of their coordinates in the order the
 docstrings list them (elements of G, then element indices of A), so a
@@ -36,8 +37,6 @@ with A's addition and subtraction tables and alpha's value indices; no
 table here multiplies through G's table.
 """
 
-import functools
-
 import numpy as np
 
 from .cochain import Cochain
@@ -45,15 +44,12 @@ from .coeff import AbelianGroup, check_instance
 from .errors import DegreeMismatch, IndexOutOfRange, ShapeMismatch
 from .group import FiniteGroup
 from .simplicial import (
-    CACHE_SIZE,
     Horn,
-    SimplicialMap,
     TruncatedSSet,
     _cached,
+    _composites_agree,
     _guard_level,
-    _kept_identity,
-    _low,
-    _lower,
+    _map_by_levels,
     cocycle_as_map,
     decalage_map,
     encode,
@@ -72,18 +68,21 @@ from .simplicial import (
 from .twogroup import TwoGroupSkeleton
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
 def _frame(NG, na):
     """Levels 0-2 of both models, which alpha does not enter: levels 0 and
     1 of the nerve NG of G, and 2-cells (f, g, a), the nerve's 2-cell
     (f, g) followed by the digit a in range(na), with faces g, fg, f.  Kept
-    per nerve object, the one thing it reads besides na."""
-    levels = [NG.levels[0], NG.levels[1], range(NG.size(2) * na)]
-    faces = {(1, i): NG.faces[(1, i)] for i in range(2)}
-    faces.update({(2, i): np.repeat(NG.faces[(2, i)], na) for i in range(3)})
-    degeneracies = {(0, 0): NG.degeneracies[(0, 0)]}
-    degeneracies.update({(1, i): NG.degeneracies[(1, i)] * na for i in range(2)})
-    return TruncatedSSet(2, levels, faces, degeneracies)
+    on the nerve object, the one thing it reads besides na."""
+
+    def build():
+        levels = [NG.levels[0], NG.levels[1], range(NG.size(2) * na)]
+        faces = {(1, i): NG.faces[(1, i)] for i in range(2)}
+        faces.update({(2, i): np.repeat(NG.faces[(2, i)], na) for i in range(3)})
+        degeneracies = {(0, 0): NG.degeneracies[(0, 0)]}
+        degeneracies.update({(1, i): NG.degeneracies[(1, i)] * na for i in range(2)})
+        return TruncatedSSet(2, levels, faces, degeneracies)
+
+    return _cached(NG, ("frame", na), build)
 
 
 def _model(G, A, faces3, degeneracies3):
@@ -186,14 +185,9 @@ def canonical_iso(duskin, pullback, coeffs):
                           encode((a, b, t3), (na,) * 3)).ravel()
     # on the identity of the models' shared frame, or from level 0
     frame = duskin.base if duskin.base is pullback.base else None
-    base = None if frame is None else _kept_identity(frame)
-    comps = [
-        np.zeros(1, dtype=np.int64),
-        np.arange(duskin.size(1), dtype=np.int64),
-        np.arange(duskin.size(2), dtype=np.int64),
-        level3,
-    ]
-    return SimplicialMap(duskin, pullback, comps[_low(base):], base)
+    t = None if frame is None else frame.truncation
+    return _map_by_levels(duskin, pullback, t, "identity", lambda n: level3 if n == 3
+                          else np.arange(duskin.size(n), dtype=np.int64))
 
 
 class TheoremReport:
@@ -282,14 +276,8 @@ def verify_theorem(alpha):
     inv = inverse_map(iso)
     ok, witness = inv.validate()
     report.record("iso:backward", ok, witness)
-    round_trip = inv.compose(iso)
-    report.record(
-        "iso:round_trip",
-        all(
-            np.array_equal(a, b)
-            for a, b in zip(round_trip.components, identity_map(duskin).components)
-        ),
-    )
+    ident = identity_map(duskin)
+    report.record("iso:round_trip", _composites_agree(inv, iso, ident, ident))
 
     # the explicit model agrees with the generic fiber product; when a map
     # leaves it, the stages that need it fail with the error as witness
@@ -312,14 +300,7 @@ def verify_theorem(alpha):
     for f, tag in ((to_ng, "model_to_nerve"), (to_w, "model_to_w")):
         ok, witness = f.validate()
         report.record("map:%s" % tag, ok, witness)
-    same_composite = all(
-        np.array_equal(
-            amap.components[n][to_ng.components[n]],
-            dec.components[n][to_w.components[n]],
-        )
-        for n in range(4)
-    )
-    report.record("agreement:composites_match", same_composite)
+    report.record("agreement:composites_match", _composites_agree(amap, to_ng, dec, to_w))
     if med is None:
         report.record("agreement:mediating_map", False, error)
         report.record("agreement:bijective", False, error)
@@ -337,20 +318,6 @@ def verify_theorem(alpha):
     return report
 
 
-def _from_model(model, dst, key, level):
-    """The map from the explicit model to dst whose component on level n is
-    level(n).  The model sits on its frame, of truncation t, and levels
-    0..t read only the frame and na, so they form a map of the frame kept
-    on it, keyed by key and levels 0..t of dst, and the map is built on
-    it."""
-    frame = model.base
-    t = frame.truncation
-    lower = _lower(dst, t)
-    base = _cached(frame, (key, lower), lambda: SimplicialMap(
-        frame, lower, [level(n) for n in range(t + 1)]))
-    return SimplicialMap(model, dst, [level(n) for n in range(t + 1, 4)], base)
-
-
 def _model_to_nerve(model, NG, skeleton):
     """Forget the A-coordinates of the explicit model: they are the least
     significant digits of its cells."""
@@ -361,7 +328,7 @@ def _model_to_nerve(model, NG, skeleton):
             return np.arange(model.size(n), dtype=np.int64) // (na if n == 2 else 1)
         return np.repeat(np.arange(model.size(3) // na**3, dtype=np.int64), na**3)
 
-    return _from_model(model, NG, ("to nerve", na), level)
+    return _map_by_levels(model, NG, 2, ("to nerve", na), level)
 
 
 def _model_to_w(model, W, skeleton):
@@ -378,4 +345,4 @@ def _model_to_w(model, W, skeleton):
             return np.arange(model.size(2), dtype=np.int64) % na
         return np.add.outer(values, np.arange(na**3, dtype=np.int64) * na).ravel()
 
-    return _from_model(model, W, ("to w", na), level)
+    return _map_by_levels(model, W, 2, ("to w", na), level)

@@ -36,20 +36,26 @@ levels, faces and degeneracies it shares as the same array objects; it
 takes and checks only its own upper levels.  A map may be built on a base
 map between levels 0..t of its source and target (the very sets
 _lower(src, t) and _lower(dst, t)); it takes and checks only its own
-upper components.  identity_map, inverse_map, compose, is_isomorphism,
-fiber_product and mediating_map work on the bases first, keep that result
-on the base map, and do only the levels above it.  Tables and components
-are read-only, so checks keep their results on the object:
-validate_simplicial and SimplicialMap.validate on the set or map, and a
-result that reads only levels 0..n of a set X (a horn type's filler index,
-face groups, first unfilled horn, filler counts) on _owner(X, n), the base
-when it reaches level n.  Sets and maps that differ only above a base (the
-Duskin nerves, pullback models and maps of one (G, A) for every cocycle)
-thus share the base's results, including the codes of the compatible
-horns one level above it.  A set or map on a base that passed checks only
-the tables of _table_keys(N, t + 1); when the base fails, or its fiber
-product or mediating map raises IndexOutOfRange, it is checked or built
-from level 0, so that the first failure is the one without a base.
+upper components.  One rule makes such maps: when levels 0..t of a map do
+not depend on alpha, _map_by_levels builds them once, keeps them on
+_lower(src, t) and builds the map on them.  One rule reuses them:
+_on_bases does an operation on the maps' bases once and keeps its result
+on the first base, so that inverse_map, compose, fiber_product,
+mediating_map and _composites_agree do only the levels above it;
+is_isomorphism asks the base first.  Tables and components are read-only,
+so checks keep their results on the object: validate_simplicial and
+SimplicialMap.validate on the set or map, and a result that reads only
+levels 0..n of a set X (a horn type's filler index, face groups, first
+unfilled horn, filler counts) on _owner(X, n), the base when it reaches
+level n.  Sets and maps that differ only above a base (the Duskin nerves,
+pullback models and maps of one (G, A) for every cocycle) thus share the
+base's results, including the codes of the compatible horns one level
+above it.  A set or map on a base that passed checks only the tables of
+_table_keys(N, t + 1); when the base fails, it is checked from level 0,
+and when the bases' fiber product raises IndexOutOfRange, it is built from
+level 0, so that the first failure is the one without a base.  A mediating
+map is built level by level, ascending, so its bases raise that failure
+themselves.
 """
 
 import functools
@@ -543,9 +549,7 @@ class SimplicialMap:
         """self after other."""
         check_instance(other, SimplicialMap, "the other map")
         _check_same_set(other.dst, self.src, "maps not composable")
-        bases = _bases(self, other)
-        base = None if bases is None else _cached(
-            bases[1], ("compose", bases[0]), lambda: bases[0].compose(bases[1]))
+        base = _on_bases("compose", SimplicialMap.compose, self, other)
         comps = [
             self.components[n][other.components[n]]
             for n in range(_low(base), other.src.truncation + 1)
@@ -558,29 +562,53 @@ def _low(base):
     return 0 if base is None else base.src.truncation + 1
 
 
-def _bases(*maps):
-    """The bases of the maps when each has one and all have one truncation,
-    else None."""
+def _map_by_levels(src, dst, t, key, level):
+    """The map src -> dst whose component on level n is level(n).  Levels
+    0..t do not depend on alpha: they form a map of _lower(src, t) to
+    _lower(dst, t), built once and kept on _lower(src, t) under (key,
+    _lower(dst, t)), and the map is built on it; with t None it is built
+    from level 0.  A key names the rule below t, so two rules with one key
+    must agree there (identity_map and canonical_iso share "identity").
+    The kept map refers back to _lower(src, t), so t names a set that
+    others are built on, not one that lives for one class."""
+    base = None
+    if t is not None:
+        low_src, low_dst = _lower(src, t), _lower(dst, t)
+        base = _cached(low_src, (key, low_dst),
+                       lambda: _map_by_levels(low_src, low_dst, None, key, level))
+    return SimplicialMap(src, dst, [level(n) for n in range(_low(base), src.truncation + 1)],
+                         base)
+
+
+def _on_bases(key, op, *maps):
+    """op(*bases) for the bases of the maps, kept on the first base under
+    key and the other bases; None unless every map has a base and all the
+    bases have one truncation."""
     bases = [f.base for f in maps]
     if any(b is None for b in bases) or len({b.src.truncation for b in bases}) != 1:
         return None
-    return bases
+    return _cached(bases[0], (key, *bases[1:]), lambda: op(*bases))
+
+
+def _composites_agree(f, g, h, k):
+    """Whether f after g and h after k have equal components, read off the
+    components without forming either composite, so the sets in between
+    need not be one.  When the four maps have bases of one truncation, the
+    bases' answer is kept on f's base and only the levels above it are
+    compared."""
+    below = _on_bases("composites agree", _composites_agree, f, g, h, k)
+    low = 0 if below is None else _low(f.base)
+    return below is not False and all(
+        np.array_equal(f.components[n][g.components[n]], h.components[n][k.components[n]])
+        for n in range(low, g.src.truncation + 1))
 
 
 def identity_map(X):
     """The identity of X; on a set with a base, on the base's identity,
     kept on the base."""
     check_instance(X, TruncatedSSet, "the simplicial set")
-    base = None if X.base is None else _kept_identity(X.base)
-    return SimplicialMap(X, X, [np.arange(X._sizes[n], dtype=np.int64)
-                                for n in range(_low(base), X.truncation + 1)], base)
-
-
-def _kept_identity(X):
-    """identity_map(X), kept on X.  Only for a set that others are built on:
-    the map refers back to X, so on a set that lives for one class the pair
-    would wait for the cycle collector."""
-    return _cached(X, "identity", lambda: identity_map(X))
+    return _map_by_levels(X, X, None if X.base is None else X.base.truncation, "identity",
+                          lambda n: np.arange(X._sizes[n], dtype=np.int64))
 
 
 def is_isomorphism(f):
@@ -606,7 +634,7 @@ def inverse_map(f):
     times the last preimage wins; a cell never hit goes to cell 0.  A map on
     a base gets the base's inverse, kept on the base, as its base."""
     check_instance(f, SimplicialMap, "the map")
-    base = None if f.base is None else _cached(f.base, "inverse", lambda: inverse_map(f.base))
+    base = _on_bases("inverse", inverse_map, f)
     comps = []
     for n in range(_low(base), f.src.truncation + 1):
         inv = np.full(f.dst._sizes[n], -1, dtype=np.int64)
@@ -816,17 +844,12 @@ def decalage_map(A, truncation=3):
     drops the leading factor Gamma_n.  The map is kept on that Wbar."""
     W = w_b2a(A, truncation)
     Wb = _wbar(A, W.truncation + 1)
-    comps = [Wb.faces[(n + 1, 0)] for n in range(W.truncation + 1)]
-
-    def build():
-        # on its levels 0..2, the base that cocycle_as_map has too, so that
-        # their fiber product is built on the fiber product of the bases
-        dst = wbar_b2a(A, truncation)
-        t = min(2, W.truncation - 1)
-        base = None if t < 0 else SimplicialMap(_lower(W, t), _lower(dst, t), comps[:t + 1])
-        return SimplicialMap(W, dst, comps[t + 1:], base)
-
-    return _cached(Wb, "decalage", build)
+    # on its levels 0..2, where cocycle_as_map has its base too, so that
+    # their fiber product is built on the fiber product of the bases
+    t = min(2, W.truncation - 1)
+    return _cached(Wb, "decalage", lambda: _map_by_levels(
+        W, wbar_b2a(A, truncation), None if t < 0 else t, "decalage",
+        lambda n: Wb.faces[(n + 1, 0)]))
 
 
 def cocycle_as_map(alpha, truncation=3):
@@ -850,10 +873,6 @@ def cocycle_as_map(alpha, truncation=3):
     NG = nerve_bg(G, truncation)
     Wb = wbar_b2a(A, truncation)
     V = alpha.index_array()
-    # levels 0-2 go to the points of Wbar, on the zero map kept on the nerve
-    low_ng, low_wb = _lower(NG, 2), _lower(Wb, 2)
-    base = _cached(low_ng, ("zero map", low_wb), lambda: SimplicialMap(
-        low_ng, low_wb, [np.zeros(NG.size(n), dtype=np.int64) for n in range(3)]))
     # Wbar_3 cells are ((alpha,), (), ()), coded by the index of alpha
     comps = [V]
     if truncation == 4:
@@ -867,7 +886,9 @@ def cocycle_as_map(alpha, truncation=3):
             raise NotACocycle(tuple(int(v) for v in np.unravel_index(bad[0], (G.order,) * 4)))
         # the Wbar_4 cell ((a, b, c), (d,), (), ())
         comps.append(encode((a, b, c, d), (A.order,) * 4))
-    return SimplicialMap(NG, Wb, comps, base)
+    # levels 0-2 go to the points of Wbar, on the zero map
+    return _map_by_levels(NG, Wb, 2, "zero map", lambda n: comps[n - 3] if n > 2
+                          else np.zeros(NG.size(n), dtype=np.int64))
 
 
 def _expand(order, lo, counts):
@@ -923,15 +944,11 @@ def _fiber_product(f, g):
     """fiber_product(f, g) and its pair levels."""
     X, Y = f.src, g.src
     N = X.truncation
-    base_p = base_x = base_y = None
-    pairs = []
-    bases = _bases(f, g)
-    if bases is not None:
-        try:
-            base_p, base_x, base_y, pairs = _cached(
-                bases[0], ("fiber product", bases[1]), lambda: _fiber_product(*bases))
-        except IndexOutOfRange:
-            pass  # built from level 0 below, so that the first failure is reported
+    try:
+        based = _on_bases("fiber product", _fiber_product, f, g)
+    except IndexOutOfRange:
+        based = None  # built from level 0 below, so that the first failure is reported
+    base_p, base_x, base_y, pairs = based or (None, None, None, [])
     low = len(pairs)
     pairs = pairs + [
         _PairLevel(f.components[n], g.components[n], f.dst._sizes[n]) for n in range(low, N + 1)
@@ -959,21 +976,18 @@ def mediating_map(P, proj_x, proj_y, p, q):
     for f, what in ((proj_x, "proj_x"), (proj_y, "proj_y"), (p, "p"), (q, "q")):
         check_instance(f, SimplicialMap, what)
     _check_same_set(p.src, q.src, "p and q have different domains")
-    return _mediating_map(P, proj_x, proj_y, p, q)
+    return _mediating_map(P, p, q, proj_x, proj_y)
 
 
-def _mediating_map(P, proj_x, proj_y, p, q):
+def _mediating_map(P, p, q, proj_x, proj_y):
     N = p.src.truncation
     base = None
-    bases = _bases(p, q, proj_x, proj_y)
-    if bases is not None and P.truncation == N:
-        pb, qb, xb, yb = bases
-        lower = _lower(P, pb.src.truncation)
-        try:
-            base = _cached(pb, ("mediating map", lower, xb, yb, qb),
-                           lambda: _mediating_map(lower, xb, yb, pb, qb))
-        except IndexOutOfRange:
-            pass  # built from level 0 below, so that the first failure is reported
+    if p.base is not None and P.truncation == N:
+        # levels are built in ascending order, so bases that fail raise the
+        # first failure, as the map from level 0 would
+        lower = _lower(P, p.base.src.truncation)
+        base = _on_bases(("mediating map", lower), functools.partial(_mediating_map, lower),
+                         p, q, proj_x, proj_y)
     comps = []
     for n in range(_low(base), N + 1):
         ysize = proj_y.dst.size(n)

@@ -679,6 +679,9 @@ def test_scale_order_bound():
 def test_size_bounds():
     with pytest.raises(SizeBound):
         cohomology(cyclic(9), Z2, 3)
+    # at degree 2 the bar matrices fit, so only the default group bound refuses
+    with pytest.raises(SizeBound, match="group order 9 exceeds bound 8"):
+        cohomology(cyclic(9), Z2, 2)
     with pytest.raises(SizeBound):
         cohomology(C2, AbelianGroup([9]), 3)
     with pytest.raises(SizeBound):

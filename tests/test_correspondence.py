@@ -325,6 +325,25 @@ def test_frame_is_shared():
     over_z4, over_v4 = (duskin_nerve(TwoGroupSkeleton(Cochain.zero(G, AbelianGroup(f), 3)))
                         for f in ([4], [2, 2]))
     assert over_z4.base is over_v4.base is _frame(nerve_bg(G, 3), 4)
+    # the identity and the iso sit on the frame's identity, and every class
+    # of a stratum gets the model's projection to the nerve on one base;
+    # Z4 and Z2^2 share the frame but not W, so not the projection to W
+    first, second = (TwoGroupSkeleton(alpha) for alpha in lex_reps(G, AbelianGroup([4]))[:2])
+    duskin, model = duskin_nerve(first), pullback_model(first)
+    ident = identity_map(duskin)
+    assert ident.base is canonical_iso(duskin, model, first.coeffs).base
+    assert ident.base.src is duskin.base and ident.base is identity_map(duskin_nerve(second)).base
+    NG = nerve_bg(G, 3)
+    to_ng = [correspondence._model_to_nerve(pullback_model(sk), NG, sk) for sk in (first, second)]
+    assert to_ng[0].base is to_ng[1].base is not None
+    to_w = []
+    for A in (AbelianGroup([4]), AbelianGroup([2, 2])):
+        sk = TwoGroupSkeleton(Cochain.zero(G, A, 3))
+        W = w_b2a(A, 3)
+        to_w.append(correspondence._model_to_w(pullback_model(sk), W, sk))
+        assert to_w[-1].base.src is duskin.base and to_w[-1].base.dst is simplicial._lower(W, 2)
+        assert verify_theorem(sk.alpha).ok
+    assert to_w[0].base is not to_w[1].base
 
 
 def test_frame_never_changes_an_answer():
@@ -355,7 +374,7 @@ def test_frame_never_changes_an_answer():
 def test_classes_of_one_stratum_get_their_own_answers(bad_first):
     # a fresh frame, then a Kan class and a Kan-breaking one on it, in
     # either order
-    _frame.cache_clear()
+    simplicial._nerve.cache_clear()
     G, A = cyclic(3), AbelianGroup([3])
     good = duskin_nerve(TwoGroupSkeleton(lex_reps(G, A)[1]))
     bad = moved(good, random.Random(7), "face", (3, 0))
@@ -370,7 +389,7 @@ def test_classes_of_one_stratum_get_their_own_answers(bad_first):
 
 def test_alpha_free_work_runs_once_per_stratum(monkeypatch):
     # fresh frame, nerve, W, Wbar and decalage for C3/Z3
-    for cached in (_frame, simplicial._nerve, simplicial._wbar):
+    for cached in (simplicial._nerve, simplicial._wbar):
         cached.cache_clear()
     calls = []
 
@@ -411,7 +430,7 @@ def test_alpha_free_work_runs_once_per_stratum(monkeypatch):
 def test_a_warm_class_checks_only_its_level_3(monkeypatch):
     # after one V4/Z2^2 class, every map and set that a second class checks
     # sits on a base that passed, so no check reads only levels 0-2
-    for cached in (_frame, simplicial._nerve, simplicial._wbar):
+    for cached in (simplicial._nerve, simplicial._wbar):
         cached.cache_clear()
     G, A = group_construct("product:cyclic:2,cyclic:2"), AbelianGroup([2, 2])
     first, second = lex_reps(G, A)[1:3]
@@ -433,9 +452,28 @@ def test_a_warm_class_checks_only_its_level_3(monkeypatch):
         mismatches += 1
         return real_mismatch(lhs, rhs)
 
+    # the lengths of the components that the round trip and the two
+    # composites compare
+    compared, inside = [], []
+    real_agree, real_equal = correspondence._composites_agree, np.array_equal
+
+    def agree(*maps):
+        inside.append(True)
+        try:
+            return real_agree(*maps)
+        finally:
+            inside.pop()
+
+    def equal(lhs, rhs, *args, **kwargs):
+        if inside:
+            compared.append(len(lhs))
+        return real_equal(lhs, rhs, *args, **kwargs)
+
     monkeypatch.setattr(simplicial, "_failed_identity", identity)
     monkeypatch.setattr(simplicial, "_table_keys", keys)
     monkeypatch.setattr(simplicial, "_first_mismatch", mismatch)
+    monkeypatch.setattr(correspondence, "_composites_agree", agree)
+    monkeypatch.setattr(np, "array_equal", equal)
     assert verify_theorem(second).ok
     # the two models, the fiber product and the six maps of truncation 3
     # (cocycle map, iso, inverse, the model's two projections, mediating
@@ -447,6 +485,9 @@ def test_a_warm_class_checks_only_its_level_3(monkeypatch):
     # a 4-truncated one: 3 * 21 + 6 * 7 + 16 = 121 checks, against 189 when
     # each map and P checked levels 0-2 as well
     assert mismatches == 121
+    # the bases' answers are kept from the first class, so the round trip
+    # and the composites each compare level 3 alone
+    assert compared == [G.order**3 * A.order**3] * 2
 
 
 # SHA-256 of the sorted-key JSON of the reports below, recorded before
@@ -489,8 +530,43 @@ def shift_cell(f, n, x):
     return SimplicialMap(f.src, f.dst, comps)
 
 
+def shift_on_base(f, n, x):
+    """f with level-n cell x sent to the next cell of the target, still on
+    a base: f's own when n is above it, else the base with that cell
+    shifted."""
+    t = f.base.src.truncation
+    comps = [c.copy() for c in f.components]
+    comps[n][x] = (comps[n][x] + 1) % f.dst.size(n)
+    base = f.base if n > t else SimplicialMap(f.base.src, f.base.dst, comps[:t + 1])
+    return SimplicialMap(f.src, f.dst, comps[t + 1:], base)
+
+
 def failed_stages(report):
     return [(st["name"], st["witness"]) for st in report.stages if not st["ok"]]
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("name, n, stage", [
+    ("_model_to_w", 3, "agreement:composites_match"),
+    ("_model_to_w", 2, "agreement:mediating_map"),
+    ("inverse_map", 1, "iso:round_trip"),
+], ids=["model-to-w-level3", "model-to-w-base", "inverse-base"])
+def test_kept_base_answers_hide_no_wrong_map(monkeypatch, warm, name, n, stage):
+    # a map with one cell shifted, on a base, must get the report of the
+    # same components without a base, also after a first class has kept
+    # the answers of the real bases.  Only level 3 can break the composites:
+    # Wbar's levels 0-2 are points
+    for cached in (simplicial._nerve, simplicial._wbar):
+        cached.cache_clear()
+    first, second = lex_reps(cyclic(3), AbelianGroup([3]))[1:3]
+    if warm:
+        assert verify_theorem(first).ok
+    real = getattr(correspondence, name)
+    monkeypatch.setattr(correspondence, name, lambda *args: shift_on_base(real(*args), n, 1))
+    got = failed_stages(verify_theorem(second))
+    monkeypatch.setattr(correspondence, name, lambda *args: shift_cell(real(*args), n, 1))
+    assert got == failed_stages(verify_theorem(second))
+    assert stage in dict(got)
 
 
 def test_map_off_the_fiber_product_keeps_the_report(monkeypatch):
@@ -721,7 +797,7 @@ def test_negative_controls_fail_the_same_stages(monkeypatch, patch, stage, class
 def test_moved_level2_nerve_face_reads_the_same_warm_or_cold(monkeypatch, warm):
     # cold: no frame kept yet; warm: every control class verified on the
     # real nerve first, so that its frames are kept
-    _frame.cache_clear()
+    simplicial._nerve.cache_clear()
     if warm:
         for alpha in control_classes():
             assert verify_theorem(alpha).ok
@@ -780,6 +856,9 @@ def test_wrong_inverse_fails_only_the_round_trip(monkeypatch):
     assert failed_stages(report) == [("iso:round_trip", None)]
 
 
+C6_Z17 = TwoGroupSkeleton(Cochain.zero(cyclic(6), AbelianGroup([17]), 3))
+
+
 def models(alpha):
     sk = TwoGroupSkeleton(alpha)
     return duskin_nerve(sk), pullback_model(sk)
@@ -799,8 +878,12 @@ def models(alpha):
     (lambda: TheoremReport(5, 5).to_json(), ShapeMismatch, "group must be a FiniteGroup, got int"),
     (lambda: TheoremReport(C2, [2]), ShapeMismatch,
      "coefficients must be an AbelianGroup, got list"),
+    # (6 * 17)^3 = 1061208 level-3 cells, refused without verify_theorem's
+    # guard in front
+    (lambda: duskin_nerve(C6_Z17), DimensionBound, "1061208"),
+    (lambda: pullback_model(C6_Z17), DimensionBound, "1061208"),
 ], ids=["duskin-int", "pullback-cochain", "iso-int", "iso-other-coefficients",
-        "report-int", "report-list-coefficients"])
+        "report-int", "report-list-coefficients", "duskin-oversized", "pullback-oversized"])
 def test_malformed_model_arguments_are_refused(call, error, match):
     with pytest.raises(error, match=match):
         call()

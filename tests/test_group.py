@@ -53,6 +53,10 @@ def test_dihedral():
     assert not G.is_abelian()
     orders = sorted(G.element_order(x) for x in range(6))
     assert orders == [1, 2, 2, 2, 3, 3]
+    # n = 1 is the smallest family member: r is trivial and s has order 2
+    G = dihedral(1)
+    assert (G.order, G.name) == (2, "dihedral:1")
+    assert G.table == ((0, 1), (1, 0))
 
 
 def test_symmetric():
