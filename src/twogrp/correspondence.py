@@ -21,7 +21,7 @@ The fiber product, its projections, the inverse and the mediating map
 follow their bases, and the round trip and the two composites compare
 levels 0-2 once per set of bases (simplicial._composites_agree).
 Checks keep their results on the object that owns the arrays they read
-(simplicial._owner, and the base maps), so verify_theorem checks the
+(simplicial._lower, and the base maps), so verify_theorem checks the
 frame, the base maps and the cached nerve, W, Wbar and decalage for every
 alpha but does that work once per frame or per cached object, with the
 same witnesses; each class checks and compares only its own level 3.
@@ -184,9 +184,7 @@ def canonical_iso(duskin, pullback, coeffs):
     level3 = np.add.outer(np.arange(ng**3, dtype=np.int64) * na**3,
                           encode((a, b, t3), (na,) * 3)).ravel()
     # on the identity of the models' shared frame, or from level 0
-    frame = duskin.base if duskin.base is pullback.base else None
-    t = None if frame is None else frame.truncation
-    return _map_by_levels(duskin, pullback, t, "identity", lambda n: level3 if n == 3
+    return _map_by_levels(duskin, pullback, 2, "identity", lambda n: level3 if n == 3
                           else np.arange(duskin.size(n), dtype=np.int64))
 
 

@@ -33,12 +33,19 @@ over level-(n-1) face tables.
 
 A truncated set may be built on a base, a set of lower truncation whose
 levels, faces and degeneracies it shares as the same array objects; it
-takes and checks only its own upper levels.  A map may be built on a base
-map between levels 0..t of its source and target (the very sets
-_lower(src, t) and _lower(dst, t)); it takes and checks only its own
-upper components.  One rule makes such maps: when levels 0..t of a map do
-not depend on alpha, _map_by_levels builds them once, keeps them on
-_lower(src, t) and builds the map on them.  One rule reuses them:
+takes and checks only its own upper levels.  Every builder here is a
+tower, as an n-truncation is the restriction of the (n+1)-truncation: the
+set of truncation N holds only the tables of _table_keys(N, N) and sits on
+the cached set of truncation N - 1, so nerve_bg(G, 3) is levels 0..3 of
+nerve_bg(G, 4).  _lower(X, k) walks X's base chain to the set that owns
+levels 0..k, which is levels 0..k of X exactly when its truncation is k.
+A map may be built on a base map between levels 0..t of its source and
+target (the very sets _lower(src, t) and _lower(dst, t)); it takes and
+checks only its own upper components.  One rule makes such maps: when
+levels 0..t of a map do not depend on alpha and both towers hold a set of
+truncation t, _map_by_levels builds them once, keeps them on
+_lower(src, t) and builds the map on them; otherwise, as for a set built
+on no base (from_json's), it builds the map whole.  One rule reuses them:
 _on_bases does an operation on the maps' bases once and keeps its result
 on the first base, so that inverse_map, compose, fiber_product,
 mediating_map and _composites_agree do only the levels above it;
@@ -46,8 +53,8 @@ is_isomorphism asks the base first.  Tables and components are read-only,
 so checks keep their results on the object: validate_simplicial and
 SimplicialMap.validate on the set or map, and a result that reads only
 levels 0..n of a set X (a horn type's filler index, face groups, first
-unfilled horn, filler counts) on _owner(X, n), the base when it reaches
-level n.  Sets and maps that differ only above a base (the Duskin nerves,
+unfilled horn, filler counts) on _lower(X, n).  Sets and maps that differ
+only above a base (the truncations of one tower, and the Duskin nerves,
 pullback models and maps of one (G, A) for every cocycle) thus share the
 base's results, including the codes of the compatible horns one level
 above it.  A set or map on a base that passed checks only the tables of
@@ -86,6 +93,7 @@ MAX_CELLS_PER_LEVEL = 1 << 20
 MAX_DEGREE = 31
 
 # Objects kept per cached constructor; the theorem grid has 32 (G, A) strata.
+# A tower of truncation N takes N + 1 entries, one per truncation 0..N.
 CACHE_SIZE = 128
 
 # Horn rows produced per join step, which bounds the Kan sweep's memory.
@@ -186,6 +194,12 @@ def _table_keys(truncation, low=0):
     return tuple(faces + degeneracies)
 
 
+def _check_nonnegative(truncation):
+    """Refuse a negative truncation with its own value."""
+    if truncation < 0:
+        raise TruncationMismatch("truncation must be >= 0, got %d" % truncation)
+
+
 def _check_same_set(X, Y, what):
     """Refuse with ShapeMismatch(what) unless X and Y are one set: the same
     object, or sets with equal truncation, level sizes and face and
@@ -220,8 +234,7 @@ class TruncatedSSet:
         if not is_integer(truncation):
             raise TruncationMismatch("truncation must be an integer, got %r" % (truncation,))
         self.truncation = int(truncation)
-        if self.truncation < 0:
-            raise TruncationMismatch("truncation must be >= 0, got %d" % self.truncation)
+        _check_nonnegative(self.truncation)
         if self.truncation > MAX_DEGREE:
             raise DimensionBound("truncation %d exceeds bound %d" % (self.truncation, MAX_DEGREE))
         if base is not None:
@@ -380,39 +393,20 @@ def _cached(obj, key, build):
     return obj._derived[key]
 
 
-def _owner(X, n):
-    """The set that owns levels 0..n of X: the base that reaches level n,
-    or X itself."""
-    while X.base is not None and n <= X.base.truncation:
+def _lower(X, k):
+    """The set that owns levels 0..k of X: the last set of X's base chain
+    (X, its base, the base's base, ...) that reaches level k.  It is levels
+    0..k of X exactly when its truncation is k."""
+    while X.base is not None and k <= X.base.truncation:
         X = X.base
     return X
 
 
 def _on_owner(X, n, key, build):
-    """build(owner) for owner = _owner(X, n), computed once per key and kept
+    """build(owner) for owner = _lower(X, n), computed once per key and kept
     on the owner; for results that read only levels 0..n of X."""
-    owner = _owner(X, n)
+    owner = _lower(X, n)
     return _cached(owner, key, lambda: build(owner))
-
-
-def _lower(X, k):
-    """Levels 0..k of X as a set: X at its own truncation, the base (or the
-    base's base) whose truncation is k, else a set on X's own arrays, on
-    X's base when it has one, kept on X."""
-    if k == X.truncation:
-        return X
-    if X.base is not None and k <= X.base.truncation:
-        return _lower(X.base, k)
-
-    def build():
-        low = 0 if X.base is None else X.base.truncation + 1
-        tables = {"face": {}, "degeneracy": {}}
-        for kind, n, i, _ in _table_keys(k, low):
-            tables[kind][(n, i)] = X.tables[kind][(n, i)]
-        return TruncatedSSet(k, X.levels[low:k + 1], tables["face"], tables["degeneracy"],
-                             base=X.base)
-
-    return _cached(X, ("lower", k), build)
 
 
 def validate_simplicial(X):
@@ -564,18 +558,19 @@ def _low(base):
 
 def _map_by_levels(src, dst, t, key, level):
     """The map src -> dst whose component on level n is level(n).  Levels
-    0..t do not depend on alpha: they form a map of _lower(src, t) to
-    _lower(dst, t), built once and kept on _lower(src, t) under (key,
-    _lower(dst, t)), and the map is built on it; with t None it is built
-    from level 0.  A key names the rule below t, so two rules with one key
-    must agree there (identity_map and canonical_iso share "identity").
-    The kept map refers back to _lower(src, t), so t names a set that
-    others are built on, not one that lives for one class."""
+    0..t do not depend on alpha.  When both towers hold a set of truncation
+    t, those levels form a map of _lower(src, t) to _lower(dst, t), built
+    once and kept on _lower(src, t) under (key, _lower(dst, t)), and the map
+    is built on it; otherwise it is built whole.  A key names the rule below
+    t, so two rules with one key must agree there (identity_map and
+    canonical_iso share "identity").  The kept map refers back to
+    _lower(src, t), so t names a set that others are built on, not one that
+    lives for one class."""
+    low_src, low_dst = _lower(src, t), _lower(dst, t)
     base = None
-    if t is not None:
-        low_src, low_dst = _lower(src, t), _lower(dst, t)
-        base = _cached(low_src, (key, low_dst),
-                       lambda: _map_by_levels(low_src, low_dst, None, key, level))
+    if low_src.truncation == t == low_dst.truncation:
+        base = _cached(low_src, (key, low_dst), lambda: SimplicialMap(
+            low_src, low_dst, [level(n) for n in range(t + 1)]))
     return SimplicialMap(src, dst, [level(n) for n in range(_low(base), src.truncation + 1)],
                          base)
 
@@ -604,10 +599,10 @@ def _composites_agree(f, g, h, k):
 
 
 def identity_map(X):
-    """The identity of X; on a set with a base, on the base's identity,
-    kept on the base."""
+    """The identity of X; when X's tower holds its levels 0..N-1, on their
+    identity, kept on them."""
     check_instance(X, TruncatedSSet, "the simplicial set")
-    return _map_by_levels(X, X, None if X.base is None else X.base.truncation, "identity",
+    return _map_by_levels(X, X, X.truncation - 1, "identity",
                           lambda n: np.arange(X._sizes[n], dtype=np.int64))
 
 
@@ -654,12 +649,17 @@ def _guard_level(size):
 
 def nerve_bg(G, truncation=3):
     """The nerve of a finite group: level n is G^n, faces multiply adjacent
-    entries or drop ends, degeneracies insert the identity."""
+    entries or drop ends, degeneracies insert the identity.  Truncation N
+    is level N on nerve_bg(G, N - 1)."""
     check_instance(G, FiniteGroup, "the group")
     if not is_integer(truncation):
         raise TruncationMismatch("nerve truncation must be an integer, got %r"
                                  % (truncation,))
-    return _nerve(G, int(truncation))
+    N = int(truncation)
+    if N > MAX_DEGREE:
+        raise DimensionBound("nerve truncation %d exceeds bound %d" % (N, MAX_DEGREE))
+    _check_nonnegative(N)
+    return _nerve(G, N)
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
@@ -681,19 +681,17 @@ def _face_rows(G, n):
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _nerve(G, N):
-    if N > MAX_DEGREE:
-        raise DimensionBound("nerve truncation %d exceeds bound %d" % (N, MAX_DEGREE))
-    _guard_level(G.order**N)
     ng = G.order
-    levels = [range(ng**n) for n in range(N + 1)]
+    _guard_level(ng**N)
+    base = _nerve(G, N - 1) if N > 0 else None
     tables = {"face": {}, "degeneracy": {}}
-    for kind, n, i, m in _table_keys(N):
+    for kind, n, i, m in _table_keys(N, N):
         if kind == "face":
             tables[kind][(n, i)] = _face_rows(G, n)[i]
         else:
             g = grid((ng,) * n)
             tables[kind][(n, i)] = flat(encode(g[:i] + [0] + g[i:], (ng,) * m), (ng,) * n)
-    return TruncatedSSet(N, levels, tables["face"], tables["degeneracy"])
+    return TruncatedSSet(N, [range(ng**N)], tables["face"], tables["degeneracy"], base)
 
 
 def surjections_to_2(n):
@@ -770,27 +768,27 @@ def _sum_table(A, targets, width_out):
     return flat(encode(parts, (na,) * width_out), shape)
 
 
-def _abelian_sset(A, truncation, k, targets):
-    """A level-wise power of A: level n has C(n, k) copies of A, and
-    targets(kind, n, i) says where d_i or s_i sends each copy."""
-    copies = [math.comb(n, k) for n in range(truncation + 1)]
-    for w in copies:
-        _guard_level(A.order**w)
-    levels = [range(A.order**w) for w in copies]
+def _abelian_sset(A, N, k, targets, base):
+    """Level N of a level-wise power of A on base, its levels 0..N-1: level
+    n has C(n, k) copies of A, and targets(kind, n, i) says where d_i or s_i
+    sends each copy."""
+    size = A.order**math.comb(N, k)
+    _guard_level(size)
     tables = {"face": {}, "degeneracy": {}}
-    for kind, n, i, m in _table_keys(truncation):
-        tables[kind][(n, i)] = _sum_table(A, targets(kind, n, i), copies[m])
-    return TruncatedSSet(truncation, levels, tables["face"], tables["degeneracy"])
+    for kind, n, i, m in _table_keys(N, N):
+        tables[kind][(n, i)] = _sum_table(A, targets(kind, n, i), math.comb(m, k))
+    return TruncatedSSet(N, [range(size)], tables["face"], tables["degeneracy"], base)
 
 
 def _check_b2a(A, truncation, what):
-    """Refuse anything but coefficients A and an integer truncation of at
-    most 4."""
+    """Refuse anything but coefficients A and an integer truncation in
+    0..4."""
     check_instance(A, AbelianGroup, "the coefficients")
     if not is_integer(truncation):
         raise TruncationMismatch("%s truncation must be an integer, got %r" % (what, truncation))
     if truncation > 4:
         raise DimensionBound("%s supports truncation at most 4" % what)
+    _check_nonnegative(truncation)
 
 
 def gamma_a2(A, truncation=4):
@@ -800,15 +798,15 @@ def gamma_a2(A, truncation=4):
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
-def _gamma(A, truncation):
-    return _abelian_sset(A, truncation, 2, _gamma_targets)
+def _gamma(A, N):
+    return _abelian_sset(A, N, 2, _gamma_targets, _gamma(A, N - 1) if N > 0 else None)
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
-def _wbar(A, truncation):
+def _wbar(A, N):
     """Wbar(Gamma(A[2])) at any truncation: the one builder of the B^2 A
     side.  W and the decalage are read off it and kept on it."""
-    return _abelian_sset(A, truncation, 3, _w_targets)
+    return _abelian_sset(A, N, 3, _w_targets, _wbar(A, N - 1) if N > 0 else None)
 
 
 def wbar_b2a(A, truncation=3):
@@ -823,17 +821,21 @@ def w_b2a(A, truncation=3):
     """W(Gamma(A[2])), the total space of the universal bundle over Wbar:
     its decalage Dec_0 Wbar.  Level n is Wbar's level n+1, Gamma_n x ... x
     Gamma_0, and d_i and s_i are Wbar's d_{i+1} and s_{i+1}, the same
-    arrays, and the set is kept on that Wbar.  A negative truncation reads
-    the point Wbar_0 and is refused with its own value."""
+    arrays.  Truncation N is kept on Wbar's truncation N + 1 and is level N
+    on w_b2a(A, N - 1)."""
     _check_b2a(A, truncation, "w_b2a")
-    N = int(truncation)
-    Wb = _wbar(A, max(N + 1, 0))
+    return _w(A, int(truncation))
+
+
+def _w(A, N):
+    Wb = _wbar(A, N + 1)
 
     def build():
         tables = {"face": {}, "degeneracy": {}}
-        for kind, n, i, _ in _table_keys(N):
+        for kind, n, i, _ in _table_keys(N, N):
             tables[kind][(n, i)] = Wb.tables[kind][(n + 1, i + 1)]
-        return TruncatedSSet(N, Wb.levels[1:], tables["face"], tables["degeneracy"])
+        return TruncatedSSet(N, Wb.levels[N + 1:], tables["face"], tables["degeneracy"],
+                             _w(A, N - 1) if N > 0 else None)
 
     return _cached(Wb, "w", build)
 
@@ -846,9 +848,8 @@ def decalage_map(A, truncation=3):
     Wb = _wbar(A, W.truncation + 1)
     # on its levels 0..2, where cocycle_as_map has its base too, so that
     # their fiber product is built on the fiber product of the bases
-    t = min(2, W.truncation - 1)
     return _cached(Wb, "decalage", lambda: _map_by_levels(
-        W, wbar_b2a(A, truncation), None if t < 0 else t, "decalage",
+        W, wbar_b2a(A, truncation), min(2, W.truncation - 1), "decalage",
         lambda n: Wb.faces[(n + 1, 0)]))
 
 
@@ -886,7 +887,8 @@ def cocycle_as_map(alpha, truncation=3):
             raise NotACocycle(tuple(int(v) for v in np.unravel_index(bad[0], (G.order,) * 4)))
         # the Wbar_4 cell ((a, b, c), (d,), (), ())
         comps.append(encode((a, b, c, d), (A.order,) * 4))
-    # levels 0-2 go to the points of Wbar, on the zero map
+    # levels 0-2 go to the points of Wbar, on the zero map kept on
+    # nerve_bg(G, 2), one for both truncations
     return _map_by_levels(NG, Wb, 2, "zero map", lambda n: comps[n - 3] if n > 2
                           else np.zeros(NG.size(n), dtype=np.int64))
 
@@ -970,8 +972,9 @@ def mediating_map(P, proj_x, proj_y, p, q):
     """The unique map into the fiber product P induced by p: T -> X and
     q: T -> Y with matching composites: t goes to the cell of P that the
     projections send to (p(t), q(t)).  When p, q and the projections have
-    bases of one truncation, the map is built on the mediating map of the
-    bases, kept on p's base, as fiber_product is."""
+    bases of one truncation and P's tower holds a set of that truncation,
+    the map is built on the mediating map of the bases, kept on p's base,
+    as fiber_product is."""
     check_instance(P, TruncatedSSet, "the fiber product")
     for f, what in ((proj_x, "proj_x"), (proj_y, "proj_y"), (p, "p"), (q, "q")):
         check_instance(f, SimplicialMap, what)
@@ -981,11 +984,12 @@ def mediating_map(P, proj_x, proj_y, p, q):
 
 def _mediating_map(P, p, q, proj_x, proj_y):
     N = p.src.truncation
+    t = _low(p.base) - 1
+    lower = _lower(P, t)
     base = None
-    if p.base is not None and P.truncation == N:
+    if P.truncation == N and lower.truncation == t:
         # levels are built in ascending order, so bases that fail raise the
         # first failure, as the map from level 0 would
-        lower = _lower(P, p.base.src.truncation)
         base = _on_bases(("mediating map", lower), functools.partial(_mediating_map, lower),
                          p, q, proj_x, proj_y)
     comps = []
@@ -1215,7 +1219,7 @@ def enumerate_horns(X, n, missing):
 def filler_counts(X, n, missing):
     """The number of fillers of every compatible (n, missing)-horn, in
     enumerate_horns order, as an int64 array: a copy of the counts kept on
-    _owner(X, n)."""
+    _lower(X, n)."""
     _check_horn_type(X, n, missing)
 
     def build(O):
@@ -1228,7 +1232,7 @@ def filler_counts(X, n, missing):
 
 def _first_unfilled(X, n, missing):
     """The first compatible (n, missing)-horn without a filler, or None,
-    kept on _owner(X, n).
+    kept on _lower(X, n).
 
     When the horns' faces are cells of a base that level n is not on, every
     set on the base has them, so they are kept on the base as their
@@ -1244,7 +1248,7 @@ def _first_unfilled(X, n, missing):
 
     def build(O):
         index = _filler_index(O, n, missing)
-        if _owner(O, n - 1) is not O and not index.steps:
+        if _lower(O, n - 1) is not O and not index.steps:
             codes = _on_owner(O, n - 1, ("horns", n, missing), encode_horns)
             if np.array_equal(codes, index.sorted_keys):
                 return None  # every horn's code is a key

@@ -71,8 +71,8 @@ MUTANTS = [
      "return [pos.get(eta, 0) for eta in moved]",
      [ORACLE]),
     ("wbar-copies-of-gamma", SIM,
-     "_abelian_sset(A, truncation, 3, _w_targets)",
-     "_abelian_sset(A, truncation, 2, _w_targets)",
+     "_abelian_sset(A, N, 3, _w_targets,",
+     "_abelian_sset(A, N, 2, _w_targets,",
      [ORACLE]),
     ("decalage-rebuilt-per-call", SIM,
      'return _cached(Wb, "decalage", lambda: _map_by_levels(',
@@ -135,6 +135,36 @@ MUTANTS = [
      "base = _cached(low_src, (key, low_dst),",
      "base = _cached(low_src, key,",
      [COR_TESTS + "::test_frame_is_shared"]),
+    # one tower per builder: truncation N is level N on the cached N - 1,
+    # and maps of sets on no base are built whole
+    ("nerve-level-on-a-fresh-base", SIM,
+     "base = _nerve(G, N - 1) if N > 0 else None",
+     "base = _nerve.__wrapped__(G, N - 1) if N > 0 else None",
+     [SIM_TESTS + "::test_each_truncation_sits_on_the_one_below[nerve]"]),
+    ("wbar-level-on-a-fresh-base", SIM,
+     "_wbar(A, N - 1) if N > 0 else None)",
+     "_wbar.__wrapped__(A, N - 1) if N > 0 else None)",
+     [SIM_TESTS + "::test_each_truncation_sits_on_the_one_below[wbar]"]),
+    ("zero-map-per-truncation", SIM,
+     'return _map_by_levels(NG, Wb, 2, "zero map",',
+     'return _map_by_levels(NG, Wb, 2, ("zero map", truncation),',
+     [SIM_TESTS + "::test_cocycle_maps_of_both_truncations_check_one_base"]),
+    ("nerve-guards-its-base-first", SIM,
+     "    _guard_level(ng**N)\n    base = _nerve(G, N - 1) if N > 0 else None\n",
+     "    base = _nerve(G, N - 1) if N > 0 else None\n    _guard_level(ng**N)\n",
+     [SIM_TESTS + "::test_too_large_towers_are_refused_at_the_same_level[nerve-4]"]),
+    ("nerve-accepts-negative-truncations", SIM,
+     "    _check_nonnegative(N)\n    return _nerve(G, N)",
+     "    return _nerve(G, N)",
+     [SIM_TESTS + "::test_negative_truncations_are_refused_without_recursing"]),
+    ("whole-map-reads-the-source-tower", SIM,
+     "if low_src.truncation == t == low_dst.truncation:",
+     "if low_src.truncation == t:",
+     [SIM_TESTS + "::test_sets_on_no_base_get_maps_built_whole"]),
+    ("mediating-map-trusts-the-projections-tower", SIM,
+     "if P.truncation == N and lower.truncation == t:",
+     "if P.truncation == N:",
+     [SIM_TESTS + "::test_sets_on_no_base_get_maps_built_whole"]),
     # bounds and families that verify_theorem's own guard or another bound
     # used to hide
     ("duskin-guard-floor-divides", COR,

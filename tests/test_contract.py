@@ -74,12 +74,14 @@ DUSKIN, MODEL = twogrp.duskin_nerve(SKELETON), twogrp.pullback_model(SKELETON)
 REPORT = TheoremReport(C2, Z2)
 POINT_AND_EDGE = (1, [range(1), range(2)], {(1, 0): [0, 0], (1, 1): [0, 0]}, {(0, 0): [0]})
 # a base for maps of the nerve: the identity of its levels 0..2.  The bad
-# bases: no map, a map between other sets (an equal nerve built on its own
-# is not levels 0..2 of NERVE), a map whose truncation is not below the
-# nerve's, and one of levels 0..1, too low for a component of level 3 alone
+# bases: no map, a map between other sets (an equal nerve read from JSON is
+# built on no base, so it is not levels 0..2 of NERVE), a map whose
+# truncation is not below the nerve's, and one of levels 0..1, too low for
+# a component of level 3 alone
 BASE = identity_map(_lower(NERVE, 2))
-BAD["base"] = (5, [1], "x", identity_map(twogrp.nerve_bg(C2, 2)), IDENTITY,
-               identity_map(_lower(NERVE, 1)))
+BAD["base"] = (5, [1], "x",
+               identity_map(TruncatedSSet.from_json(twogrp.nerve_bg(C2, 2).to_json())),
+               IDENTITY, identity_map(_lower(NERVE, 1)))
 
 
 def args(*pairs):

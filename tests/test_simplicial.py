@@ -191,6 +191,138 @@ def test_builders_cache_one_object_per_integer_value():
         assert build(arg, np.int64(3)) is build(arg, 3)
 
 
+TOWERS = [(nerve_bg, C2), (gamma_a2, Z2), (wbar_b2a, Z2), (w_b2a, Z2)]
+
+
+@pytest.mark.parametrize("build, arg", TOWERS, ids=["nerve", "gamma", "wbar", "w"])
+def test_each_truncation_sits_on_the_one_below(build, arg):
+    # an n-truncation is the restriction of the (n+1)-truncation: the set of
+    # truncation N holds level N's tables alone, on the cached N - 1
+    assert build(arg, 0).base is None
+    for N in range(1, 5):
+        X = build(arg, N)
+        assert X.base is build(arg, N - 1) is simplicial._lower(X, N - 1)
+        own = {(kind, n, i) for kind, n, i, _ in simplicial._table_keys(N, N)}
+        assert {(kind, n, i) for kind in X.tables for n, i in X.tables[kind]
+                if X.tables[kind][(n, i)] is not X.base.tables[kind].get((n, i))} == own
+
+
+def test_negative_truncations_are_refused_without_recursing(monkeypatch):
+    for cached in (simplicial._nerve, simplicial._gamma, simplicial._wbar):
+        cached.cache_clear()
+    calls = []
+
+    def spy(name):
+        real = getattr(simplicial, name)
+
+        def wrapper(arg, N):
+            calls.append((name, N))
+            return real(arg, N)
+        return wrapper
+
+    for name in ("_nerve", "_gamma", "_wbar", "_w"):
+        monkeypatch.setattr(simplicial, name, spy(name))
+    for build, arg in TOWERS + [(decalage_map, Z2)]:
+        for N in (-1, -2):
+            with pytest.raises(TruncationMismatch, match="^truncation must be >= 0, got %d$" % N):
+                build(arg, N)
+    assert calls == []
+    # a fresh tower recurses down to truncation 0 and no further
+    for build, arg in TOWERS:
+        build(arg, 2)
+    assert sorted(set(calls)) == [(name, N) for name in ("_gamma", "_nerve", "_w", "_wbar")
+                                  for N in range(4 if name == "_wbar" else 3)]
+
+
+@pytest.mark.parametrize("build, message", [
+    # the nerve guards its own level before its base, so it is refused at
+    # its top level, as when it was built whole
+    (lambda: nerve_bg(cyclic(128), 4), "level would hold 268435456 cells"),
+    (lambda: nerve_bg(cyclic(128), 3), "level would hold 2097152 cells"),
+    # Gamma and Wbar guard their base first: the lowest level too large
+    (lambda: gamma_a2(AbelianGroup([1025]), 4), "level would hold 1076890625 cells"),
+    (lambda: w_b2a(AbelianGroup([33]), 4), "level would hold 1185921 cells"),
+], ids=["nerve-4", "nerve-3", "gamma-4", "w-4"])
+def test_too_large_towers_are_refused_at_the_same_level(build, message):
+    with pytest.raises(DimensionBound, match="^%s$" % message):
+        build()
+
+
+def flat_copy(X):
+    """X read back from JSON: the same tables, on no base."""
+    return TruncatedSSet.from_json(X.to_json())
+
+
+def test_sets_on_no_base_get_maps_built_whole():
+    # maps of towers are built on maps of their lower truncations; maps
+    # between sets on no base, or from a tower to a set on no base, are
+    # built whole, with the same components and verdicts
+    from twogrp.correspondence import canonical_iso, duskin_nerve, pullback_model
+    from twogrp.twogroup import TwoGroupSkeleton
+
+    sk = TwoGroupSkeleton(c2_nontrivial())
+    X, Y = duskin_nerve(sk), pullback_model(sk)
+    NG, Wb = nerve_bg(C2, 3), wbar_b2a(Z2, 3)
+    amap = cocycle_as_map(c2_nontrivial(), 3)
+
+    def by_levels(src, dst, shift):
+        # levels 0..2 kept as one rule per shifted level, so no base is
+        # shared with another rule
+        def level(n):
+            comp = identity_map(NG).components[n]
+            return np.roll(comp, 1) if n == shift else comp
+        return simplicial._map_by_levels(src, dst, 2, ("shifted", shift), level)
+
+    iso = canonical_iso(X, Y, Z2)
+    P, px, py = fiber_product(amap, decalage_map(Z2, 3))
+    pairs = [
+        (identity_map(NG), [identity_map(flat_copy(NG))]),
+        (iso, [canonical_iso(flat_copy(X), flat_copy(Y), Z2), canonical_iso(X, flat_copy(Y), Z2),
+               canonical_iso(flat_copy(X), Y, Z2)]),
+        (amap, [simplicial._map_by_levels(flat_copy(NG), flat_copy(Wb), 2, "zero map",
+                                          lambda n: amap.components[n]),
+                simplicial._map_by_levels(NG, flat_copy(Wb), 2, "zero map",
+                                          lambda n: amap.components[n])]),
+        (by_levels(NG, NG, 3), [by_levels(flat_copy(NG), flat_copy(NG), 3)]),
+        (by_levels(NG, NG, 1), [by_levels(NG, flat_copy(NG), 1)]),
+        (mediating_map(P, px, py, px, py), [mediating_map(flat_copy(P), px, py, px, py)]),
+    ]
+    verdicts = set()
+    for tower, wholes in pairs:
+        assert tower.base is not None
+        for whole in wholes:
+            assert whole.base is None and same_components(tower, whole)
+            assert tower.validate() == whole.validate()
+        verdicts.add(tower.validate())
+    # a shifted level 1 breaks the base, and the first failure is above it
+    assert verdicts == {(True, None), (False, "face (3,0) not preserved at cell 0"),
+                        (False, "face (2,0) not preserved at cell 0")}
+
+
+def test_cocycle_maps_of_both_truncations_check_one_base(monkeypatch):
+    # nerve_bg(G, 3) is levels 0..3 of nerve_bg(G, 4), so the alpha-free
+    # levels 0-2 of the cocycle maps of truncations 3 and 4 are one zero map,
+    # built and checked once per (G, A)
+    for cached in (simplicial._nerve, simplicial._wbar):
+        cached.cache_clear()
+    G, A = cyclic(3), AbelianGroup([3])
+    res = cohomology(G, A, 3)
+    alpha = res.lex_minimal_representative(res.cochain_from_coordinates((1,)))
+    checked = []
+    real = SimplicialMap._failed_commutation
+
+    def spy(f):
+        checked.append(f.src.truncation)
+        return real(f)
+
+    monkeypatch.setattr(SimplicialMap, "_failed_commutation", spy)
+    f3, f4 = cocycle_as_map(alpha, 3), cocycle_as_map(alpha, 4)
+    assert f3.base is f4.base is not None
+    assert f3.base.src is nerve_bg(G, 2) and f3.base.dst is wbar_b2a(A, 2)
+    assert f3.validate() == f4.validate() == (True, None)
+    assert checked == [3, 2, 4]
+
+
 def test_decalage_validates():
     for A in (Z2, AbelianGroup([3])):
         for trunc in (3, 4):
@@ -401,12 +533,16 @@ def monoid_nerve(table):
 
 
 def on_base(X, t):
-    """X as a set on its levels 0..t."""
-    tables = {"face": {}, "degeneracy": {}}
-    for kind, n, i, _ in simplicial._table_keys(X.truncation, t + 1):
-        tables[kind][(n, i)] = X.tables[kind][(n, i)]
-    return TruncatedSSet(X.truncation, X.levels[t + 1:], tables["face"],
-                         tables["degeneracy"], base=simplicial._lower(X, t))
+    """X, a set on no base, as a set on a set of its levels 0..t."""
+
+    def levels(low, high, base):
+        tables = {"face": {}, "degeneracy": {}}
+        for kind, n, i, _ in simplicial._table_keys(high, low):
+            tables[kind][(n, i)] = X.tables[kind][(n, i)]
+        return TruncatedSSet(high, X.levels[low:high + 1], tables["face"],
+                             tables["degeneracy"], base=base)
+
+    return levels(t + 1, X.truncation, levels(0, t, None))
 
 
 def to_idempotent(top):
@@ -503,18 +639,27 @@ def test_maps_on_bases_match_the_maps_without():
 
 @pytest.mark.parametrize("base, error, message", [
     (lambda X: 5, ShapeMismatch, "base must be a SimplicialMap, got int"),
-    (lambda X: identity_map(nerve_bg(C2, 2)), ShapeMismatch,
+    (lambda X: identity_map(TruncatedSSet.from_json(nerve_bg(C2, 2).to_json())), ShapeMismatch,
      "the base is not a map of levels 0..2 of the source and target"),
     (lambda X: identity_map(X), TruncationMismatch, "base truncation 3 is not below 3"),
     (lambda X: identity_map(simplicial._lower(X, 1)), ShapeMismatch,
      "need one component per level"),
 ], ids=["not-a-map", "other-sets", "truncation-not-below", "truncation-too-low"])
 def test_bad_bases_are_refused(base, error, message):
-    # nerve_bg(C2, 2) has the tables of levels 0..2 of the nerve, but it is
-    # not the set that the map's base must be
+    # a copy of nerve_bg(C2, 2) read from JSON has the tables of levels 0..2
+    # of the nerve, but it is not the set that the map's base must be
     X = nerve_bg(C2, 3)
     with pytest.raises(error, match=message.replace("(", r"\(").replace(")", r"\)")):
         SimplicialMap(X, X, [np.arange(X.size(3))], base(X))
+
+
+def test_a_map_of_a_tower_sits_on_a_map_of_its_lower_truncation():
+    # nerve_bg(C2, 2) is levels 0..2 of nerve_bg(C2, 3), so its identity is
+    # a base for a map of the 3-truncation
+    X = nerve_bg(C2, 3)
+    f = SimplicialMap(X, X, [np.arange(X.size(3))], identity_map(nerve_bg(C2, 2)))
+    assert same_components(f, identity_map(X))
+    assert f.validate() == (True, None) and is_isomorphism(f)
 
 
 def test_horns_and_fillers_nerve():
