@@ -110,11 +110,11 @@ def _emit_text(report, elapsed_ms, indent=0):
     if indent == 0:
         if elapsed_ms is not None:
             print("%-24s %d" % ("elapsed_ms:", elapsed_ms))
-        print("RESULT: %s" % ("PASS" if report.get("ok", True) else "FAIL"))
+        print("RESULT: %s" % ("PASS" if report["ok"] else "FAIL"))
 
 
 # ---------------------------------------------------------------------------
-# verb handlers; each returns (report dict, ok flag)
+# verb handlers; each returns its report, whose "ok" is the verdict
 
 
 def run_group(args):
@@ -128,7 +128,7 @@ def run_group(args):
         with open(args.output, "w", encoding="utf-8") as fh:
             json.dump(g.to_json(), fh, sort_keys=True, indent=2)
         report["written"] = args.output
-    return report, True
+    return report
 
 
 def run_cohomology(args):
@@ -145,7 +145,7 @@ def run_cohomology(args):
         "class_count": res.class_count,
         "representatives": [c.to_json()["values"] for c in res.representatives],
     }
-    return report, True
+    return report
 
 
 def run_cocycle(args):
@@ -159,7 +159,7 @@ def run_cocycle(args):
             "normalized": normalized,
             "witness": list(witness) if witness else None,
         }
-        return report, ok and normalized
+        return report
     if args.subaction == "solve":
         G = load_group(args.group)
         A = load_coeffs(args.coeffs)
@@ -171,7 +171,7 @@ def run_cocycle(args):
             "subgroup_order": basis.subgroup_order,
             "generators": [c.to_json()["values"] for c in basis.generators],
         }
-        return report, True
+        return report
     if args.subaction == "classes-mod-aut":
         G = load_group(args.group)
         A = load_coeffs(args.coeffs)
@@ -184,7 +184,7 @@ def run_cocycle(args):
             "orbit_count": count,
             "orbit_representatives": [c.to_json()["values"] for c in reps],
         }
-        return report, True
+        return report
 
 
 def run_twogroup(args):
@@ -198,7 +198,7 @@ def run_twogroup(args):
             "pentagon": {"ok": pent_ok, "witness": list(pent_w) if pent_w else None},
             "triangle": {"ok": tri_ok, "witness": list(tri_w) if tri_w else None},
         }
-        return report, pent_ok and tri_ok
+        return report
     if args.subaction == "duality":
         alpha = load_cocycle(args.cocycle)
         TwoGroupSkeleton(alpha)
@@ -209,28 +209,28 @@ def run_twogroup(args):
             "dual": alpha.group.inv(args.element),
             "pairs": [[list(ev), list(coev)] for ev, coev in pairs],
         }
-        return report, bool(pairs)
+        return report
     if args.subaction == "functor":
         src = load_cocycle(getattr(args, "from"))
         dst = load_cocycle(args.to)
         j = load_cocycle(args.coherence)
         ok, witness = monoidal_functor_check(src, dst, j)
         report = {"ok": ok, "witness": list(witness) if witness else None}
-        return report, ok
+        return report
 
 
 def run_sset(args):
     if args.subaction == "validate":
         X = TruncatedSSet.from_json(_load_json(args.file))
         ok, witness = validate_simplicial(X)
-        return {"ok": ok, "witness": witness}, ok
+        return {"ok": ok, "witness": witness}
     if args.subaction == "kan":
         X = TruncatedSSet.from_json(_load_json(args.file))
         ok, witness = is_kan(X, up_to=args.up_to)
         report = {"ok": ok}
         if witness is not None:
             report["witness"] = witness.to_json()
-        return report, ok
+        return report
     if args.subaction == "nerve":
         G = load_group(args.group)
         X = nerve_bg(G, args.trunc)
@@ -238,9 +238,8 @@ def run_sset(args):
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
                 json.dump(obj, fh, sort_keys=True, indent=2)
-            return {"ok": True, "written": args.output,
-                    "levels": obj["levels"]}, True
-        return {"ok": True, "sset": obj}, True
+            return {"ok": True, "written": args.output, "levels": obj["levels"]}
+        return {"ok": True, "sset": obj}
 
 
 def run_theorem(args):
@@ -273,7 +272,7 @@ def run_theorem(args):
         "coeffs": list(A.invariant_factors),
         "classes": entries,
     }
-    return report, all_ok
+    return report
 
 
 def _at_least(name, low):
@@ -375,7 +374,7 @@ def main(argv=None):
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
     start = time.monotonic()
     try:
-        report, ok = HANDLERS[args.verb](args)
+        report = HANDLERS[args.verb](args)
     except ParseError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
@@ -384,7 +383,7 @@ def main(argv=None):
         return EXIT_FAIL
     elapsed_ms = int((time.monotonic() - start) * 1000)
     emit(report, args.format, elapsed_ms)
-    return EXIT_PASS if ok else EXIT_FAIL
+    return EXIT_PASS if report["ok"] else EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -85,20 +85,13 @@ def _frame(NG, na):
     return _cached(NG, ("frame", na), build)
 
 
-def _model(G, A, faces3, degeneracies3):
-    """A 3-truncated model shaped like the nerve of G with coordinates in A
-    carried along: the shared frame of (G, A) below level 3, and the
-    tables of the 3-cells, whose coordinates are (f, g, h) in G^3 and three
-    in A."""
-    level3 = range(G.order**3 * A.order**3)
-    frame = _frame(nerve_bg(G, 3), A.order)
-    return TruncatedSSet(3, [level3], faces3, degeneracies3, base=frame)
-
-
 def _model_on_nerve(G, A, face_digits, degeneracy_digits):
-    """_model with G's coordinates read off the nerve of G and A's appended
-    as the least significant digits: d_i of the 3-cell (fgh, x1, x2, x3) is
-    the nerve's d_i of fgh and the digit face_digits(fgh, x1, x2, x3)[i], and
+    """A 3-truncated model shaped like the nerve of G with coordinates in A
+    carried along: the shared frame of (G, A) below level 3, and the tables
+    of the 3-cells, whose coordinates are (f, g, h) in G^3 and three in A.
+    G's coordinates are read off the nerve of G and A's appended as the
+    least significant digits: d_i of the 3-cell (fgh, x1, x2, x3) is the
+    nerve's d_i of fgh and the digit face_digits(fgh, x1, x2, x3)[i], and
     s_i of the 2-cell (fg, t) the nerve's s_i of fg and the three digits
     degeneracy_digits(t)[i].  A table is the outer sum of a column of the
     nerve's cells, scaled, and a row of digits: fgh and fg are columns of
@@ -111,7 +104,8 @@ def _model_on_nerve(G, A, face_digits, degeneracy_digits):
     faces3 = {(3, i): (NG.faces[(3, i)][fgh] * na + digits3[i]).ravel() for i in range(4)}
     degeneracies3 = {(2, i): (NG.degeneracies[(2, i)][fg] * na**3
                               + encode(digits2[i], (na,) * 3)).ravel() for i in range(3)}
-    return _model(G, A, faces3, degeneracies3)
+    return TruncatedSSet(3, [range(NG.size(3) * na**3)], faces3, degeneracies3,
+                         base=_frame(NG, na))
 
 
 def _digit_rows(na, k):

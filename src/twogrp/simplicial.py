@@ -56,12 +56,13 @@ levels 0..n of a set X (a horn type's filler index, face groups, first
 unfilled horn, filler counts) on _lower(X, n).  Sets and maps that differ
 only above a base (the truncations of one tower, and the Duskin nerves,
 pullback models and maps of one (G, A) for every cocycle) thus share the
-base's results, including the codes of the compatible horns one level
-above it.  A set or map on a base that passed checks only the tables of
-_table_keys(N, t + 1); when the base fails, it is checked from level 0,
-and when the bases' fiber product raises IndexOutOfRange, it is built from
-level 0, so that the first failure is the one without a base.  A mediating
-map is built level by level, ascending, so its bases raise that failure
+base's results, including the number of compatible horns one level above
+it, which the Kan check compares with the number of filler keys.  A set
+or map on a base that passed checks only the tables of _table_keys(N,
+t + 1); when the base fails, it is checked from level 0, and when the
+bases' fiber product raises IndexOutOfRange, it is built from level 0, so
+that the first failure is the one without a base.  A mediating map is
+built level by level, ascending, so its bases raise that failure
 themselves.
 """
 
@@ -1061,7 +1062,9 @@ class _FillerIndex:
     mixed-radix code of the signature in radix size(n-1), so keys sort like
     signatures.  Where appending a face could take a code past CODE_BOUND,
     the codes so far are first replaced by their ranks among the distinct
-    codes (kept in steps), which preserves the order.
+    codes (kept in steps), which preserves the order.  Ranks keep distinct
+    signatures apart, so distinct, the number of distinct keys, is the
+    number of distinct signatures.
     """
 
     def __init__(self, X, n, missing):
@@ -1075,7 +1078,8 @@ class _FillerIndex:
                 bound = len(self.steps[t])
             key = key * self.radix + X.faces[(n, j)]
             bound *= self.radix
-        self.sorted_keys = np.sort(key)
+        keys = self.sorted_keys = np.sort(key)
+        self.distinct = int(np.count_nonzero(keys[1:] != keys[:-1])) + (len(keys) > 0)
 
     def horn_keys(self, cols):
         """The keys a filler of each horn would have, -1 where none can
@@ -1234,29 +1238,27 @@ def _first_unfilled(X, n, missing):
     """The first compatible (n, missing)-horn without a filler, or None,
     kept on _lower(X, n).
 
-    When the horns' faces are cells of a base that level n is not on, every
-    set on the base has them, so they are kept on the base as their
-    ascending mixed-radix codes (radix size(n-1), first slot most
-    significant).  Unless the filler index ranked its keys, a horn's code
-    is the key of its fillers: the codes are looked up as they are, and
-    only the first miss is decoded.  When the codes are the sorted keys
-    themselves, every horn has a filler and nothing is looked up."""
+    In a set whose simplicial identities hold, the faces of every cell form
+    a compatible horn, so every horn has a filler exactly when the filler
+    keys take as many values as there are horns.  The horns are counted
+    once on _lower(X, n - 1), which every set on it shares, and the count
+    stops once it passes MAX_CELLS_PER_LEVEL.  A set that fails validation,
+    a count that differs or one that stopped walks the horns in blocks, and
+    that walk alone finds the witness."""
 
-    def encode_horns(B):
-        blocks = [encode(cols, (B.size(n - 1),) * n) for cols in _horn_rows(B, n, missing)]
-        return np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.int64)
+    def count_horns(B):
+        count = 0
+        for cols in _horn_rows(B, n, missing):
+            count += len(cols[0])
+            if count > MAX_CELLS_PER_LEVEL:
+                break
+        return count
 
     def build(O):
         index = _filler_index(O, n, missing)
-        if _lower(O, n - 1) is not O and not index.steps:
-            codes = _on_owner(O, n - 1, ("horns", n, missing), encode_horns)
-            if np.array_equal(codes, index.sorted_keys):
-                return None  # every horn's code is a key
-            hit = _among(index.sorted_keys, codes)
-            if hit.all():
-                return None
-            x = hit.argmin()
-            return _horn(n, missing, np.unravel_index(codes[x:x + 1], (index.radix,) * n), 0)
+        if validate_simplicial(O)[0] and index.distinct == _on_owner(
+                O, n - 1, ("horn count", n, missing), count_horns) <= MAX_CELLS_PER_LEVEL:
+            return None
         for cols in _horn_rows(O, n, missing):
             hit = _among(index.sorted_keys, index.horn_keys(cols))
             if not hit.all():

@@ -197,10 +197,29 @@ MUTANTS = [
      "return _first_nonzero(defect)",
      "return is_cocycle(alpha)",
      [TWO_TESTS + "::test_the_pentagon_does_not_read_the_coboundary"]),
-    ("kan-fast-path-compares-lengths", SIM,
-     "if np.array_equal(codes, index.sorted_keys):",
-     "if len(codes) == len(index.sorted_keys):",
-     [COR_TESTS + "::test_frame_never_changes_an_answer"]),
+    # one Kan verdict: a set that validates is Kan at a horn type exactly
+    # when its filler keys take as many values as the count kept on its
+    # base; every other case walks the horns.  Two one-line changes are
+    # equivalent and left out: "distinct >= count" (on a set that
+    # validates, every signature is a horn, so distinct <= count), and
+    # keeping the count on _lower(O, n) rather than _lower(O, n - 1) (the
+    # count reads levels 0..n-1 alone, so only where it is kept moves)
+    ("kan-verdict-trusts-fewer-keys", SIM,
+     "index.distinct == _on_owner(",
+     "index.distinct <= _on_owner(",
+     [SIM_TESTS + "::test_kan_on_a_base_matches_oracle[real-cap]"]),
+    ("kan-verdict-skips-validation", SIM,
+     "if validate_simplicial(O)[0] and index.distinct == _on_owner(",
+     "if index.distinct == _on_owner(",
+     [SIM_TESTS + "::test_kan_on_a_base_matches_oracle[real-cap]"]),
+    ("filler-index-counts-every-key", SIM,
+     "self.distinct = int(np.count_nonzero(keys[1:] != keys[:-1])) + (len(keys) > 0)",
+     "self.distinct = len(keys)",
+     [SIM_TESTS + "::test_kan_on_a_base_matches_oracle[real-cap]"]),
+    ("horn-count-never-stops", SIM,
+     "if count > MAX_CELLS_PER_LEVEL:",
+     "if False:",
+     [SIM_TESTS + "::test_kan_on_a_base_matches_oracle[low-cap]"]),
     # verdicts that only the negative controls record as failed
     ("w-verdict-always-passes", COR,
      'report.record("simplicial:%s" % tag, ok, witness)',

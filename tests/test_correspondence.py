@@ -508,7 +508,7 @@ def test_corrupted_d0_fails_the_same_stages(monkeypatch):
         x = rng.randrange(len(d0))
         d0[x] = (d0[x] + rng.randrange(1, X.size(2))) % X.size(2)
         faces[(3, 0)] = d0
-        return correspondence._model(skeleton.group, skeleton.coeffs, faces, degs)
+        return TruncatedSSet(3, [X.levels[3]], faces, degs, base=X.base)
 
     monkeypatch.setattr(correspondence, "duskin_nerve", corrupted)
     reports = []
@@ -613,7 +613,7 @@ def test_cocycle_map_off_the_fiber_product_keeps_the_report(monkeypatch):
 
 def corrupted_pullback(rng):
     """pullback_model with one seeded entry of its level-3 face d_2 moved to
-    another 2-cell, rebuilt through _model."""
+    another 2-cell, rebuilt on the model's frame."""
     real = correspondence.pullback_model
 
     def build(skeleton):
@@ -623,7 +623,7 @@ def corrupted_pullback(rng):
         d2 = faces[(3, 2)] = faces[(3, 2)].copy()
         x = rng.randrange(len(d2))
         d2[x] = (d2[x] + rng.randrange(1, X.size(2))) % X.size(2)
-        return correspondence._model(skeleton.group, skeleton.coeffs, faces, degs)
+        return TruncatedSSet(3, [X.levels[3]], faces, degs, base=X.base)
 
     return "pullback_model", build
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1048,3 +1049,118 @@ def test_filler_counts_match_oracle(monkeypatch, code_bound):
                 for key, want_fillers in zip(horns, cells):
                     horn = Horn(n, missing, dict(zip(slots, key)))
                     assert fillers(X, horn) == want_fillers
+
+
+def nerves_corrupted_on_top():
+    """(G, N, faces, degeneracies) with the tables of level N alone: one per
+    corrupted_nerves() set whose corruption lies in its top level N, then
+    seeded copies of those nerves with one entry of a degeneracy table into
+    level N moved to another cell, whose faces hold but whose validation
+    fails."""
+    groups = {G.order: G for G in (C2, cyclic(3), dihedral(3))}
+    out = []
+    for obj in corrupted_nerves():
+        N, G = obj["truncation"], groups[obj["levels"][1]]
+        faces = {tuple(map(int, k.split(","))): v for k, v in obj["faces"].items()}
+        clean = nerve_bg(G, N)
+        if all(faces[k] == v.tolist() for k, v in clean.faces.items() if k[0] < N):
+            out.append((G, N, {k: v for k, v in faces.items() if k[0] == N},
+                        {k: v for k, v in clean.degeneracies.items() if k[0] == N - 1}))
+    rng = random.Random(20261022)
+    for G, N in [(C2, 3), (cyclic(3), 3), (dihedral(3), 2)]:
+        X = nerve_bg(G, N)
+        for _ in range(3):
+            degs = {k: v.copy() for k, v in X.degeneracies.items() if k[0] == N - 1}
+            tab = degs[rng.choice(sorted(degs))]
+            x = rng.randrange(len(tab))
+            tab[x] = (tab[x] + rng.randrange(1, X.size(N))) % X.size(N)
+            out.append((G, N, {k: v for k, v in X.faces.items() if k[0] == N}, degs))
+    return out
+
+
+def simplex(m, N):
+    """The standard m-simplex truncated at N, as level N on its levels
+    0..N-1: level k lists the monotone maps [k] -> [m] as value tuples,
+    lexicographic.  It validates, and for m >= 1 it is not Kan."""
+    cells = [list(itertools.combinations_with_replacement(range(m + 1), k + 1))
+             for k in range(N + 1)]
+    pos = [{c: x for x, c in enumerate(level)} for level in cells]
+
+    def tables(low, high):
+        faces = {(k, i): [pos[k - 1][c[:i] + c[i + 1:]] for c in cells[k]]
+                 for k in range(max(1, low), high + 1) for i in range(k + 1)}
+        degs = {(k, i): [pos[k + 1][c[:i + 1] + c[i:]] for c in cells[k]]
+                for k in range(max(0, low - 1), high) for i in range(k + 1)}
+        return faces, degs
+
+    base = TruncatedSSet(N - 1, [range(len(level)) for level in cells[:N]], *tables(0, N - 1))
+    return TruncatedSSet(N, [range(len(cells[N]))], *tables(N, N), base=base)
+
+
+@pytest.mark.parametrize("capped", [False, True], ids=["real-cap", "low-cap"])
+def test_kan_on_a_base_matches_oracle(monkeypatch, capped):
+    # the horn count kept on a base decides only for sets that validate;
+    # every other verdict, and every witness, comes from the block walk.
+    # Under a low cap, on fresh bases, the counts stop and their types walk
+    # their horns, with the same answers
+    built = []
+    for G, N, faces, degs in nerves_corrupted_on_top():
+        base = nerve_bg(G, N - 1)
+        if capped:
+            base = TruncatedSSet.from_json(base.to_json())  # nothing kept on it yet
+        built.append(TruncatedSSet(N, [range(G.order**N)], faces, degs, base=base))
+    built += [simplex(1, 3), simplex(2, 3)]
+    if capped:
+        monkeypatch.setattr(simplicial, "MAX_CELLS_PER_LEVEL", 1)
+        monkeypatch.setattr(simplicial, "HORN_BLOCK", 8)
+    verdicts, stopped = set(), 0
+    for X in built:
+        N = X.truncation
+        faces = {k: v.tolist() for k, v in X.faces.items()}
+        sizes = [X.size(n) for n in range(N + 1)]
+        want = brute_first_unfilled_horn(faces, sizes, N)
+        ok, horn = is_kan(X)
+        assert (ok, horn and (horn.n, horn.missing, horn.key())) == (want is None, want)
+        verdicts.add((validate_simplicial(X)[0], ok))
+        for n in range(1, N + 1):
+            for missing in range(n + 1):
+                slots = [j for j in range(n + 1) if j != missing]
+                signatures = {tuple(faces[(n, j)][z] for j in slots) for z in range(sizes[n])}
+                assert simplicial._filler_index(X, n, missing).distinct == len(signatures)
+        counts, Y = [], X
+        while Y is not None:  # the counts are kept on the sets of X's base chain
+            counts += [v for k, v in Y._derived.items() if k[0] == "horn count"]
+            Y = Y.base
+        assert counts
+        assert all(c <= simplicial.MAX_CELLS_PER_LEVEL + simplicial.HORN_BLOCK for c in counts)
+        stopped += any(c > simplicial.MAX_CELLS_PER_LEVEL for c in counts)
+    # sets that fail validation with and without an unfilled horn, and
+    # sets that validate with one
+    assert {(False, False), (False, True), (True, False)} <= verdicts
+    assert stopped if capped else not stopped
+
+
+def test_kan_keeps_nothing_per_horn_on_a_base():
+    # a set that fails validation on a base with S^3 compatible 3-horns: its
+    # verdict walks the horns in blocks, as for its from_json copy, and
+    # keeps nothing per horn on the base
+    S = 200
+    zeros = np.zeros(S, dtype=np.int64)
+    base = TruncatedSSet(2, [range(1), range(1), range(S)],
+                         {(1, 0): [0], (1, 1): [0], **{(2, i): zeros for i in range(3)}},
+                         {(0, 0): [0], (1, 0): [0], (1, 1): [0]})
+    X = TruncatedSSet(3, [range(1)], {(3, i): [0] for i in range(4)},
+                      {(2, i): zeros for i in range(3)}, base=base)
+    assert validate_simplicial(base)[0] and not validate_simplicial(X)[0]
+    assert len(enumerate_horns(base, 2, 0)) == 1 and filler_counts(base, 2, 0).tolist() == [S]
+    want = (False, (3, 0, {1: 0, 2: 0, 3: 1}))
+    tracemalloc.start()
+    try:
+        ok, horn = is_kan(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (ok, (horn.n, horn.missing, horn.faces)) == want
+    assert peak < 16 << 20
+    ok, horn = is_kan(TruncatedSSet.from_json(X.to_json()))
+    assert (ok, (horn.n, horn.missing, horn.faces)) == want
